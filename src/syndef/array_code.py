@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .binary import as_bits, vt_syndrome
+from .binary import _is_subsequence, as_bits, vt_syndrome
 from .core import Bits, DecodeFailure, ParameterError
 
 Interval = tuple[int, int]  # (start, length), 1-based start
@@ -40,15 +40,6 @@ class ArrayCodeParams:
     @property
     def modulus(self) -> int:
         return 3 ** self.rows * self.padded
-
-    def to_json(self) -> dict:
-        return {"rows": self.rows, "n": self.length,
-                "a": list(self.row_sums), "b": self.weighted_vt}
-
-    @staticmethod
-    def from_json(data) -> "ArrayCodeParams":
-        return ArrayCodeParams(rows=data["rows"], length=data["n"],
-                               row_sums=tuple(data["a"]), weighted_vt=data["b"])
 
 
 def _pad(word: Bits, rows: int) -> Bits:
@@ -223,11 +214,6 @@ def array_erasure_decode(received, burst_positions, params: ArrayCodeParams) -> 
     windows = _normalize_windows(burst_positions, params.rows, params.padded)
     word = _solve_rows(padded_known, windows, params)
     return word[:params.length]
-
-
-def _is_subsequence(short, long) -> bool:
-    it = iter(long)
-    return all(any(b == s for b in it) for s in short)
 
 
 def _single_column_word(params: ArrayCodeParams) -> Bits:

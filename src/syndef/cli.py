@@ -15,7 +15,7 @@ import math
 import sys
 import time
 
-from .bounds import cover_size, kdcc_size_bounds, verify_cover
+from .bounds import kdcc_size_bounds, verify_cover
 from .core import DecodeFailure, ParameterError, apply_defects, cycles
 from .kdcc import (
     KdccSpec,
@@ -41,7 +41,13 @@ def _parse_mode(mode: str):
     if mode == "exhaustive":
         return "exhaustive", None
     if mode.startswith("sampled:"):
-        return "sampled", int(mode.split(":", 1)[1])
+        try:
+            count = int(mode.split(":", 1)[1])
+        except ValueError:
+            count = 0
+        if count < 1:
+            raise ParameterError(f"mode {mode!r} needs a positive sample count")
+        return "sampled", count
     raise ParameterError(f"unknown mode {mode!r}")
 
 
@@ -69,15 +75,13 @@ def run_simulate(args) -> Report:
                 out, _ = sdcc1_decode(received, plan, params)
             else:
                 out = sdcc2_decode(received, plan, params)
-            ok = out == codeword.strands
+            failure = None if out == codeword.strands else {"delta": sorted(delta)}
         except DecodeFailure as exc:
-            ok = False
-            report.counterexamples.append(
-                {"delta": sorted(delta), "error": str(exc)})
-        if not ok:
+            failure = {"delta": sorted(delta), "error": str(exc)}
+        if failure is not None:
             failures += 1
             if len(report.counterexamples) < 10:
-                report.counterexamples.append({"delta": sorted(delta)})
+                report.counterexamples.append(failure)
     report.metrics = {"cases": len(deltas), "failures": failures,
                       "success_rate": 1.0 - failures / len(deltas)}
     report.passed = failures == 0

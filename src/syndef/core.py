@@ -11,6 +11,7 @@ that symbol.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -95,22 +96,23 @@ def apply_defects_tuple(strands, delta) -> tuple[Strand, ...]:
     return tuple(apply_defects(s, delta) for s in strands)
 
 
-def _insert_slot_positions(word: Strand, delta: int) -> list[int]:
-    """1-based positions at which a symbol inserted into ``word`` would be
-    synthesised exactly at cycle ``delta``.
+def landing_cycles(word: Strand, value: int) -> list[int]:
+    """Cycle at which ``value`` inserted into ``word`` would be synthesised,
+    for each 1-based slot in [1, len(word) + 1].
 
     The inserted symbol's cycle is the smallest value congruent to it mod 4
-    beyond the previous symbol's cycle, so each slot is checked in O(1).
+    beyond the previous symbol's cycle, so each slot costs O(1).
     """
-    value = smod4(delta)
-    sched = (0,) + (cycles(word) if word else ())
-    out = []
-    for pos in range(1, len(word) + 2):
-        prev = sched[pos - 1]
-        landed = prev + (value - prev - 1) % 4 + 1
-        if landed == delta:
-            out.append(pos)
-    return out
+    return [prev + (value - prev - 1) % 4 + 1
+            for prev in (0,) + (cycles(word) if word else ())]
+
+
+def _insert_slot_positions(word: Strand, delta: int) -> list[int]:
+    """1-based positions at which a symbol inserted into ``word`` would be
+    synthesised exactly at cycle ``delta``; at most four, and consecutive
+    because landing cycles never decrease from slot to slot."""
+    landed = landing_cycles(word, smod4(delta))
+    return list(range(bisect_left(landed, delta) + 1, bisect_right(landed, delta) + 1))
 
 
 def _insertions_at_cycle(word: Strand, delta: int) -> list[Strand]:
@@ -119,6 +121,15 @@ def _insertions_at_cycle(word: Strand, delta: int) -> list[Strand]:
     value = smod4(delta)
     return [word[:pos - 1] + (value,) + word[pos - 1:]
             for pos in _insert_slot_positions(word, delta)]
+
+
+def reinsertions(word: Strand, delta) -> set[Strand]:
+    """Every word reached by reinstating a symbol at each cycle of ``delta``,
+    in increasing cycle order."""
+    frontier = {word}
+    for d in sorted(set(delta)):
+        frontier = {y for w in frontier for y in _insertions_at_cycle(w, d)}
+    return frontier
 
 
 def confusable_ball(strand: Strand, delta) -> set[Strand]:
@@ -215,7 +226,7 @@ class ShiftedStrand:
 
     @property
     def symbols(self) -> Strand:
-        return tuple(smod4(s + self.shift) for s in self.base)
+        return shift_symbols(self.base, self.shift)
 
     @property
     def schedule(self) -> tuple[int, ...]:
@@ -227,20 +238,22 @@ def shift(strand: Strand, a: int) -> ShiftedStrand:
     return ShiftedStrand(base=tuple(strand), shift=a)
 
 
+def shift_symbols(strand: Strand, a: int) -> Strand:
+    """Symbols transmitted for a base strand re-timed by ``a`` cycles."""
+    return tuple(smod4(s + a) for s in strand)
+
+
 def unshift_symbols(symbols: Strand, a: int) -> Strand:
     """Recover the base strand of a shifted strand from its symbols."""
     return tuple(smod4(s - a) for s in symbols)
 
 
-def effective_cycles(symbols: Strand, a: int) -> tuple[int, ...]:
-    """Machine schedule of a strand transmitted with shift ``a``."""
-    return tuple(c + a for c in cycles(unshift_symbols(symbols, a)))
-
-
 def apply_defects_shifted(symbols: Strand, a: int, delta) -> Strand:
-    """Defect application against the re-timed schedule of a shifted strand."""
+    """Defect application against the re-timed schedule of a shifted strand:
+    the base strand's cycles moved by ``a``."""
     hit = set(delta)
-    return tuple(s for s, c in zip(symbols, effective_cycles(symbols, a)) if c not in hit)
+    sched = cycles(unshift_symbols(symbols, a))
+    return tuple(s for s, c in zip(symbols, sched) if c + a not in hit)
 
 
 def is_regular(bits, window: int) -> bool:
@@ -263,34 +276,3 @@ def default_regular_window(n: int) -> int:
     if n < 2:
         raise ParameterError("window undefined for n < 2")
     return max(4, math.ceil(7 * math.log2(n)))
-
-
-def strand_to_json(strand: Strand) -> list[int]:
-    return list(strand)
-
-
-def strand_from_json(data) -> Strand:
-    return as_strand(data)
-
-
-def tuple_to_json(strands) -> dict:
-    strands = [list(s) for s in strands]
-    return {"n": len(strands[0]), "m": len(strands), "strands": strands}
-
-
-def tuple_from_json(data) -> tuple[Strand, ...]:
-    strands = tuple(as_strand(s) for s in data["strands"])
-    if len(strands) != data["m"] or any(len(s) != data["n"] for s in strands):
-        raise ParameterError("tuple JSON header disagrees with strand payload")
-    return strands
-
-
-def defects_to_json(delta) -> list[int]:
-    return sorted(set(int(d) for d in delta))
-
-
-def defects_from_json(data, n: int) -> tuple[int, ...]:
-    delta = sorted(set(int(d) for d in data))
-    if any(not 1 <= d <= 4 * n for d in delta):
-        raise ParameterError("defective cycle outside [1, 4n]")
-    return tuple(delta)

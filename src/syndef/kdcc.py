@@ -10,7 +10,6 @@ signature into the 9-row array code and corrects two defects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .array_code import (
     ArrayCodeParams,
@@ -18,7 +17,7 @@ from .array_code import (
     array_single_bounded_decode,
     array_syndromes,
 )
-from .binary import SvtParams, svt_decode, svt_member
+from .binary import SvtParams, svt_decode, vt_syndrome, weight
 from .core import (
     DecodeFailure,
     ParameterError,
@@ -28,7 +27,7 @@ from .core import (
     all_strands,
     apply_defects,
     as_strand,
-    cycles,
+    reinsertions,
     signature,
     smod4,
 )
@@ -83,41 +82,47 @@ def array2_params(spec: KdccSpec) -> ArrayCodeParams:
                            weighted_vt=spec.residues["b"])
 
 
+def syndrome_key(family: str, strand):
+    """The family's syndromes of a strand, as a hashable key."""
+    if family == "sum1":
+        return even_position_sum(strand) % 4
+    sig = signature(strand)
+    if family == "svt1":
+        return vt_syndrome(sig) % 5, weight(sig) % 2
+    p = array_syndromes(sig, ARRAY2_ROWS)
+    return p.row_sums, p.weighted_vt
+
+
+def _residues_of(family: str, key) -> dict:
+    if family == "sum1":
+        return {"a": key}
+    if family == "svt1":
+        return {"a": key[0], "b": key[1]}
+    return {"a": list(key[0]), "b": key[1]}
+
+
+def _key_of(spec: KdccSpec):
+    """Inverse of :func:`_residues_of`, validating the residues on the way."""
+    r = spec.residues
+    if spec.family == "sum1":
+        return r["a"] % 4
+    if spec.family == "svt1":
+        p = SvtParams(a=r["a"], b=r["b"], window=5)
+        return p.a, p.b
+    p = array2_params(spec)
+    return p.row_sums, p.weighted_vt
+
+
 def membership(spec: KdccSpec, strand) -> bool:
     """Does the strand satisfy the family's syndrome constraints?"""
     strand = as_strand(strand)
-    if len(strand) != spec.n:
-        return False
-    if spec.family == "sum1":
-        return even_position_sum(strand) % 4 == spec.residues["a"] % 4
-    sig = signature(strand)
-    if spec.family == "svt1":
-        return svt_member(sig, SvtParams(a=spec.residues["a"],
-                                         b=spec.residues["b"], window=5))
-    other = array_syndromes(sig, ARRAY2_ROWS)
-    target = array2_params(spec)
-    return (other.row_sums == target.row_sums
-            and other.weighted_vt == target.weighted_vt)
+    return len(strand) == spec.n and syndrome_key(spec.family, strand) == _key_of(spec)
 
 
 def spec_for_strand(family: str, strand) -> KdccSpec:
     """The residue class containing a given strand."""
     strand = as_strand(strand)
-    n = len(strand)
-    if family == "sum1":
-        return KdccSpec("sum1", n, {"a": even_position_sum(strand) % 4})
-    sig = signature(strand)
-    if family == "svt1":
-        from .binary import vt_syndrome, weight
-        return KdccSpec("svt1", n, {"a": vt_syndrome(sig) % 5, "b": weight(sig) % 2})
-    p = array_syndromes(sig, ARRAY2_ROWS)
-    return KdccSpec("array2", n, {"a": list(p.row_sums), "b": p.weighted_vt})
-
-
-def _insert_slots(word, delta: int) -> list[int]:
-    """1-based positions where a symbol can be inserted so that it is
-    synthesised at cycle ``delta``; at most four, and consecutive."""
-    return _insert_slot_positions(word, delta)
+    return KdccSpec(family, len(strand), _residues_of(family, syndrome_key(family, strand)))
 
 
 def decode_sum1(instance: KnownDefectInstance, a: int) -> Strand:
@@ -151,12 +156,7 @@ def algorithm1_recover(received, delta, sig) -> Strand:
     sig = tuple(sig)
     if not delta:
         return received
-    frontier = {received}
-    for d in delta:
-        grown = set()
-        for w in frontier:
-            grown.update(_insertions_at_cycle(w, d))
-        frontier = grown
+    frontier = reinsertions(received, delta)
     hit = set(delta)
     final = {y for y in frontier
              if signature(y) == sig and apply_defects(y, hit) == received}
@@ -180,7 +180,7 @@ def decode_svt1(instance: KnownDefectInstance, a: int, b: int) -> Strand:
     if len(received) != n - 1:
         raise ParameterError("received length incompatible with one defect")
     (d,) = instance.delta
-    slots = _insert_slots(received, d)
+    slots = _insert_slot_positions(received, d)
     if not slots:
         raise DecodeFailure("no cycle-consistent insertion for the defective cycle")
     window_start = max(1, min(slots) - 1)
@@ -190,34 +190,57 @@ def decode_svt1(instance: KnownDefectInstance, a: int, b: int) -> Strand:
 
 
 def _signature_windows(received, d1: int, d2: int, sig_len: int):
-    """Intervals in signature coordinates covering the two missing signature
-    bits, derived from the cycle-consistent insertion slots.
+    """Pairs of intervals in signature coordinates covering the two missing
+    signature bits, derived from the cycle-consistent insertion slots.
 
     The first symbol reinserts at index i1 within a run of at most four
     consecutive slots and removes signature bit i1-1 or i1; the second lands
-    at i2 in the once-grown word and removes a bit in [i2-2, i2].  The
-    resulting windows are at most 5 and 9 wide.
+    at i2 in the once-grown word and removes a bit in [i2-2, i2].  Over all
+    first slots the windows are at most 5 and 9 wide unless the second slots
+    move with the first (for example from 8-11 to 12-15); then each first
+    slot gets its own pair of windows.
     """
-    first = _insert_slots(received, d1)
-    if not first:
-        raise DecodeFailure("no cycle-consistent insertion for the first defect")
-    second = set()
     value = smod4(d1)
-    for p in first:
-        inter = received[:p - 1] + (value,) + received[p - 1:]
-        second.update(_insert_slots(inter, d2))
-    if not second:
-        raise DecodeFailure("no cycle-consistent insertion for the second defect")
+    second = {p: _insert_slot_positions(received[:p - 1] + (value,) + received[p - 1:], d2)
+              for p in _insert_slot_positions(received, d1)}
 
-    def window(lo, hi, cap):
+    def window(lo, hi):
         lo, hi = max(1, lo), min(hi, sig_len)
-        if hi - lo + 1 > cap:
-            raise DecodeFailure("signature window exceeds its guaranteed width")
         return lo, hi - lo + 1
 
-    w1 = window(min(first) - 1, max(first), 5)
-    w2 = window(min(second) - 2, max(second), 9)
-    return w1, w2
+    def windows(first):
+        slots = [q for p in first for q in second[p]]
+        if not slots:
+            return None
+        return window(min(first) - 1, max(first)), window(min(slots) - 2, max(slots))
+
+    union = windows(second)
+    if union is None:
+        return []
+    if union[0][1] <= 5 and union[1][1] <= 9:
+        return [union]
+    return [w for w in (windows([p]) for p in second) if w is not None]
+
+
+def array2_candidates(received, delta, params: ArrayCodeParams) -> set[Strand]:
+    """Two known defects that both hit: every reinsertion of ``received``
+    whose signature the array code recovers from the insertion windows.
+
+    With one pair of windows a decode failure propagates; with one pair per
+    first slot, each decode that fails rules out its slot.
+    """
+    d1, d2 = sorted(delta)
+    pairs = _signature_windows(received, d1, d2, len(received) + 1)
+    sigs = []
+    for pair in pairs:
+        try:
+            sigs.append(array_bounded_decode(signature(received), pair, params))
+        except DecodeFailure:
+            if len(pairs) == 1:
+                raise
+    if not sigs:
+        return set()
+    return {y for y in reinsertions(received, (d1, d2)) if signature(y) in sigs}
 
 
 def decode_array2(instance: KnownDefectInstance, params: ArrayCodeParams) -> Strand:
@@ -237,13 +260,14 @@ def decode_array2(instance: KnownDefectInstance, params: ArrayCodeParams) -> Str
         raise ParameterError("received length incompatible with two defects")
     if k == 0:
         return received
+    received = as_strand(received)
     delta = tuple(sorted(instance.delta))
     full = set(delta)
 
     if k == 1:
         found = set()
         for d in delta:
-            slots = _insert_slots(received, d)
+            slots = _insert_slot_positions(received, d)
             if not slots:
                 continue
             width = min(5, len(signature(received)) + 1)
@@ -260,13 +284,11 @@ def decode_array2(instance: KnownDefectInstance, params: ArrayCodeParams) -> Str
             raise DecodeFailure(f"{len(found)} strands consistent with one hit")
         return found.pop()
 
-    d1, d2 = delta
-    w1, w2 = _signature_windows(received, d1, d2, n - 1)
-    sig = array_bounded_decode(signature(received), (w1, w2), params)
-    y = algorithm1_recover(received, delta, sig)
-    if apply_defects(y, full) != received:
-        raise DecodeFailure("reinserted strand does not reproduce the received word")
-    return y
+    found = {y for y in array2_candidates(received, delta, params)
+             if apply_defects(y, full) == received}
+    if len(found) != 1:
+        raise DecodeFailure(f"{len(found)} strands consistent with two hits")
+    return found.pop()
 
 
 def decode(spec: KdccSpec, instance: KnownDefectInstance) -> Strand:
@@ -275,17 +297,6 @@ def decode(spec: KdccSpec, instance: KnownDefectInstance) -> Strand:
     if spec.family == "svt1":
         return decode_svt1(instance, spec.residues["a"], spec.residues["b"])
     return decode_array2(instance, array2_params(spec))
-
-
-def _syndrome_key(family: str, strand):
-    if family == "sum1":
-        return even_position_sum(strand) % 4
-    sig = signature(strand)
-    if family == "svt1":
-        from .binary import vt_syndrome, weight
-        return vt_syndrome(sig) % 5, weight(sig) % 2
-    p = array_syndromes(sig, ARRAY2_ROWS)
-    return p.row_sums, p.weighted_vt
 
 
 def best_residues(family: str, n: int, sample=None, seed: int = 0):
@@ -301,23 +312,17 @@ def best_residues(family: str, n: int, sample=None, seed: int = 0):
     counts: dict = {}
     if sample is None:
         for x in all_strands(n):
-            key = _syndrome_key(family, x)
+            key = syndrome_key(family, x)
             counts[key] = counts.get(key, 0) + 1
     else:
         from .rng import SplitMix
         rng = SplitMix(seed)
         for i in range(sample):
             x = tuple(rng.randrange(1, 5) for _ in range(n))
-            key = _syndrome_key(family, x)
+            key = syndrome_key(family, x)
             counts[key] = counts.get(key, 0) + 1
     key, size = max(counts.items(), key=lambda kv: (kv[1], str(kv[0])))
-    if family == "sum1":
-        residues = {"a": key}
-    elif family == "svt1":
-        residues = {"a": key[0], "b": key[1]}
-    else:
-        residues = {"a": list(key[0]), "b": key[1]}
-    return KdccSpec(family, n, residues), size
+    return KdccSpec(family, n, _residues_of(family, key)), size
 
 
 def enumerate_codebook(spec: KdccSpec) -> list[Strand]:

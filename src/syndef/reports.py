@@ -19,7 +19,6 @@ from .core import ParameterError
 CEILINGS = {
     "strand_sweep": 7,   # exhaustive Sigma^n sweeps
     "enumerate": 10,     # codebook materialisation
-    "tuple_ball": 8,     # tuple defect-ball intersection checks
     "sketch_audit": 16,  # exhaustive sketch injectivity
 }
 
@@ -27,9 +26,14 @@ CEILINGS = {
 def ceiling(kind: str) -> int:
     override = os.environ.get("SYNDEF_MAX_EXHAUSTIVE_N")
     if override:
-        print(f"warning: exhaustive ceiling for {kind} overridden to {override}",
+        try:
+            cap = int(override)
+        except ValueError:
+            raise ParameterError(
+                f"SYNDEF_MAX_EXHAUSTIVE_N={override!r} is not an integer") from None
+        print(f"warning: exhaustive ceiling for {kind} overridden to {cap}",
               file=sys.stderr)
-        return int(override)
+        return cap
     return CEILINGS[kind]
 
 

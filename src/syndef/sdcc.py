@@ -20,30 +20,31 @@ from dataclasses import dataclass
 
 from .array_code import (
     ArrayCodeParams,
-    array_bounded_decode,
     array_single_bounded_decode,
     array_syndromes,
 )
 from .binary import SvtParams, svt_decode, svt_member, vt_decode, vt_syndrome, weight
 from .core import (
+    ALPHABET,
     ConstructionError,
     DecodeFailure,
     ParameterError,
     Strand,
     _insert_slot_positions,
     apply_defects_shifted,
+    as_strand,
     cycles,
     default_regular_window,
-    effective_cycles,
     is_regular,
-    longest_run,
+    landing_cycles,
     run_sequence,
+    shift_symbols,
     signature,
     smod4,
     symbol_positions,
     unshift_symbols,
 )
-from .kdcc import _signature_windows
+from .kdcc import array2_candidates
 from .rng import SplitMix
 from .sketch import EXACT, _completions, moment_vector
 
@@ -66,6 +67,16 @@ def localization_window(n: int) -> int:
 
 def position_sum_modulus(n: int) -> int:
     return math.ceil(14 * math.log2(n))
+
+
+def position_sums(strand, m: int) -> tuple[int, ...]:
+    """Sum of the 1-based positions of each symbol, mod ``m``."""
+    return tuple(sum(symbol_positions(strand, v)[1]) % m for v in ALPHABET)
+
+
+def symbol_counts_mod3(strand) -> tuple[int, ...]:
+    """Count of each symbol, mod 3."""
+    return tuple(symbol_positions(strand, v)[0] % 3 for v in ALPHABET)
 
 
 @dataclass(frozen=True)
@@ -166,11 +177,13 @@ class SdccCodeword:
 
     @staticmethod
     def from_json(data) -> "SdccCodeword":
-        cw = SdccCodeword(strands=tuple(tuple(s) for s in data["strands"]),
+        cw = SdccCodeword(strands=tuple(as_strand(s) for s in data["strands"]),
                           shifts=tuple(data["shifts"]))
-        if len(cw.strands) != data["m"] or cw.n != data["n"] \
-                or cw.cover_count != data["cover_count"]:
+        if len(cw.strands) != data["m"] or cw.cover_count != data["cover_count"] \
+                or any(len(s) != data["n"] for s in cw.strands):
             raise ParameterError("tuple JSON header disagrees with payload")
+        if cw.cover_count > len(cw.strands):
+            raise ParameterError("more shifts than strands")
         return cw
 
 
@@ -282,7 +295,7 @@ def sdcc1_decode(received, plan: CoverPlan, params: Sdcc1Params):
         sched = cycles(x)
         cands = {sched[p - 1] + a for p in _deleted_positions(x, x_short)}
         delta_candidates = cands if delta_candidates is None else delta_candidates & cands
-        out[i] = tuple(smod4(v + a) for v in x)
+        out[i] = shift_symbols(x, a)
     if not delta_candidates:
         raise DecodeFailure("cover strands disagree on the defective cycle")
     lo, hi = min(delta_candidates), max(delta_candidates)
@@ -292,7 +305,8 @@ def sdcc1_decode(received, plan: CoverPlan, params: Sdcc1Params):
 
     for j in [i for i in shortened if i >= cover_count]:
         r = received[j]
-        slots = [p for p in range(1, len(r) + 2) if _lands_in(r, p, value4, lo, hi)]
+        slots = [p for p, landed in enumerate(landing_cycles(r, value4), start=1)
+                 if lo <= landed <= hi]
         if not slots:
             raise DecodeFailure("no insertion slot lands inside the defect window")
         sig_window_start = max(1, min(slots) - 1)
@@ -312,13 +326,6 @@ def sdcc1_decode(received, plan: CoverPlan, params: Sdcc1Params):
                for d in sorted(delta_candidates)):
         raise DecodeFailure("no candidate cycle reproduces the received tuple")
     return result, (lo, hi)
-
-
-def _lands_in(word, p: int, value: int, lo: int, hi: int) -> bool:
-    sched = (0,) + cycles(word)
-    prev = sched[p - 1]
-    landed = prev + (value - prev - 1) % 4 + 1
-    return lo <= landed <= hi
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +367,8 @@ def c2d_params_of(strand, regular_window: int | None = None) -> C2dParams:
         n=n,
         sketch=moment_vector(sig),
         run_weighted=run_weighted_sum(strand),
-        counts=tuple(symbol_positions(strand, v)[0] % 3 for v in (1, 2, 3, 4)),
-        position_sums=tuple(sum(symbol_positions(strand, v)[1]) % m for v in (1, 2, 3, 4)),
+        counts=symbol_counts_mod3(strand),
+        position_sums=position_sums(strand, m),
         pos_modulus=m,
         regular_window=regular_window,
     )
@@ -378,16 +385,14 @@ def c2d_membership(strand, params: C2dParams) -> bool:
         return False
     if run_weighted_sum(strand) != params.run_weighted:
         return False
-    m = params.pos_modulus
-    return (params.counts == tuple(symbol_positions(strand, v)[0] % 3 for v in (1, 2, 3, 4))
-            and params.position_sums == tuple(sum(symbol_positions(strand, v)[1]) % m
-                                              for v in (1, 2, 3, 4)))
+    return (params.counts == symbol_counts_mod3(strand)
+            and params.position_sums == position_sums(strand, params.pos_modulus))
 
 
 def _deleted_values(received, counts) -> list[int]:
     out = []
-    for v in (1, 2, 3, 4):
-        d = (counts[v - 1] - symbol_positions(received, v)[0]) % 3
+    for v, want, have in zip(ALPHABET, counts, symbol_counts_mod3(received)):
+        d = (want - have) % 3
         if d == 2 and len(out) >= 2:
             raise DecodeFailure("symbol counts inconsistent with two deletions")
         out.extend([v] * d)
@@ -397,9 +402,7 @@ def _deleted_values(received, counts) -> list[int]:
 def _strand_checks(y, params: C2dParams) -> bool:
     if run_weighted_sum(y) != params.run_weighted:
         return False
-    m = params.pos_modulus
-    return params.position_sums == tuple(sum(symbol_positions(y, v)[1]) % m
-                                         for v in (1, 2, 3, 4))
+    return params.position_sums == position_sums(y, params.pos_modulus)
 
 
 def c2d_decode(received, params: C2dParams, n: int | None = None) -> Strand:
@@ -511,8 +514,7 @@ def sdcc2_params_of(codeword: SdccCodeword, regular_window: int | None = None,
     cover = tuple(c2d_params_of(x, regular_window) for x in codeword.bases())
     rest = codeword.strands[codeword.cover_count:]
     arrays = tuple(array_syndromes(signature(s), rows) for s in rest)
-    sums = tuple(tuple(sum(symbol_positions(s, v)[1]) % m for v in (1, 2, 3, 4))
-                 for s in rest)
+    sums = tuple(position_sums(s, m) for s in rest)
     return Sdcc2Params(n=n, cover=cover, sig_arrays=arrays,
                        position_sums=sums, pos_modulus=m, sig_rows=rows)
 
@@ -524,12 +526,11 @@ def sdcc2_membership(codeword: SdccCodeword, params: Sdcc2Params) -> bool:
         if not c2d_membership(x, cp):
             return False
     rest = codeword.strands[codeword.cover_count:]
-    m = params.pos_modulus
     for s, arr, sums in zip(rest, params.sig_arrays, params.position_sums):
         got = array_syndromes(signature(s), params.sig_rows)
         if got != arr:
             return False
-        if sums != tuple(sum(symbol_positions(s, v)[1]) % m for v in (1, 2, 3, 4)):
+        if sums != position_sums(s, params.pos_modulus):
             return False
     return True
 
@@ -572,26 +573,16 @@ def _remaining_strand_decode(r, delta, arr: ArrayCodeParams, sums, m, n):
             except DecodeFailure:
                 continue
             for y in _insert_matching_signature(r, smod4(d), sig, slots):
-                if tuple(sum(symbol_positions(y, v)[1]) % m for v in (1, 2, 3, 4)) == sums:
+                if position_sums(y, m) == sums:
                     results.add(y)
         return results
     if len(delta) != 2:
         return set()
-    d1, d2 = delta
     try:
-        w1, w2 = _signature_windows(r, d1, d2, n - 1)
-        sig = array_bounded_decode(signature(r), (w1, w2), arr)
+        words = array2_candidates(r, delta, arr)
     except DecodeFailure:
         return set()
-    frontier = {r}
-    for d in (d1, d2):
-        frontier = {w[:p - 1] + (smod4(d),) + w[p - 1:]
-                    for w in frontier for p in _insert_slot_positions(w, d)}
-    for y in frontier:
-        if signature(y) == sig and \
-                tuple(sum(symbol_positions(y, v)[1]) % m for v in (1, 2, 3, 4)) == sums:
-            results.add(y)
-    return results
+    return {y for y in words if position_sums(y, m) == sums}
 
 
 def sdcc2_decode(received, plan: CoverPlan, params: Sdcc2Params) -> tuple[Strand, ...]:
@@ -616,8 +607,7 @@ def sdcc2_decode(received, plan: CoverPlan, params: Sdcc2Params) -> tuple[Strand
         cover_bases.append(x)
         per_cover_options.append(_cover_delta_options(x, short, a))
 
-    transmitted = [tuple(smod4(v + a) for v in x)
-                   for x, a in zip(cover_bases, plan.shifts)]
+    transmitted = [shift_symbols(x, a) for x, a in zip(cover_bases, plan.shifts)]
 
     # Assemble global hypotheses for the defective-cycle set.
     singles = set()
@@ -721,7 +711,7 @@ def random_member_1sdcc(n: int, m: int, seed: int = 0,
     covers = [template_strand(n, 1 + rng.randrange(0, 4)) for _ in range(4)]
     rest = [rng.strand(n) for _ in range(m - 4)]
     plan = select_cover_shifts(covers, n)
-    strands = tuple(tuple(smod4(v + a) for v in x) for x, a in zip(covers, plan.shifts))
+    strands = tuple(shift_symbols(x, a) for x, a in zip(covers, plan.shifts))
     codeword = SdccCodeword(strands=strands + tuple(rest), shifts=plan.shifts)
     params = sdcc1_params_of(codeword, regular_window)
     return codeword, plan, params
@@ -742,7 +732,7 @@ def random_member_2sdcc(n: int, m: int, seed: int = 0, cover_count: int = 8,
             covers.append(rng.strand(n))
     rest = [rng.strand(n) for _ in range(m - cover_count)]
     plan = select_cover_shifts(covers, n)
-    strands = tuple(tuple(smod4(v + a) for v in x) for x, a in zip(covers, plan.shifts))
+    strands = tuple(shift_symbols(x, a) for x, a in zip(covers, plan.shifts))
     codeword = SdccCodeword(strands=strands + tuple(rest), shifts=plan.shifts)
     params = sdcc2_params_of(codeword, regular_window, sig_rows)
     return codeword, plan, params

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .binary import as_bits, vt_decode, weight
+from .binary import _is_subsequence, as_bits, vt_decode, weight
 from .core import Bits, ConstructionError, DecodeFailure, ParameterError
 
 MOMENT_ORDERS = (1, 2, 3, 4)
@@ -235,12 +235,6 @@ def _completions(word: Bits, n: int, targets, constraints, range1=None, range2=N
 EXACT = tuple((r, None) for r in MOMENT_ORDERS)
 
 
-def xi_candidates(received, targets, n: int) -> set[Bits]:
-    """Every length-``n`` completion of ``received`` matching a full moment
-    vector exactly."""
-    return _completions(as_bits(received), n, targets, EXACT)
-
-
 def xi_decode(received, sketch, n: int) -> Bits:
     """Recover a word of length ``n`` from its sketch and a copy missing one
     or two bits."""
@@ -248,7 +242,7 @@ def xi_decode(received, sketch, n: int) -> Bits:
     if len(received) not in (n - 1, n - 2, n):
         raise ParameterError("received length incompatible with one or two deletions")
     targets = _unpack(from_bits(sketch), xi_field_widths(n))
-    found = xi_candidates(received, targets, n)
+    found = _completions(received, n, targets, EXACT)
     if len(found) != 1:
         raise DecodeFailure(f"{len(found)} words consistent with the sketch")
     return found.pop()
@@ -464,31 +458,29 @@ class SketchBundle:
                             params=EParams(n=p["n"], P1=p["P1"], P2=p["P2"]))
 
 
+def _tail_bits(e1, e2, params: EParams) -> Bits:
+    """Both interval sketches packed at their fixed widths."""
+    return (to_bits(e1[0], params.kappa) + to_bits(e1[1], params.kappa)
+            + tuple(b for v, w in zip(e2, params.e2_widths) for b in to_bits(v, w)))
+
+
 @lru_cache(maxsize=8192)
 def _sketch_bundle_cached(bits: Bits, P1: int, P2: int) -> SketchBundle:
     params = EParams(n=len(bits), P1=P1, P2=P2)
     s1 = e1_sketch(bits, P1, P2)
     s2 = e2_sketch(bits, P1, P2)
-    tail = (to_bits(s1[0], params.kappa) + to_bits(s1[1], params.kappa)
-            + tuple(b for v, w in zip(s2, params.e2_widths) for b in to_bits(v, w)))
-    return SketchBundle(e1=s1, e2=s2, xi=sketch_xi(tail), params=params)
+    return SketchBundle(e1=s1, e2=s2, xi=sketch_xi(_tail_bits(s1, s2, params)), params=params)
 
 
 def sketch_bundle(bits, P1: int, P2: int) -> SketchBundle:
     return _sketch_bundle_cached(as_bits(bits), P1, P2)
 
 
-def _tail_bits(bundle: SketchBundle) -> Bits:
-    p = bundle.params
-    return (to_bits(bundle.e1[0], p.kappa) + to_bits(bundle.e1[1], p.kappa)
-            + tuple(b for v, w in zip(bundle.e2, p.e2_widths) for b in to_bits(v, w)))
-
-
 def encode_E(bits, P1: int, P2: int) -> Bits:
     """Systematic composition: the word, both interval sketches, then a
     deletion sketch protecting those sketches."""
     bundle = sketch_bundle(bits, P1, P2)
-    return as_bits(bits) + _tail_bits(bundle) + bundle.xi
+    return as_bits(bits) + _tail_bits(bundle.e1, bundle.e2, bundle.params) + bundle.xi
 
 
 def _parse_tail(tail: Bits, params: EParams):
@@ -589,11 +581,6 @@ def prefix_member(word, k: int, P1: int, P2: int) -> bool:
     word = as_bits(word)
     return (len(word) == prefix_codeword_length(k, P1, P2)
             and word == prefix_encode(word[:k], P1, P2))
-
-
-def _is_subsequence(short, long) -> bool:
-    it = iter(long)
-    return all(any(b == s for b in it) for s in short)
 
 
 def prefix_decode_two(received, intervals, k: int, P1: int, P2: int) -> Bits:

@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from syndef import cli
 from syndef.cli import main
+from syndef.core import DecodeFailure
 
 
 def run_cli(args):
@@ -23,6 +25,17 @@ class TestExitCodes:
 
     def test_usage_error(self):
         assert run_cli(["simulate", "--n", "8", "--m", "4", "--t", "3"]) == 2
+
+    @pytest.mark.parametrize("mode", ["sampled:abc", "sampled:0", "sampled:-3"])
+    def test_bad_sample_count_exits_two(self, mode, capsys):
+        assert run_cli(["verify-kdcc", "--family", "array2", "--n", "6",
+                        "--mode", mode]) == 2
+        assert "usage error" in capsys.readouterr().err
+
+    def test_bad_ceiling_override_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setenv("SYNDEF_MAX_EXHAUSTIVE_N", "x")
+        assert run_cli(["enumerate", "--family", "sum1", "--n", "4"]) == 2
+        assert "usage error" in capsys.readouterr().err
 
     def test_unknown_task_exits_two(self):
         with pytest.raises(SystemExit) as err:
@@ -81,6 +94,22 @@ class TestReports:
         data = json.loads(out.read_text())
         assert data["metrics"]["success_rate"] == 1.0
         assert data["metrics"]["cases"] == 64
+
+    @pytest.mark.parametrize("raises", [True, False])
+    def test_simulate_one_counterexample_per_failure(self, tmp_path, monkeypatch, raises):
+        def broken_decoder(received, plan, params):
+            if raises:
+                raise DecodeFailure("injected")
+            return received, None
+
+        monkeypatch.setattr(cli, "sdcc1_decode", broken_decoder)
+        out = tmp_path / "sim.json"
+        assert run_cli(["simulate", "--n", "16", "--m", "8", "--t", "1",
+                        "--out", str(out)]) == 1
+        data = json.loads(out.read_text())
+        assert data["metrics"]["failures"] == 64
+        extra = {"error": "injected"} if raises else {}
+        assert data["counterexamples"] == [dict(delta=[d], **extra) for d in range(1, 11)]
 
     def test_sketch_audit(self, tmp_path):
         out = tmp_path / "audit.json"

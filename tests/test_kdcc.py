@@ -183,6 +183,18 @@ class TestDecodeArray2:
         assert array2_params(spec_for_strand("array2", x)) == \
             array2_params(spec_for_strand("array2", y))
 
+    @pytest.mark.parametrize("text, delta", [
+        ("112212412341423333234234", (14, 24)),
+        ("232233111234212341114332", (10, 30)),
+    ])
+    def test_second_slots_move_with_the_first(self, text, delta):
+        # the second defect's slots depend on which first slot is taken, so
+        # their union is wider than the array code's 9-wide window
+        x = s(text)
+        assert two_defect_twins(x, delta) == {x}
+        inst = KnownDefectInstance(apply_defects(x, set(delta)), delta, len(x))
+        assert decode_array2(inst, array2_params(spec_for_strand("array2", x))) == x
+
     def test_both_defects_missing_identity(self):
         x = (1, 1, 1, 1)  # cycles 1, 5, 9, 13
         spec = spec_for_strand("array2", x)

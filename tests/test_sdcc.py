@@ -8,6 +8,7 @@ import pytest
 from syndef.core import (
     ConstructionError,
     DecodeFailure,
+    ParameterError,
     all_strands,
     apply_defects,
     cycles,
@@ -279,6 +280,30 @@ class TestSdcc2:
         for d1 in (17, 40, 77, 100):
             received = codeword.channel({d1, d1 + 1})
             assert sdcc2_decode(received, plan, params) == codeword.strands
+
+    def test_remaining_strand_whose_second_slots_move(self):
+        # remaining strand 8 needs one array decode per first slot
+        codeword, plan, params = random_member_2sdcc(32, 12, seed=290857749)
+        received = codeword.channel({19, 30})
+        assert sdcc2_decode(received, plan, params) == codeword.strands
+
+
+class TestCodewordJson:
+    def test_roundtrip(self):
+        codeword, _, _ = random_member_2sdcc(16, 10, seed=1)
+        assert SdccCodeword.from_json(codeword.to_json()) == codeword
+
+    def test_symbol_outside_alphabet(self):
+        data = random_member_2sdcc(16, 10, seed=1)[0].to_json()
+        data["strands"][9][3] = 5
+        with pytest.raises(ParameterError):
+            SdccCodeword.from_json(data)
+
+    def test_more_shifts_than_strands(self):
+        data = {"n": 4, "m": 1, "cover_count": 2, "shifts": [0, 1],
+                "strands": [[1, 2, 3, 4]]}
+        with pytest.raises(ParameterError):
+            SdccCodeword.from_json(data)
 
 
 class TestSdcc2ToyDisjointness:
