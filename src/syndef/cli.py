@@ -16,7 +16,7 @@ import sys
 import time
 
 from .bounds import kdcc_size_bounds, verify_cover
-from .core import DecodeFailure, ParameterError, apply_defects, cycles
+from .core import DecodeFailure, ParameterError, all_strands, apply_defects, cycles
 from .kdcc import (
     KdccSpec,
     KnownDefectInstance,
@@ -123,11 +123,9 @@ def _verify_single_defect_family(family: str, n: int, report: Report):
     report.passed = disjoint and failures == 0
 
 
-def _verify_array2(n: int, count: int, seed: int, report: Report):
-    rng = SplitMix(seed)
+def _verify_array2(n: int, strands, report: Report):
     cases = failures = 0
-    for _ in range(count):
-        x = rng.strand(n)
+    for x in strands:
         spec = spec_for_strand("array2", x)
         params = array2_params(spec)
         sched = cycles(x)
@@ -166,8 +164,11 @@ def run_verify_kdcc(args) -> Report:
     elif family == "array2":
         if kind == "exhaustive":
             check_ceiling("strand_sweep", args.n)
-            count = None
-        _verify_array2(args.n, count or 25, args.seed, report)
+            strands = all_strands(args.n)
+        else:
+            rng = SplitMix(args.seed)
+            strands = (rng.strand(args.n) for _ in range(count))
+        _verify_array2(args.n, strands, report)
     else:
         raise ParameterError(f"unknown family {family!r}")
     return report

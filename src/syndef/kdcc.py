@@ -5,6 +5,12 @@ Three families are implemented.  ``sum1`` constrains the sum of even-position
 symbols mod 4 and corrects one defect.  ``svt1`` sends the signature into a
 shifted VT code with window 5, again for one defect.  ``array2`` sends the
 signature into the 9-row array code and corrects two defects.
+
+This module owns known-cycle strand recovery: the signature window an
+insertion slot confines, the windowed shifted-VT and array decodes, and
+Algorithm 1's reinsertion.  The tuple codes in :mod:`syndef.sdcc` decode their
+remaining strands through :func:`svt1_candidates`, :func:`array1_candidates`
+and :func:`array2_candidates` once the cover strands localise the defect.
 """
 
 from __future__ import annotations
@@ -36,6 +42,11 @@ FAMILIES = ("sum1", "svt1", "array2")
 ARRAY2_ROWS = 9
 
 
+def _below(value, bound: int) -> bool:
+    """Is ``value`` an integer (not a bool) in [0, bound)?"""
+    return type(value) is int and 0 <= value < bound
+
+
 @dataclass(frozen=True)
 class KdccSpec:
     """Codebook descriptor: family name, strand length, residue vector."""
@@ -49,6 +60,21 @@ class KdccSpec:
             raise ParameterError(f"unknown family {self.family!r}")
         if self.family in ("svt1", "array2") and self.n < 3:
             raise ParameterError(f"family {self.family} needs n >= 3")
+        r = self.residues
+        keys = {"a"} if self.family == "sum1" else {"a", "b"}
+        if not isinstance(r, dict) or set(r) != keys:
+            raise ParameterError(
+                f"{self.family} residues must be an object with keys {sorted(keys)}")
+        if self.family == "sum1":
+            ok = _below(r["a"], 4)
+        elif self.family == "svt1":
+            ok = _below(r["a"], 5) and _below(r["b"], 2)
+        else:
+            ok = (isinstance(r["a"], (list, tuple)) and len(r["a"]) == ARRAY2_ROWS
+                  and all(_below(v, 3) for v in r["a"])
+                  and _below(r["b"], array2_params(self).modulus))
+        if not ok:
+            raise ParameterError(f"residues {r!r} out of range for family {self.family}")
 
     def to_json(self) -> dict:
         return {"family": self.family, "n": self.n, "residues": self.residues}
@@ -70,6 +96,19 @@ class KnownDefectInstance:
     def __post_init__(self):
         if len(self.received) < self.n - len(self.delta):
             raise ParameterError("received strand shorter than the defect count allows")
+
+
+def _shortfall(instance: KnownDefectInstance, family: str, size: int) -> int:
+    """Symbols the instance lost, once it is checked against a family that
+    corrects ``size`` known defective cycles."""
+    if len(instance.delta) != size:
+        raise ParameterError(f"{family} corrects exactly {size} defective cycle(s)")
+    if family != "sum1" and instance.n < 3:
+        raise ParameterError(f"{family} needs n >= 3")
+    k = instance.n - len(instance.received)
+    if not 0 <= k <= size:
+        raise ParameterError(f"received length incompatible with {size} defect(s)")
+    return k
 
 
 def even_position_sum(strand) -> int:
@@ -102,15 +141,13 @@ def _residues_of(family: str, key) -> dict:
 
 
 def _key_of(spec: KdccSpec):
-    """Inverse of :func:`_residues_of`, validating the residues on the way."""
+    """Inverse of :func:`_residues_of`."""
     r = spec.residues
     if spec.family == "sum1":
-        return r["a"] % 4
+        return r["a"]
     if spec.family == "svt1":
-        p = SvtParams(a=r["a"], b=r["b"], window=5)
-        return p.a, p.b
-    p = array2_params(spec)
-    return p.row_sums, p.weighted_vt
+        return r["a"], r["b"]
+    return tuple(r["a"]), r["b"]
 
 
 def membership(spec: KdccSpec, strand) -> bool:
@@ -128,13 +165,9 @@ def spec_for_strand(family: str, strand) -> KdccSpec:
 def decode_sum1(instance: KnownDefectInstance, a: int) -> Strand:
     """Single known defect: at most four cycle-consistent insertions exist and
     the even-position sum mod 4 separates them."""
-    if len(instance.delta) != 1:
-        raise ParameterError("sum1 corrects exactly one defective cycle")
-    received, n = instance.received, instance.n
-    if len(received) == n:
+    received = instance.received
+    if _shortfall(instance, "sum1", 1) == 0:
         return received
-    if len(received) != n - 1:
-        raise ParameterError("received length incompatible with one defect")
     (d,) = instance.delta
     found = {y for y in _insertions_at_cycle(received, d)
              if even_position_sum(y) % 4 == a % 4}
@@ -167,26 +200,65 @@ def algorithm1_recover(received, delta, sig) -> Strand:
     return final.pop()
 
 
+def _signature_window(first: int, last: int, sig_len: int):
+    """(start, width) of the signature bits that a symbol reinstated at a
+    1-based slot in [first, last] can remove: bits first-1 to last, clipped to
+    a signature of ``sig_len`` bits."""
+    lo, hi = max(1, first - 1), min(last, sig_len)
+    return lo, hi - lo + 1
+
+
+def _recover_each(received, cycles, sig) -> set[Strand]:
+    """Algorithm 1 once per candidate cycle; a cycle it cannot reinstate
+    under ``sig`` drops out."""
+    found = set()
+    for d in cycles:
+        try:
+            found.add(algorithm1_recover(received, (d,), sig))
+        except DecodeFailure:
+            pass
+    return found
+
+
+def svt1_candidates(received, cycles, params: SvtParams) -> set[Strand]:
+    """One known defect at one of ``cycles``: the shifted VT code recovers the
+    signature over the window of every cycle's insertion slots, and
+    Algorithm 1 reinstates each cycle under it."""
+    slots = [p for d in cycles for p in _insert_slot_positions(received, d)]
+    if not slots:
+        raise DecodeFailure("no cycle-consistent insertion for the defective cycle")
+    start, width = _signature_window(min(slots), max(slots), len(received))
+    if width > params.window:
+        raise DecodeFailure("defect window wider than the shifted-VT code tolerates")
+    sig = svt_decode(signature(received), start, params)
+    return _recover_each(received, cycles, sig)
+
+
 def decode_svt1(instance: KnownDefectInstance, a: int, b: int) -> Strand:
     """Single known defect via the signature: the defect confines the missing
     signature bit to a five-wide window, which the shifted VT code corrects."""
-    if len(instance.delta) != 1:
-        raise ParameterError("svt1 corrects exactly one defective cycle")
-    received, n = instance.received, instance.n
-    if n < 3:
-        raise ParameterError("svt1 needs n >= 3")
-    if len(received) == n:
+    received = instance.received
+    if _shortfall(instance, "svt1", 1) == 0:
         return received
-    if len(received) != n - 1:
-        raise ParameterError("received length incompatible with one defect")
-    (d,) = instance.delta
+    found = svt1_candidates(received, instance.delta, SvtParams(a=a, b=b, window=5))
+    if len(found) != 1:
+        raise DecodeFailure(f"{len(found)} insertions match the signature")
+    return found.pop()
+
+
+def array1_candidates(received, d: int, params: ArrayCodeParams) -> set[Strand]:
+    """One known defect that hit at cycle ``d``: the reinsertions of
+    ``received`` whose signature the array code recovers from the insertion
+    window; none when there is no slot or the decode fails."""
     slots = _insert_slot_positions(received, d)
     if not slots:
-        raise DecodeFailure("no cycle-consistent insertion for the defective cycle")
-    window_start = max(1, min(slots) - 1)
-    sig = svt_decode(signature(received), window_start,
-                     SvtParams(a=a, b=b, window=5))
-    return algorithm1_recover(received, (d,), sig)
+        return set()
+    window = _signature_window(min(slots), max(slots), len(received))
+    try:
+        sig = array_single_bounded_decode(signature(received), window, params)
+    except DecodeFailure:
+        return set()
+    return _recover_each(received, (d,), sig)
 
 
 def _signature_windows(received, d1: int, d2: int, sig_len: int):
@@ -204,15 +276,12 @@ def _signature_windows(received, d1: int, d2: int, sig_len: int):
     second = {p: _insert_slot_positions(received[:p - 1] + (value,) + received[p - 1:], d2)
               for p in _insert_slot_positions(received, d1)}
 
-    def window(lo, hi):
-        lo, hi = max(1, lo), min(hi, sig_len)
-        return lo, hi - lo + 1
-
     def windows(first):
         slots = [q for p in first for q in second[p]]
         if not slots:
             return None
-        return window(min(first) - 1, max(first)), window(min(slots) - 2, max(slots))
+        return (_signature_window(min(first), max(first), sig_len),
+                _signature_window(min(slots) - 1, max(slots), sig_len))
 
     union = windows(second)
     if union is None:
@@ -231,10 +300,11 @@ def array2_candidates(received, delta, params: ArrayCodeParams) -> set[Strand]:
     """
     d1, d2 = sorted(delta)
     pairs = _signature_windows(received, d1, d2, len(received) + 1)
+    short_sig = signature(received) if len(received) >= 2 else ()
     sigs = []
     for pair in pairs:
         try:
-            sigs.append(array_bounded_decode(signature(received), pair, params))
+            sigs.append(array_bounded_decode(short_sig, pair, params))
         except DecodeFailure:
             if len(pairs) == 1:
                 raise
@@ -247,47 +317,22 @@ def decode_array2(instance: KnownDefectInstance, params: ArrayCodeParams) -> Str
     """Two known defects: signature windows of widths 5 and 9 feed the array
     code, and the cycle structure reinstates the symbols.
 
-    Defective cycles that missed the strand are dispatched by trying every
-    subset of the right size; the code property guarantees a unique outcome.
+    Defective cycles that missed the strand are dispatched by trying each
+    one as the only hit; the code property guarantees a unique outcome.
     """
-    if len(instance.delta) != 2:
-        raise ParameterError("array2 corrects exactly two defective cycles")
-    received, n = instance.received, instance.n
-    if n < 3:
-        raise ParameterError("array2 needs n >= 3")
-    k = n - len(received)
-    if k not in (0, 1, 2):
-        raise ParameterError("received length incompatible with two defects")
+    k = _shortfall(instance, "array2", 2)
     if k == 0:
-        return received
-    received = as_strand(received)
+        return instance.received
+    received = as_strand(instance.received)
     delta = tuple(sorted(instance.delta))
-    full = set(delta)
-
     if k == 1:
-        found = set()
-        for d in delta:
-            slots = _insert_slot_positions(received, d)
-            if not slots:
-                continue
-            width = min(5, len(signature(received)) + 1)
-            start = max(1, min(min(slots) - 1, len(signature(received)) - width + 2))
-            try:
-                sig = array_single_bounded_decode(
-                    signature(received), (start, width), params)
-                y = algorithm1_recover(received, (d,), sig)
-            except DecodeFailure:
-                continue
-            if apply_defects(y, full) == received:
-                found.add(y)
-        if len(found) != 1:
-            raise DecodeFailure(f"{len(found)} strands consistent with one hit")
-        return found.pop()
-
-    found = {y for y in array2_candidates(received, delta, params)
-             if apply_defects(y, full) == received}
+        found = {y for d in delta for y in array1_candidates(received, d, params)}
+    else:
+        found = array2_candidates(received, delta, params)
+    found = {y for y in found if apply_defects(y, delta) == received}
     if len(found) != 1:
-        raise DecodeFailure(f"{len(found)} strands consistent with two hits")
+        hits = "one hit" if k == 1 else "two hits"
+        raise DecodeFailure(f"{len(found)} strands consistent with {hits}")
     return found.pop()
 
 

@@ -11,6 +11,11 @@ Cover strands use one-deletion machinery (symbol sum plus a VT-coded regular
 signature) for single defects, and the quaternary two-deletion code for
 double defects.  Remaining strands use shifted-VT signatures (single defect)
 or array-coded signatures plus per-symbol position sums (double defects).
+
+This module owns the covers and the defect hypotheses they give.  Each
+remaining strand is then a known-defect instance, decoded through the
+known-cycle recovery of :mod:`syndef.kdcc`; only the position-sum filter of
+the double-defect code is applied here.
 """
 
 from __future__ import annotations
@@ -18,25 +23,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .array_code import (
-    ArrayCodeParams,
-    array_single_bounded_decode,
-    array_syndromes,
-)
-from .binary import SvtParams, svt_decode, svt_member, vt_decode, vt_syndrome, weight
+from .array_code import ArrayCodeParams, array_syndromes
+from .binary import SvtParams, svt_member, vt_decode, vt_syndrome, weight
 from .core import (
     ALPHABET,
     ConstructionError,
     DecodeFailure,
     ParameterError,
     Strand,
-    _insert_slot_positions,
     apply_defects_shifted,
     as_strand,
     cycles,
     default_regular_window,
     is_regular,
-    landing_cycles,
     run_sequence,
     shift_symbols,
     signature,
@@ -44,7 +43,7 @@ from .core import (
     symbol_positions,
     unshift_symbols,
 )
-from .kdcc import array2_candidates
+from .kdcc import array1_candidates, array2_candidates, svt1_candidates
 from .rng import SplitMix
 from .sketch import EXACT, _completions, moment_vector
 
@@ -244,12 +243,11 @@ def sdcc1_membership(codeword: SdccCodeword, params: Sdcc1Params) -> bool:
     return True
 
 
-def _insert_matching_signature(word, value: int, sig, slots=None) -> set[Strand]:
+def _insert_matching_signature(word, value: int, sig) -> set[Strand]:
     """Words obtained by inserting ``value`` into ``word`` whose signature is
-    exactly ``sig``; restricted to 1-based ``slots`` when given."""
+    exactly ``sig``."""
     out = set()
-    positions = range(1, len(word) + 2) if slots is None else slots
-    for p in positions:
+    for p in range(1, len(word) + 2):
         y = word[:p - 1] + (value,) + word[p - 1:]
         if signature(y) == sig:
             out.add(y)
@@ -282,7 +280,6 @@ def sdcc1_decode(received, plan: CoverPlan, params: Sdcc1Params):
 
     out = list(received)
     delta_candidates: set[int] | None = None
-    value4 = None
     for i in [i for i in shortened if i < cover_count]:
         a = plan.shifts[i]
         x_short = unshift_symbols(received[i], a)
@@ -298,34 +295,22 @@ def sdcc1_decode(received, plan: CoverPlan, params: Sdcc1Params):
         out[i] = shift_symbols(x, a)
     if not delta_candidates:
         raise DecodeFailure("cover strands disagree on the defective cycle")
-    lo, hi = min(delta_candidates), max(delta_candidates)
-    value4 = smod4(lo)
-    if any(smod4(d) != value4 for d in delta_candidates):
-        raise DecodeFailure("candidate defective cycles disagree on the symbol value")
-
+    # Each cover's candidates are the cycles of one run of equal symbols: one
+    # symbol value, four cycles apart.  So is their intersection.
+    candidates = sorted(delta_candidates)
     for j in [i for i in shortened if i >= cover_count]:
-        r = received[j]
-        slots = [p for p, landed in enumerate(landing_cycles(r, value4), start=1)
-                 if lo <= landed <= hi]
-        if not slots:
-            raise DecodeFailure("no insertion slot lands inside the defect window")
-        sig_window_start = max(1, min(slots) - 1)
-        if max(slots) - sig_window_start + 1 > params.window + 1:
-            raise DecodeFailure("defect window wider than the shifted-VT code tolerates")
-        sig = svt_decode(signature(r), sig_window_start,
-                         SvtParams(a=params.d[j - cover_count],
-                                   b=params.e[j - cover_count],
-                                   window=params.window + 1))
-        words = _insert_matching_signature(r, value4, sig, slots)
+        svt = SvtParams(a=params.d[j - cover_count], b=params.e[j - cover_count],
+                        window=params.window + 1)
+        words = svt1_candidates(received[j], candidates, svt)
         if len(words) != 1:
             raise DecodeFailure("remaining strand reconstruction is not unique")
         out[j] = words.pop()
 
     result = tuple(out)
     if not any(SdccCodeword(result, plan.shifts).channel({d}) == received
-               for d in sorted(delta_candidates)):
+               for d in candidates):
         raise DecodeFailure("no candidate cycle reproduces the received tuple")
-    return result, (lo, hi)
+    return result, (candidates[0], candidates[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -557,31 +542,15 @@ def _remaining_strand_decode(r, delta, arr: ArrayCodeParams, sums, m, n):
     k = n - len(r)
     if k == 0:
         return {r}
-    delta = sorted(delta)
-    results = set()
     if k == 1:
-        for d in delta:
-            slots = _insert_slot_positions(r, d)
-            if not slots:
-                continue
-            sig_len = n - 2
-            lo = max(1, min(slots) - 1)
-            width = min(max(slots) - lo + 1, arr.rows, sig_len)
-            lo = min(lo, sig_len - width + 1)
-            try:
-                sig = array_single_bounded_decode(signature(r), (lo, width), arr)
-            except DecodeFailure:
-                continue
-            for y in _insert_matching_signature(r, smod4(d), sig, slots):
-                if position_sums(y, m) == sums:
-                    results.add(y)
-        return results
-    if len(delta) != 2:
+        words = {y for d in delta for y in array1_candidates(r, d, arr)}
+    elif len(delta) != 2:
         return set()
-    try:
-        words = array2_candidates(r, delta, arr)
-    except DecodeFailure:
-        return set()
+    else:
+        try:
+            words = array2_candidates(r, delta, arr)
+        except DecodeFailure:
+            return set()
     return {y for y in words if position_sums(y, m) == sums}
 
 
@@ -707,6 +676,8 @@ def random_member_1sdcc(n: int, m: int, seed: int = 0,
     """A deterministic member tuple with four template cover strands (one per
     block) and seeded random remaining strands, together with its plan and
     derived residues."""
+    if m < 4:
+        raise ParameterError(f"m={m} is below the cover count 4")
     rng = SplitMix(seed)
     covers = [template_strand(n, 1 + rng.randrange(0, 4)) for _ in range(4)]
     rest = [rng.strand(n) for _ in range(m - 4)]
@@ -723,6 +694,8 @@ def random_member_2sdcc(n: int, m: int, seed: int = 0, cover_count: int = 8,
     """As above for the double-defect code; two template strands per block."""
     if cover_count % 4 != 0:
         raise ParameterError("cover count must split into four blocks")
+    if m < cover_count:
+        raise ParameterError(f"m={m} is below the cover count {cover_count}")
     rng = SplitMix(seed)
     per_block = cover_count // 4
     covers = []

@@ -37,6 +37,21 @@ class TestExitCodes:
         assert run_cli(["enumerate", "--family", "sum1", "--n", "4"]) == 2
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family, params", [
+        ("sum1", "{}"),
+        ("svt1", "[1,2]"),
+        ("array2", '{"a": [0], "b": 0}'),
+    ])
+    def test_bad_residues_exit_two(self, family, params, capsys):
+        assert run_cli(["enumerate", "--family", family, "--n", "4",
+                        "--params", params]) == 2
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("m, t", [(3, 1), (5, 2)])
+    def test_fewer_strands_than_covers_exits_two(self, m, t, capsys):
+        assert run_cli(["simulate", "--n", "16", "--m", str(m), "--t", str(t)]) == 2
+        assert "cover count" in capsys.readouterr().err
+
     def test_unknown_task_exits_two(self):
         with pytest.raises(SystemExit) as err:
             run_cli(["frobnicate", "--n", "4"])
@@ -54,6 +69,23 @@ class TestExitCodes:
             assert code == 1 and not data["passed"]
         else:
             assert code == 0
+
+
+class TestArray2Modes:
+    def test_exhaustive_sweeps_every_strand(self, tmp_path):
+        out = tmp_path / "array2.json"
+        run_cli(["verify-kdcc", "--family", "array2", "--n", "4",
+                 "--mode", "exhaustive", "--out", str(out)])
+        assert json.loads(out.read_text())["metrics"]["cases"] == 4 ** 4 * 6
+
+    def test_sampled_count_is_the_strand_count(self, tmp_path):
+        out = tmp_path / "array2.json"
+        run_cli(["verify-kdcc", "--family", "array2", "--n", "6",
+                 "--mode", "sampled:7", "--out", str(out)])
+        assert json.loads(out.read_text())["metrics"]["cases"] == 7 * 15
+
+    def test_exhaustive_respects_the_ceiling(self):
+        assert run_cli(["verify-kdcc", "--family", "array2", "--n", "8"]) == 2
 
 
 class TestReports:

@@ -4,7 +4,15 @@ from itertools import combinations
 
 import pytest
 
-from syndef.core import DecodeFailure, ParameterError, all_strands, apply_defects, cycles, signature
+from syndef.core import (
+    DecodeFailure,
+    ParameterError,
+    all_strands,
+    apply_defects,
+    confusable_ball,
+    cycles,
+    signature,
+)
 from syndef.kdcc import (
     KdccSpec,
     KnownDefectInstance,
@@ -210,6 +218,68 @@ class TestDecodeArray2:
         delta = tuple(sorted((d_hit, d_miss)))
         inst = KnownDefectInstance(apply_defects(x, set(delta)), delta, 5)
         assert decode_array2(inst, array2_params(spec)) == x
+
+
+class TestAgainstConfusableBall:
+    """Differential check of the known-defect decoders against the exact
+    confusable ball: each returns x exactly when x is the only member of its
+    residue class in the ball, and otherwise fails closed."""
+
+    @staticmethod
+    def expect(decode_once, x, family, delta):
+        spec = spec_for_strand(family, x)
+        unique = [y for y in confusable_ball(x, delta) if membership(spec, y)] == [x]
+        try:
+            got = decode_once()
+        except DecodeFailure:
+            assert not unique, (family, x, delta)
+        else:
+            assert unique and got == x, (family, x, delta, got)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_every_strand(self, n):
+        for x in all_strands(n):
+            sched = cycles(x)
+            params = array2_params(spec_for_strand("array2", x))
+            for delta in combinations(range(1, 4 * n + 1), 2):
+                if set(delta).isdisjoint(sched):
+                    continue
+                inst = KnownDefectInstance(apply_defects(x, delta), delta, n)
+                self.expect(lambda: decode_array2(inst, params), x, "array2", delta)
+            r = spec_for_strand("svt1", x).residues
+            for d in sched:
+                inst = KnownDefectInstance(apply_defects(x, {d}), (d,), n)
+                self.expect(lambda: decode_svt1(inst, r["a"], r["b"]), x, "svt1", (d,))
+
+
+class TestResidueValidation:
+    @pytest.mark.parametrize("family, residues", [
+        ("sum1", {}),
+        ("sum1", [1, 2]),
+        ("sum1", {"a": 4}),
+        ("sum1", {"a": -1}),
+        ("sum1", {"a": 1, "b": 0}),
+        ("sum1", {"a": True}),
+        ("svt1", {"a": 5, "b": 0}),
+        ("svt1", {"a": 0, "b": 2}),
+        ("svt1", {"a": 1.0, "b": 0}),
+        ("svt1", {"a": 0}),
+        ("array2", {"a": [0], "b": 0}),
+        ("array2", {"a": [0] * 8 + [3], "b": 0}),
+        ("array2", {"a": [0] * 9, "b": -1}),
+        ("array2", {"a": [0] * 9, "b": 3 ** 9 * 9}),
+        ("array2", {"a": 0, "b": 0}),
+    ])
+    def test_rejected(self, family, residues):
+        with pytest.raises(ParameterError):
+            KdccSpec(family, 5, residues)
+        with pytest.raises(ParameterError):
+            KdccSpec.from_json({"family": family, "n": 5, "residues": residues})
+
+    def test_largest_array2_residue_accepted(self):
+        # n = 11 gives a 10-bit signature, padded to 18 bits in 9 rows
+        spec = KdccSpec("array2", 11, {"a": [2] * 9, "b": 3 ** 9 * 18 - 1})
+        assert array2_params(spec).modulus == 3 ** 9 * 18
 
 
 class TestBestResidues:

@@ -52,6 +52,10 @@ class TestBenchmarkBindings:
         x = tuple(int(c) for c in "112212412341423333234234")
         params = kdcc.array2_params(kdcc.spec_for_strand("array2", x))
         codeword, plan, tuple_params = sdcc.random_member_2sdcc(16, 10, seed=4)
+        one, one_plan, one_params = sdcc.random_member_1sdcc(16, 8, seed=7)
+        svt1 = kdcc.spec_for_strand("svt1", x).residues
+        one_hit = codeword.channel({2})
+        assert len(one_hit[plan.cover_count]) == 15  # a remaining strand lost one symbol
         tracer = tracer_module.Tracer()
         tracer.install()
         try:
@@ -59,13 +63,20 @@ class TestBenchmarkBindings:
             received = apply_defects(x, (14, 24))
             kdcc.decode_array2(kdcc.KnownDefectInstance(received, (14, 24), 24), params)
             sdcc.sdcc2_decode(codeword.channel({9, 30}), plan, tuple_params)
+            # one-hit decodes: the known-cycle step reached from both tuple codes
+            kdcc.decode_svt1(kdcc.KnownDefectInstance(apply_defects(x, {14}), (14,), 24),
+                             svt1["a"], svt1["b"])
+            sdcc.sdcc1_decode(one.channel({21}), one_plan, one_params)
+            sdcc.sdcc2_decode(one_hit, plan, tuple_params)
         finally:
             tracer.uninstall()
         assert tracer_module.wrapped_bindings() == []
         calls, _ = tracer.metrics(1)
         for name in ("core.insert_slot_positions", "core.apply_defects_shifted",
                      "kdcc.decode_array2", "array_code.array_bounded_decode",
-                     "sdcc.channel", "sdcc.c2d_decode", "sketch.completions"):
+                     "sdcc.channel", "sdcc.c2d_decode", "sketch.completions",
+                     "kdcc.decode_svt1", "sdcc.sdcc1_decode", "kdcc.algorithm1_recover",
+                     "binary.svt_decode", "array_code.array_single_bounded_decode"):
             assert calls[f"{name}.calls"] > 0, name
 
 

@@ -288,6 +288,16 @@ class TestSdcc2:
         assert sdcc2_decode(received, plan, params) == codeword.strands
 
 
+class TestMemberSizes:
+    def test_fewer_strands_than_covers_rejected(self):
+        with pytest.raises(ParameterError):
+            random_member_1sdcc(16, 3)
+        with pytest.raises(ParameterError):
+            random_member_2sdcc(16, 7)
+        with pytest.raises(ParameterError):
+            random_member_2sdcc(16, 11, cover_count=12)
+
+
 class TestCodewordJson:
     def test_roundtrip(self):
         codeword, _, _ = random_member_2sdcc(16, 10, seed=1)
