@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import time
+from itertools import combinations
 
 from .bounds import kdcc_size_bounds, verify_cover
 from .core import DecodeFailure, ParameterError, all_strands, apply_defects, cycles
@@ -62,10 +63,16 @@ def run_simulate(args) -> Report:
         codeword, plan, params = random_member_1sdcc(n, m, seed=args.seed)
         deltas = [frozenset({d}) for d in range(1, 4 * n + 1)]
     elif t == 2:
+        span = range(1, 4 * n + 1)
+        if kind == "exhaustive":
+            check_ceiling("defect_sweep", n)
+            deltas = [frozenset({d}) for d in span]
+            deltas += [frozenset(p) for p in combinations(span, 2)]
+        else:
+            # max(2n, count) pairs that between them touch every cycle
+            deltas = [frozenset(p) for p in stratified_delta_pairs(n, count, args.seed + 1)]
+            deltas += [frozenset({d}) for d in span[::5]]
         codeword, plan, params = random_member_2sdcc(n, m, seed=args.seed)
-        count = count or 4 * n
-        deltas = [frozenset(p) for p in stratified_delta_pairs(n, count, args.seed + 1)]
-        deltas += [frozenset({d}) for d in range(1, 4 * n + 1, 5)]
     else:
         raise ParameterError("simulate supports t in {1, 2}")
     for delta in deltas:

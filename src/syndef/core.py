@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 ALPHABET = (1, 2, 3, 4)
+_SYMBOLS = frozenset(ALPHABET)
 
 Strand = tuple[int, ...]
 Bits = tuple[int, ...]
@@ -40,12 +41,12 @@ def smod4(value: int) -> int:
 
 def as_strand(symbols) -> Strand:
     """Validate and normalise a quaternary word."""
-    word = tuple(int(s) for s in symbols)
+    word = tuple(map(int, symbols))
     if not word:
         raise ParameterError("empty strand")
-    for s in word:
-        if s not in (1, 2, 3, 4):
-            raise ParameterError(f"symbol {s!r} outside alphabet {{1,2,3,4}}")
+    if not set(word) <= _SYMBOLS:
+        bad = next(s for s in word if s not in _SYMBOLS)
+        raise ParameterError(f"symbol {bad!r} outside alphabet {{1,2,3,4}}")
     return word
 
 
@@ -71,12 +72,14 @@ def inverse_diff(d: Strand) -> Strand:
 
 
 def cycles(strand: Strand) -> tuple[int, ...]:
-    """Synthesis cycle of each symbol: plain prefix sums of the difference sequence."""
+    """Synthesis cycle of each symbol: plain prefix sums of the difference
+    sequence, in one pass.  Each symbol lands on the first cycle past the
+    previous one that carries its value (the step of :func:`landing_cycles`)."""
     out = []
-    total = 0
-    for step in diff(strand):
-        total += step
-        out.append(total)
+    c = 0
+    for s in strand:
+        c += (s - c - 1) % 4 + 1
+        out.append(c)
     return tuple(out)
 
 
@@ -104,7 +107,7 @@ def landing_cycles(word: Strand, value: int) -> list[int]:
     beyond the previous symbol's cycle, so each slot costs O(1).
     """
     return [prev + (value - prev - 1) % 4 + 1
-            for prev in (0,) + (cycles(word) if word else ())]
+            for prev in (0,) + cycles(word)]
 
 
 def _insert_slot_positions(word: Strand, delta: int) -> list[int]:
@@ -250,10 +253,17 @@ def unshift_symbols(symbols: Strand, a: int) -> Strand:
 
 def apply_defects_shifted(symbols: Strand, a: int, delta) -> Strand:
     """Defect application against the re-timed schedule of a shifted strand:
-    the base strand's cycles moved by ``a``."""
+    the base strand's cycles moved by ``a``.  That schedule is the landing
+    recurrence of :func:`cycles` run on the transmitted symbols from cycle
+    ``a`` instead of 0."""
     hit = set(delta)
-    sched = cycles(unshift_symbols(symbols, a))
-    return tuple(s for s, c in zip(symbols, sched) if c + a not in hit)
+    out = []
+    c = a
+    for s in symbols:
+        c += (s - c - 1) % 4 + 1
+        if c not in hit:
+            out.append(s)
+    return tuple(out)
 
 
 def is_regular(bits, window: int) -> bool:

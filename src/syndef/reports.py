@@ -20,6 +20,7 @@ CEILINGS = {
     "strand_sweep": 7,   # exhaustive Sigma^n sweeps
     "enumerate": 10,     # codebook materialisation
     "sketch_audit": 16,  # exhaustive sketch injectivity
+    "defect_sweep": 32,  # every defect set of at most two cycles, simulate --t 2
 }
 
 

@@ -243,21 +243,65 @@ def sdcc1_membership(codeword: SdccCodeword, params: Sdcc1Params) -> bool:
     return True
 
 
+def _common_prefix(u, v) -> int:
+    """Length of the longest common prefix of two sequences."""
+    k, top = 0, min(len(u), len(v))
+    while k < top and u[k] == v[k]:
+        k += 1
+    return k
+
+
+def _common_suffix(u, v) -> int:
+    """Length of the longest common suffix of two sequences."""
+    k, top = 0, min(len(u), len(v))
+    while k < top and u[-1 - k] == v[-1 - k]:
+        k += 1
+    return k
+
+
+def _matching_slots(word, value: int, sig) -> list[int]:
+    """1-based slots at which inserting ``value`` into ``word`` gives a word
+    whose signature is exactly ``sig``.
+
+    An insertion at slot p rewrites only signature bits p-1 and p (1-based):
+    the bits before them are the word's own and the bits after them the word's
+    moved one place right.  So slot p needs the common prefix of the word's
+    signature and ``sig`` to reach p-2, their common suffix to reach back to
+    p+1, and two bit comparisons.
+    """
+    n = len(word)
+    if len(sig) != n:
+        return []
+    own = () if n == 1 else signature(word)
+    first, last = n - _common_suffix(own, sig), _common_prefix(own, sig) + 2
+    return [p for p in range(first, last + 1)
+            if (p == 1 or (value >= word[p - 2]) == sig[p - 2])
+            and (p == n + 1 or (word[p - 1] >= value) == sig[p - 1])]
+
+
 def _insert_matching_signature(word, value: int, sig) -> set[Strand]:
     """Words obtained by inserting ``value`` into ``word`` whose signature is
     exactly ``sig``."""
-    out = set()
-    for p in range(1, len(word) + 2):
-        y = word[:p - 1] + (value,) + word[p - 1:]
-        if signature(y) == sig:
-            out.add(y)
-    return out
+    return {word[:p - 1] + (value,) + word[p - 1:]
+            for p in _matching_slots(word, value, sig)}
 
 
 def _deleted_positions(full: Strand, short: Strand) -> list[int]:
-    """All 1-based positions whose deletion from ``full`` yields ``short``."""
-    return [p for p in range(1, len(full) + 1)
-            if full[:p - 1] + full[p:] == short]
+    """All 1-based positions whose deletion from ``full`` yields ``short``:
+    the positions p with ``full[:p-1]`` inside the words' common prefix and
+    ``full[p:]`` inside their common suffix."""
+    if len(short) != len(full) - 1:
+        return []
+    return list(range(len(full) - _common_suffix(full, short),
+                      _common_prefix(full, short) + 2))
+
+
+def _received_strands(received, count: int) -> tuple[Strand, ...]:
+    """A received tuple checked to hold ``count`` strands over {1, 2, 3, 4}."""
+    received = tuple(received)
+    if len(received) != count:
+        raise ParameterError(f"received {len(received)} strands, the code has {count}")
+    return tuple(as_strand(r) for r in received)
 
 
 def sdcc1_decode(received, plan: CoverPlan, params: Sdcc1Params):
@@ -267,8 +311,8 @@ def sdcc1_decode(received, plan: CoverPlan, params: Sdcc1Params):
     defect was confined to, or None when nothing was hit.
     """
     n = params.n
-    received = tuple(tuple(r) for r in received)
     cover_count = plan.cover_count
+    received = _received_strands(received, cover_count + len(params.d))
     lengths = {len(r) for r in received}
     if not lengths <= {n, n - 1}:
         raise ParameterError("received lengths incompatible with one defect")
@@ -435,41 +479,21 @@ def _double_insertions_matching(received, values, sig) -> set[Strand]:
 
     The search corridor comes from aligning the received signature against
     the target: the first insertion cannot sit past the leftmost signature
-    mismatch, the second cannot sit before the rightmost one, and after
-    placing the first value the next mismatch caps the second position.
+    mismatch and the second cannot sit before the rightmost one.  Each first
+    placement then leaves a one-insertion slot test.
     """
     n = len(received) + 2
     sr = signature(received) if len(received) >= 2 else ()
-    overlap = min(len(sr), len(sig))
-    left = len(sr)
-    for t in range(overlap):
-        if sr[t] != sig[t]:
-            left = t
-            break
-    right = len(sr)
-    for t in range(overlap):
-        if sr[len(sr) - 1 - t] != sig[len(sig) - 1 - t]:
-            right = t
-            break
-    p_max = min(left + 3, n - 1)
-    q_min = max(2, len(sig) - right - 1)
+    p_max = min(_common_prefix(sr, sig) + 3, n - 1)
+    q_min = max(2, len(sig) - _common_suffix(sr, sig) - 1)
     orders = {(values[0], values[1]), (values[1], values[0])}
     out: set[Strand] = set()
     for v1, v2 in orders:
         for p in range(1, p_max + 1):
             w1 = received[:p - 1] + (v1,) + received[p - 1:]
-            sig1 = signature(w1)
-            limit = n
-            for t in range(min(len(sig1), len(sig))):
-                if sig1[t] != sig[t]:
-                    limit = t + 2
-                    break
-            if limit < p:
-                break
-            for q in range(max(p + 1, q_min), min(limit, n) + 1):
-                y = w1[:q - 1] + (v2,) + w1[q - 1:]
-                if signature(y) == sig:
-                    out.add(y)
+            for q in _matching_slots(w1, v2, sig):
+                if q > p and q >= q_min:
+                    out.add(w1[:q - 1] + (v2,) + w1[q - 1:])
     return out
 
 
@@ -520,21 +544,21 @@ def sdcc2_membership(codeword: SdccCodeword, params: Sdcc2Params) -> bool:
     return True
 
 
-def _cover_delta_options(x: Strand, short: Strand, a: int):
-    """Candidate defective-cycle sets explaining one cover strand's shortfall."""
+def _cover_delta_options(x: Strand, short: Strand, sched) -> set[frozenset]:
+    """Every set of cycles of ``sched`` (the cover's re-timed schedule) whose
+    loss turns ``x`` into ``short``."""
     k = len(x) - len(short)
-    sched = cycles(x)
     if k == 0:
-        return [frozenset()]
+        return {frozenset()}
     if k == 1:
-        return [frozenset({sched[p - 1] + a}) for p in _deleted_positions(x, short)]
-    options = []
+        return {frozenset({sched[p - 1]}) for p in _deleted_positions(x, short)}
+    options = set()
     for p in range(1, len(x) + 1):
         once = x[:p - 1] + x[p:]
         for q in _deleted_positions(once, short):
             qq = q if q < p else q + 1
-            options.append(frozenset({sched[p - 1] + a, sched[qq - 1] + a}))
-    return [o for o in options if len(o) == 2]
+            options.add(frozenset({sched[p - 1], sched[qq - 1]}))
+    return options
 
 
 def _remaining_strand_decode(r, delta, arr: ArrayCodeParams, sums, m, n):
@@ -557,8 +581,8 @@ def _remaining_strand_decode(r, delta, arr: ArrayCodeParams, sums, m, n):
 def sdcc2_decode(received, plan: CoverPlan, params: Sdcc2Params) -> tuple[Strand, ...]:
     """Recover the tuple from at most two defective cycles."""
     n = params.n
-    received = tuple(tuple(r) for r in received)
     cover_count = plan.cover_count
+    received = _received_strands(received, cover_count + len(params.sig_arrays))
     shortfalls = [n - len(r) for r in received]
     if any(not 0 <= s <= 2 for s in shortfalls):
         raise ParameterError("received lengths incompatible with two defects")
@@ -567,23 +591,23 @@ def sdcc2_decode(received, plan: CoverPlan, params: Sdcc2Params) -> tuple[Strand
     if all(shortfalls[i] == 0 for i in range(cover_count)):
         raise DecodeFailure("defects missed every cover strand; coverage is broken")
 
-    cover_bases = []
+    transmitted = []
+    schedules = []
     per_cover_options = []
     for i in range(cover_count):
         a = plan.shifts[i]
         short = unshift_symbols(received[i], a)
         x = c2d_decode(short, params.cover[i], n)
-        cover_bases.append(x)
-        per_cover_options.append(_cover_delta_options(x, short, a))
-
-    transmitted = [shift_symbols(x, a) for x, a in zip(cover_bases, plan.shifts)]
+        sched = tuple(c + a for c in cycles(x))
+        transmitted.append(shift_symbols(x, a))
+        schedules.append(frozenset(sched))
+        per_cover_options.append(_cover_delta_options(x, short, sched))
 
     # Assemble global hypotheses for the defective-cycle set.
     singles = set()
     pair_sets = None
     for options in per_cover_options:
-        sizes = {len(o) for o in options}
-        if 2 in sizes:
+        if any(len(o) == 2 for o in options):
             pair_sets = options if pair_sets is None else pair_sets
         for o in options:
             singles.update(o)
@@ -597,11 +621,11 @@ def sdcc2_decode(received, plan: CoverPlan, params: Sdcc2Params) -> tuple[Strand
                           for ui, u in enumerate(sorted_singles)
                           for v in sorted_singles[ui + 1:])
 
-    def consistent(delta):
-        return all(apply_defects_shifted(t, a, delta) == received[i]
-                   for i, (t, a) in enumerate(zip(transmitted, plan.shifts)))
-
-    hypotheses = [h for h in hypotheses if consistent(h)]
+    # A hypothesis explains a cover exactly when the cycles it shares with the
+    # cover's schedule are one of the cover's options.
+    hypotheses = [h for h in hypotheses
+                  if all(h & sched in options
+                         for sched, options in zip(schedules, per_cover_options))]
     if not hypotheses:
         raise DecodeFailure("no defective-cycle set explains all cover strands")
 

@@ -88,6 +88,28 @@ class TestArray2Modes:
         assert run_cli(["verify-kdcc", "--family", "array2", "--n", "8"]) == 2
 
 
+class TestSimulateT2Modes:
+    def test_exhaustive_decodes_every_defect_set(self, tmp_path):
+        out = tmp_path / "sim.json"
+        assert run_cli(["simulate", "--n", "12", "--m", "8", "--t", "2",
+                        "--out", str(out)]) == 0
+        metrics = json.loads(out.read_text())["metrics"]
+        assert metrics["cases"] == 48 + 48 * 47 // 2 == 1176
+        assert metrics["failures"] == 0
+
+    def test_exhaustive_respects_the_ceiling(self, monkeypatch):
+        assert run_cli(["simulate", "--n", "33", "--t", "2"]) == 2
+        monkeypatch.setenv("SYNDEF_MAX_EXHAUSTIVE_N", "11")
+        assert run_cli(["simulate", "--n", "12", "--t", "2"]) == 2
+
+    def test_sampled_keeps_the_stratified_sample(self, tmp_path):
+        out = tmp_path / "sim.json"
+        assert run_cli(["verify-sdcc", "--n", "12", "--m", "8", "--t", "2",
+                        "--mode", "sampled:7", "--out", str(out)]) == 0
+        # max(2n, 7) = 24 pairs touching every cycle, plus every fifth single
+        assert json.loads(out.read_text())["metrics"]["cases"] == 24 + 10
+
+
 class TestReports:
     def test_verify_kdcc_sum1(self, tmp_path):
         out = tmp_path / "sum1.csv"

@@ -2,7 +2,7 @@
 
 import importlib
 import importlib.util
-from itertools import combinations
+from itertools import accumulate, combinations
 from pathlib import Path
 
 import pytest
@@ -14,14 +14,16 @@ from syndef.core import (
     apply_defects,
     apply_defects_shifted,
     cycles,
+    diff,
     landing_cycles,
     reinsertions,
     shift,
     shift_symbols,
+    signature,
     smod4,
     unshift_symbols,
 )
-from syndef.sdcc import position_sums, symbol_counts_mod3
+from syndef.sdcc import _deleted_positions, _matching_slots, position_sums, symbol_counts_mod3
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -78,6 +80,64 @@ class TestBenchmarkBindings:
                      "kdcc.decode_svt1", "sdcc.sdcc1_decode", "kdcc.algorithm1_recover",
                      "binary.svt_decode", "array_code.array_single_bounded_decode"):
             assert calls[f"{name}.calls"] > 0, name
+
+
+def schedule(x):
+    """Reference schedule: prefix sums of the difference sequence."""
+    return tuple(accumulate(diff(x)))
+
+
+def insert(word, p, value):
+    return word[:p - 1] + (value,) + word[p - 1:]
+
+
+class TestScheduleRecurrence:
+    def test_cycles_are_prefix_sums_of_diff(self):
+        for x in words_up_to(6):
+            assert cycles(x) == (schedule(x) if x else ())
+
+    def test_shifted_defects_against_unshift_then_cycles(self):
+        for y in words_up_to(6):
+            n = len(y)
+            for a in range(-3, 4 * n) if y else ():  # every shift feasible for some base
+                ref = schedule(unshift_symbols(y, a))
+                if not 1 - ref[0] <= a <= 4 * n - ref[-1]:
+                    continue
+                # each cycle alone must drop exactly its own symbol: that pins
+                # the whole re-timed schedule
+                for i, c in enumerate(ref):
+                    assert apply_defects_shifted(y, a, {c + a}) == y[:i] + y[i + 1:], (y, a, c)
+
+
+class TestMatchingSlots:
+    def test_against_insert_then_signature(self):
+        for w in words_up_to(6):
+            if not w:
+                continue
+            for value in (1, 2, 3, 4):
+                sigs = [signature(insert(w, p, value)) for p in range(1, len(w) + 2)]
+                got = {}
+                for p, sig in enumerate(sigs, start=1):
+                    got.setdefault(sig, []).append(p)
+                # every one-bit change of the outermost slots' targets, mostly
+                # unreachable
+                targets = {sig[:i] + (1 - sig[i],) + sig[i + 1:]
+                           for sig in (sigs[0], sigs[-1]) for i in range(len(sig))}
+                for sig in targets | set(got):
+                    assert _matching_slots(w, value, sig) == got.get(sig, []), (w, value, sig)
+                assert _matching_slots(w, value, (1,) * (len(w) + 1)) == []
+
+
+class TestDeletedPositions:
+    def test_against_slice_comparison(self):
+        for full in words_up_to(6):
+            shorts = {full[:p - 1] + full[p:] for p in range(1, len(full) + 1)}
+            shorts.update(s[:i] + (smod4(s[i] + 1),) + s[i + 1:]
+                          for s in list(shorts) for i in range(len(s)))
+            shorts.update({full, full[:-2]})
+            for short in shorts:
+                assert _deleted_positions(full, short) == [
+                    p for p in range(1, len(full) + 1) if full[:p - 1] + full[p:] == short]
 
 
 class TestSlotKernel:

@@ -1,0 +1,47 @@
+"""Round-trip properties, encode -> channel -> decode, on inputs drawn by
+Hypothesis beyond the fixed grids of the other tests."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from syndef.sdcc import (
+    c2d_decode,
+    c2d_params_of,
+    random_member_1sdcc,
+    random_member_2sdcc,
+    sdcc1_decode,
+    sdcc2_decode,
+)
+
+SEEDS = st.integers(0, 2**31 - 1)
+LENGTHS = st.sampled_from([12, 16])
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=LENGTHS, seed=SEEDS, data=st.data())
+def test_sdcc1_corrects_any_single_cycle(n, seed, data):
+    codeword, plan, params = random_member_1sdcc(n, 8, seed=seed)
+    d = data.draw(st.integers(1, 4 * n), label="defect")
+    out, _ = sdcc1_decode(codeword.channel({d}), plan, params)
+    assert out == codeword.strands
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=LENGTHS, seed=SEEDS, data=st.data())
+def test_sdcc2_corrects_any_two_cycles(n, seed, data):
+    codeword, plan, params = random_member_2sdcc(n, 10, seed=seed)
+    delta = data.draw(st.sets(st.integers(1, 4 * n), max_size=2), label="defects")
+    assert sdcc2_decode(codeword.channel(delta), plan, params) == codeword.strands
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.lists(st.integers(1, 4), min_size=16, max_size=16).map(tuple),
+       data=st.data())
+def test_c2d_corrects_any_two_deletions(x, data):
+    # at n=16 the default regularity window (28) is longer than the
+    # signature, so every strand is a regular codeword of its own class
+    params = c2d_params_of(x)
+    d1, d2 = data.draw(st.lists(st.integers(1, 16), min_size=2, max_size=2,
+                                unique=True).map(sorted), label="deletions")
+    received = x[:d1 - 1] + x[d1:d2 - 1] + x[d2:]
+    assert c2d_decode(received, params) == x

@@ -298,6 +298,40 @@ class TestMemberSizes:
             random_member_2sdcc(16, 11, cover_count=12)
 
 
+class TestMalformedReceived:
+    """A received tuple of the wrong size, or with a symbol outside the
+    alphabet, is a usage error: never an IndexError, a DecodeFailure or a
+    silently decoded tuple."""
+
+    @pytest.mark.parametrize("count", [5, 9, 11])
+    def test_sdcc2_strand_count(self, count):
+        codeword, plan, params = random_member_2sdcc(16, 10, seed=1)
+        received = codeword.channel({5, 9})
+        with pytest.raises(ParameterError, match="strands"):
+            sdcc2_decode((received * 2)[:count], plan, params)
+
+    @pytest.mark.parametrize("count", [3, 6, 9])
+    def test_sdcc1_strand_count(self, count):
+        codeword, plan, params = random_member_1sdcc(16, 8, seed=1)
+        received = codeword.channel({5})
+        with pytest.raises(ParameterError, match="strands"):
+            sdcc1_decode((received * 2)[:count], plan, params)
+
+    @pytest.mark.parametrize("symbol", [0, 5])
+    def test_symbol_outside_alphabet(self, symbol):
+        for strand in (2, 9):  # a cover strand and a remaining strand
+            codeword, plan, params = random_member_2sdcc(16, 10, seed=1)
+            received = [list(r) for r in codeword.channel({5, 9})]
+            received[strand][3] = symbol
+            with pytest.raises(ParameterError, match="alphabet"):
+                sdcc2_decode(received, plan, params)
+            codeword, plan, params = random_member_1sdcc(16, 8, seed=1)
+            received = [list(r) for r in codeword.channel({5})]
+            received[strand % 8][3] = symbol
+            with pytest.raises(ParameterError, match="alphabet"):
+                sdcc1_decode(received, plan, params)
+
+
 class TestCodewordJson:
     def test_roundtrip(self):
         codeword, _, _ = random_member_2sdcc(16, 10, seed=1)
