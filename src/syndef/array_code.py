@@ -6,17 +6,26 @@ A binary word of length n is laid out column-major into a P x (n/P) array
 are never part of an error window).  Per-row sums mod 3 plus a single
 3-weighted VT sum resolve two erasures per row, including the ordering of the
 ambiguous (1, 0) rows.
+
+Every decode works on the padded word as a list with ``None`` at erasures.
+0-based position p sits in row p mod P, so the row sums of the known bits are
+counts of 1 over stride-P slices, and their weighted VT sum adds up a cached
+table of position weights 3^row * column over the positions holding a 1.  The
+solve then touches only the 2P erased positions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from functools import cache
+from itertools import compress, product
 
-from .binary import _is_subsequence, as_bits, vt_syndrome
+from .binary import _is_subsequence, as_bits
 from .core import Bits, DecodeFailure, ParameterError
 
 Interval = tuple[int, int]  # (start, length), 1-based start
+
+_KNOWN = frozenset((0, 1, None))
 
 
 @dataclass(frozen=True)
@@ -29,39 +38,36 @@ class ArrayCodeParams:
     row_sums: tuple[int, ...]
     weighted_vt: int
 
+    def __post_init__(self):
+        if self.rows < 1 or self.length < 1:
+            raise ParameterError("array code needs rows >= 1 and length >= 1")
+        if len(self.row_sums) != self.rows or not set(self.row_sums) <= {0, 1, 2}:
+            raise ParameterError(f"row sums must be {self.rows} values in {{0, 1, 2}}")
+        if not 0 <= self.weighted_vt < self.modulus:
+            raise ParameterError(f"weighted VT residue must lie in [0, {self.modulus})")
+
     @property
     def padded(self) -> int:
-        return -(-self.length // self.rows) * self.rows
+        return self.cols * self.rows
 
     @property
     def cols(self) -> int:
-        return self.padded // self.rows
+        return -(-self.length // self.rows)
 
     @property
     def modulus(self) -> int:
         return 3 ** self.rows * self.padded
 
 
-def _pad(word: Bits, rows: int) -> Bits:
-    extra = (-len(word)) % rows
-    return tuple(word) + (0,) * extra
+@cache
+def _weights(rows: int, cols: int) -> tuple[int, ...]:
+    """Weight 3^row * column of each 0-based position of the padded word."""
+    return tuple(3 ** r * c for c in range(1, cols + 1) for r in range(rows))
 
 
-def _row(word: Bits, rows: int, i: int) -> Bits:
-    """Row i (1-based) of the column-major array form of a padded word."""
-    return word[i - 1::rows]
-
-
-_ROW_POSITIONS: dict = {}
-
-
-def _row_positions(rows: int, padded: int):
-    """Cached 1-based positions of each row in the padded word."""
-    key = (rows, padded)
-    if key not in _ROW_POSITIONS:
-        _ROW_POSITIONS[key] = [tuple(range(i, padded + 1, rows))
-                               for i in range(1, rows + 1)]
-    return _ROW_POSITIONS[key]
+def _weighted(word, rows: int) -> int:
+    """Weighted VT sum of the 1s of a padded word, unreduced."""
+    return sum(compress(_weights(rows, len(word) // rows), word))
 
 
 def array_syndromes(word, rows: int) -> ArrayCodeParams:
@@ -69,13 +75,11 @@ def array_syndromes(word, rows: int) -> ArrayCodeParams:
     if rows < 1:
         raise ParameterError("row count must be positive")
     word = as_bits(word)
-    padded = _pad(word, rows)
-    sums = tuple(sum(_row(padded, rows, i)) % 3 for i in range(1, rows + 1))
-    weighted = sum(3 ** (i - 1) * vt_syndrome(_row(padded, rows, i))
-                   for i in range(1, rows + 1))
-    modulus = 3 ** rows * len(padded)
-    return ArrayCodeParams(rows=rows, length=len(word), row_sums=sums,
-                           weighted_vt=weighted % modulus)
+    padded = word + (0,) * (-len(word) % rows)
+    return ArrayCodeParams(
+        rows=rows, length=len(word),
+        row_sums=tuple(padded[i::rows].count(1) % 3 for i in range(rows)),
+        weighted_vt=_weighted(padded, rows) % (3 ** rows * len(padded)))
 
 
 def is_member(word, params: ArrayCodeParams) -> bool:
@@ -114,57 +118,51 @@ def _normalize_windows(bursts, rows: int, padded: int) -> list[Interval]:
     return [(t, P), (t + P, P)]
 
 
-def _solve_rows(known: dict[int, int], windows, params: ArrayCodeParams) -> Bits:
-    """Fill two length-P erasure windows from the row syndromes.
-
-    ``known`` maps 1-based positions (outside the windows) to bits.
-    """
-    P, N = params.rows, params.padded
-    erased = set()
-    for s, l in windows:
-        erased.update(range(s, s + l))
-    word = [None] * N
-    for pos, bit in known.items():
-        if pos not in erased:
-            word[pos - 1] = bit
-
-    per_row: dict[int, list[int]] = {i: [] for i in range(1, P + 1)}
-    for pos in sorted(erased):
-        per_row[(pos - 1) % P + 1].append(pos)
-    if any(len(v) != 2 for v in per_row.values()):
-        raise ParameterError("window normalisation did not give two erasures per row")
-
-    positions = _row_positions(P, N)
-    base = 0          # weighted VT of all determined bits
+def _solve_rows(word: list, windows, params: ArrayCodeParams) -> Bits:
+    """Fill two disjoint length-P erasure windows, in increasing order, of a
+    padded word that holds ``None`` at every window position."""
+    P = params.rows
+    weights = _weights(P, params.cols)
+    base = _weighted(word, P)  # weighted VT of all determined bits
     ambiguous = []    # (p_k, p_l) with one 1 and one 0 in unknown order
     deltas = []       # weighted contribution of either placement
-    for i in range(1, P + 1):
-        row = positions[i - 1]
-        row_known = sum(word[pos - 1] for pos in row if word[pos - 1] is not None)
-        d = (params.row_sums[i - 1] - row_known) % 3
-        p_k, p_l = per_row[i]
+    a1, a2 = (s - 1 for s, _ in windows)
+    for i, row_sum in enumerate(params.row_sums):
+        d = (row_sum - word[i::P].count(1)) % 3
+        # Each window holds one position of every row.
+        p_k, p_l = a1 + (i - a1) % P, a2 + (i - a2) % P
         if d == 0:
-            word[p_k - 1] = word[p_l - 1] = 0
+            word[p_k] = word[p_l] = 0
         elif d == 2:
-            word[p_k - 1] = word[p_l - 1] = 1
+            word[p_k] = word[p_l] = 1
+            base += weights[p_k] + weights[p_l]
         else:
             ambiguous.append((p_k, p_l))
-            scale = 3 ** (i - 1)
-            deltas.append((scale * ((p_k - 1) // P + 1), scale * ((p_l - 1) // P + 1)))
-    for i in range(1, P + 1):
-        base += 3 ** (i - 1) * sum(col * word[pos - 1]
-                                   for col, pos in enumerate(positions[i - 1], start=1)
-                                   if word[pos - 1] is not None)
+            deltas.append((weights[p_k], weights[p_l]))
 
-    target = params.weighted_vt
     M = params.modulus
-    matches = _assignments_matching(deltas, (target - base) % M, M)
+    matches = _assignments_matching(deltas, (params.weighted_vt - base) % M, M)
     if len(matches) != 1:
         raise DecodeFailure(
             f"{len(matches)} row assignments consistent with the weighted VT residue")
     for c, (p_k, p_l) in zip(matches[0], ambiguous):
-        word[p_k - 1], word[p_l - 1] = (1, 0) if c == 0 else (0, 1)
+        word[p_k], word[p_l] = (1, 0) if c == 0 else (0, 1)
     return tuple(word)
+
+
+def _subset_sums(deltas) -> list[int]:
+    """Sum of every binary choice over ``deltas``, in the order of
+    :func:`_choices`."""
+    sums = [0]
+    for dk, dl in deltas:
+        sums = [v + d for v in sums for d in (dk, dl)]
+    return sums
+
+
+@cache
+def _choices(k: int) -> tuple[tuple[int, ...], ...]:
+    """Every binary choice tuple of length ``k``, indexed as in :func:`_subset_sums`."""
+    return tuple(product((0, 1), repeat=k))
 
 
 def _assignments_matching(deltas, target: int, modulus: int):
@@ -172,33 +170,29 @@ def _assignments_matching(deltas, target: int, modulus: int):
     ``target`` mod ``modulus``; meet-in-the-middle beyond a few rows."""
     k = len(deltas)
     if k <= 6:
-        return [choice for choice in product((0, 1), repeat=k)
-                if sum(dk if c == 0 else dl
-                       for c, (dk, dl) in zip(choice, deltas)) % modulus == target]
+        return [_choices(k)[i] for i, s in enumerate(_subset_sums(deltas))
+                if s % modulus == target]
     half = k // 2
-    left: dict[int, list] = {}
-    for choice in product((0, 1), repeat=half):
-        s = sum(dk if c == 0 else dl
-                for c, (dk, dl) in zip(choice, deltas[:half])) % modulus
-        left.setdefault(s, []).append(choice)
-    matches = []
-    for choice in product((0, 1), repeat=k - half):
-        s = sum(dk if c == 0 else dl
-                for c, (dk, dl) in zip(choice, deltas[half:])) % modulus
-        for lchoice in left.get((target - s) % modulus, []):
-            matches.append(lchoice + choice)
-    return matches
+    left: dict[int, list[int]] = {}
+    for i, s in enumerate(_subset_sums(deltas[:half])):
+        left.setdefault(s % modulus, []).append(i)
+    return [_choices(half)[j] + _choices(k - half)[i]
+            for i, s in enumerate(_subset_sums(deltas[half:]))
+            for j in left.get((target - s) % modulus, ())]
 
 
 def array_erasure_decode(received, burst_positions, params: ArrayCodeParams) -> Bits:
     """Recover a codeword from two bursts of erasures.
 
-    ``received`` has length ``params.length`` with ``None`` at erased
-    positions; every ``None`` must lie inside one of the declared bursts.
+    ``received`` has length ``params.length``, bits at known positions and
+    ``None`` at erased ones; every ``None`` must lie inside one of the
+    declared bursts.
     """
     received = list(received)
     if len(received) != params.length:
         raise ParameterError("received word has the wrong length")
+    if not set(received) <= _KNOWN:
+        raise ParameterError("known symbols must be bits")
     declared = set()
     for s, l in burst_positions:
         declared.update(range(s, s + l))
@@ -208,12 +202,11 @@ def array_erasure_decode(received, burst_positions, params: ArrayCodeParams) -> 
     if not nones:
         return tuple(int(b) for b in received)
 
-    padded_known = {i + 1: int(b) for i, b in enumerate(received) if b is not None}
-    for pos in range(params.length + 1, params.padded + 1):
-        padded_known[pos] = 0
     windows = _normalize_windows(burst_positions, params.rows, params.padded)
-    word = _solve_rows(padded_known, windows, params)
-    return word[:params.length]
+    word = received + [0] * (params.padded - params.length)
+    for s, l in windows:
+        word[s - 1:s - 1 + l] = [None] * l
+    return _solve_rows(word, windows, params)[:params.length]
 
 
 def _single_column_word(params: ArrayCodeParams) -> Bits:
@@ -309,25 +302,15 @@ def array_single_bounded_decode(received, interval: Interval, params: ArrayCodeP
     word, blocks = _deletions_to_erasures(received, [interval], params)
     (s, l) = blocks[0]
     P, N = params.rows, params.padded
-    window = (max(1, min(s + l - 1, N) - P + 1), P)
-    known = {i + 1: b for i, b in enumerate(word) if b is not None}
-    for pos in range(params.length + 1, N + 1):
-        known[pos] = 0
-    erased = set(range(window[0], window[0] + P)) | {i + 1 for i, b in enumerate(word) if b is None}
-    filled = [known.get(pos) if pos not in erased else None for pos in range(1, N + 1)]
-    out = list(filled)
-    for i in range(1, P + 1):
-        row_positions = list(range(i, N + 1, P))
-        missing = [pos for pos in row_positions if out[pos - 1] is None]
-        if not missing:
-            continue
-        if len(missing) != 1:
-            raise ParameterError("single-deletion window hits a row twice")
-        d = (params.row_sums[i - 1] - sum(out[pos - 1] for pos in row_positions
-                                          if out[pos - 1] is not None)) % 3
-        if d not in (0, 1):
+    # One length-P window around the block holds one position of every row.
+    a = max(1, min(s + l - 1, N) - P + 1) - 1
+    out = word + [0] * (N - params.length)
+    out[a:a + P] = [None] * P
+    for i, row_sum in enumerate(params.row_sums):
+        d = (row_sum - out[i::P].count(1)) % 3
+        if d == 2:
             raise DecodeFailure("row sum inconsistent with a single missing bit")
-        out[missing[0] - 1] = d
+        out[a + (i - a) % P] = d
     candidate = tuple(out[:params.length])
     if not is_member(candidate, params):
         raise DecodeFailure("weighted VT residue mismatch after single-deletion fill")

@@ -18,8 +18,8 @@ def weight(bits) -> int:
 
 
 def as_bits(bits) -> Bits:
-    word = tuple(int(b) for b in bits)
-    if any(b not in (0, 1) for b in word):
+    word = tuple(map(int, bits))
+    if not set(word) <= {0, 1}:
         raise ParameterError("binary word expected")
     return word
 

@@ -11,7 +11,6 @@ that symbol.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -113,9 +112,24 @@ def landing_cycles(word: Strand, value: int) -> list[int]:
 def _insert_slot_positions(word: Strand, delta: int) -> list[int]:
     """1-based positions at which a symbol inserted into ``word`` would be
     synthesised exactly at cycle ``delta``; at most four, and consecutive
-    because landing cycles never decrease from slot to slot."""
-    landed = landing_cycles(word, smod4(delta))
-    return list(range(bisect_left(landed, delta) + 1, bisect_right(landed, delta) + 1))
+    because landing cycles never decrease from slot to slot.
+
+    A slot after a symbol at cycle c lands on the one cycle in [c + 1, c + 4]
+    congruent to ``delta`` mod 4: exactly ``delta`` when c lies in
+    [delta - 4, delta - 1], past it once c >= delta, so the scan runs the
+    recurrence of :func:`cycles` and stops there.
+    """
+    out = []
+    c = 0
+    for pos, s in enumerate(word, start=1):
+        if c >= delta:
+            return out
+        if c >= delta - 4:
+            out.append(pos)
+        c += (s - c - 1) % 4 + 1
+    if delta - 4 <= c < delta:
+        out.append(len(word) + 1)
+    return out
 
 
 def _insertions_at_cycle(word: Strand, delta: int) -> list[Strand]:

@@ -648,9 +648,11 @@ def sdcc2_decode(received, plan: CoverPlan, params: Sdcc2Params) -> tuple[Strand
             out[j] = words.pop()
         if not ok:
             continue
-        candidate = tuple(out)
-        if SdccCodeword(candidate, plan.shifts).channel(set(delta)) == received:
-            outcomes.add(candidate)
+        # The cover filter has proven the covers; a remaining strand, hit or
+        # not, still rejects a hypothesis whose cycles it does not explain.
+        if all(apply_defects_shifted(out[j], 0, delta) == received[j]
+               for j in range(cover_count, len(received))):
+            outcomes.add(tuple(out))
     if len(outcomes) != 1:
         raise DecodeFailure(f"{len(outcomes)} tuples consistent with the channel")
     return outcomes.pop()

@@ -1,11 +1,13 @@
 """Array-code tests: syndromes, burst-erasure decoding, bounded deletions."""
 
+import random
 from itertools import product
 
 import pytest
 
 from syndef.array_code import (
     ArrayCodeParams,
+    _assignments_matching,
     array_bounded_decode,
     array_erasure_decode,
     array_single_bounded_decode,
@@ -113,12 +115,82 @@ class TestErasureDecode:
         bursts = [(4, 3), (5, 3)]
         assert array_erasure_decode(erase(x, bursts), bursts, p) == x
 
+    def test_non_binary_known_symbol_rejected(self):
+        # a 3 at a known position used to pass through into the decoded word
+        x = b("00000100")
+        p = array_syndromes(x, 2)
+        bursts = [(1, 2), (5, 2)]
+        for symbol in (3, 2, -1, "1"):
+            received = erase(x, bursts)
+            received[2] = symbol
+            with pytest.raises(ParameterError):
+                array_erasure_decode(received, bursts, p)
+            with pytest.raises(ParameterError):  # nothing erased
+                array_erasure_decode(x[:2] + (symbol,) + x[3:], bursts, p)
+
     def test_erasure_outside_burst_rejected(self):
         x = b("10110100")
         p = array_syndromes(x, 2)
         bad = erase(x, [(1, 2)])
         with pytest.raises(ParameterError):
             array_erasure_decode(bad, [(4, 2), (7, 2)], p)
+
+
+class TestParamsValidation:
+    @pytest.mark.parametrize("rows, length, row_sums, weighted_vt", [
+        (2, 8, (0,), 0),
+        (2, 8, (0, 0, 0), 0),
+        (0, 8, (), 0),
+        (2, 0, (0, 0), 0),
+        (2, 8, (0, 3), 0),
+        (2, 8, (-1, 0), 0),
+        (2, 8, (0, 0), -1),
+        (2, 8, (0, 0), 72),
+    ])
+    def test_rejected(self, rows, length, row_sums, weighted_vt):
+        with pytest.raises(ParameterError):
+            ArrayCodeParams(rows=rows, length=length, row_sums=row_sums,
+                            weighted_vt=weighted_vt)
+
+    def test_extremes_accepted(self):
+        p = ArrayCodeParams(rows=2, length=7, row_sums=(2, 2), weighted_vt=71)
+        assert p.modulus == 72
+        assert ArrayCodeParams(rows=1, length=1, row_sums=(0,), weighted_vt=0).padded == 1
+
+
+class TestAssignmentsMatching:
+    @staticmethod
+    def reference(deltas, target, modulus):
+        """The enumeration over ``product`` that the list doubling replaced,
+        including its meet-in-the-middle order beyond six rows."""
+        def total(choice, part):
+            return sum(dl if c else dk for c, (dk, dl) in zip(choice, part)) % modulus
+        k = len(deltas)
+        if k <= 6:
+            return [c for c in product((0, 1), repeat=k) if total(c, deltas) == target]
+        half = k // 2
+        left = {}
+        for c in product((0, 1), repeat=half):
+            left.setdefault(total(c, deltas[:half]), []).append(c)
+        return [lc + c for c in product((0, 1), repeat=k - half)
+                for lc in left.get((target - total(c, deltas[half:])) % modulus, [])]
+
+    def test_against_product_enumeration(self):
+        # small moduli give several matches, so their order is checked too
+        rng = random.Random(6)
+        several = 0
+        for k in range(10):
+            for _ in range(30):
+                modulus = rng.choice((5, 12, 36, 3 ** 9 * 27))
+                deltas = [(rng.randrange(3 * modulus), rng.randrange(3 * modulus))
+                          for _ in range(k)]
+                target = rng.randrange(modulus)
+                if rng.random() < 0.5:
+                    target = sum(rng.choice(d) for d in deltas) % modulus
+                got = _assignments_matching(deltas, target, modulus)
+                assert got == self.reference(deltas, target, modulus)
+                several += len(got) > 1
+        assert several > 50
 
 
 class TestBoundedDecode:

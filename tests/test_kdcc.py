@@ -1,5 +1,6 @@
 """Known-defect code tests: constructions, decoders, and the code property."""
 
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -28,6 +29,7 @@ from syndef.kdcc import (
     membership,
     spec_for_strand,
 )
+from syndef.rng import SplitMix
 
 
 def s(text):
@@ -202,6 +204,25 @@ class TestDecodeArray2:
         assert two_defect_twins(x, delta) == {x}
         inst = KnownDefectInstance(apply_defects(x, set(delta)), delta, len(x))
         assert decode_array2(inst, array2_params(spec_for_strand("array2", x))) == x
+
+    def test_outcomes_pinned(self):
+        # sha256 of every outcome (strand or failure message) over 16 seeded
+        # n=24 strands and every pair of their cycles: 4416 decodes, 15 of
+        # them failures.  Any change to what decode_array2 returns shows here.
+        digest = hashlib.sha256()
+        rng = SplitMix(2024)
+        for _ in range(16):
+            x = rng.strand(24)
+            params = array2_params(spec_for_strand("array2", x))
+            for delta in combinations(cycles(x), 2):
+                inst = KnownDefectInstance(apply_defects(x, delta), delta, 24)
+                try:
+                    out = repr(decode_array2(inst, params))
+                except DecodeFailure as exc:
+                    out = f"DecodeFailure: {exc}"
+                digest.update(out.encode() + b"\n")
+        assert digest.hexdigest() == \
+            "e2be8170126078450908af2dfdd512b3003fa15f4d8659849c571f99b6f7633e"
 
     def test_both_defects_missing_identity(self):
         x = (1, 1, 1, 1)  # cycles 1, 5, 9, 13

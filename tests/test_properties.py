@@ -4,6 +4,8 @@ Hypothesis beyond the fixed grids of the other tests."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from syndef.core import DecodeFailure, apply_defects, confusable_ball, cycles
+from syndef.kdcc import KnownDefectInstance, array2_params, decode_array2, spec_for_strand
 from syndef.sdcc import (
     c2d_decode,
     c2d_params_of,
@@ -45,3 +47,20 @@ def test_c2d_corrects_any_two_deletions(x, data):
                                 unique=True).map(sorted), label="deletions")
     received = x[:d1 - 1] + x[d1:d2 - 1] + x[d2:]
     assert c2d_decode(received, params) == x
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.lists(st.integers(1, 4), min_size=3, max_size=24).map(tuple),
+       data=st.data())
+def test_array2_corrects_any_two_own_cycles(x, data):
+    spec = spec_for_strand("array2", x)
+    delta = tuple(data.draw(st.lists(st.sampled_from(cycles(x)), min_size=2, max_size=2,
+                                     unique=True).map(sorted), label="defects"))
+    inst = KnownDefectInstance(apply_defects(x, delta), delta, len(x))
+    try:
+        assert decode_array2(inst, array2_params(spec)) == x
+    except DecodeFailure:
+        # giving up is right only when another member of the class has the
+        # same channel output
+        assert any(y != x and spec_for_strand("array2", y) == spec
+                   for y in confusable_ball(x, delta))
