@@ -13,7 +13,6 @@ from .core import (
     ConstructionError,
     DecodeFailure,
     ParameterError,
-    ShiftedStrand,
     all_strands,
     apply_defects,
     apply_defects_tuple,
@@ -24,7 +23,6 @@ from .core import (
     inverse_diff,
     is_regular,
     run_sequence,
-    shift,
     signature,
     smod4,
     symbol_positions,
@@ -35,7 +33,6 @@ __all__ = [
     "ConstructionError",
     "DecodeFailure",
     "ParameterError",
-    "ShiftedStrand",
     "all_strands",
     "apply_defects",
     "apply_defects_tuple",
@@ -46,7 +43,6 @@ __all__ = [
     "inverse_diff",
     "is_regular",
     "run_sequence",
-    "shift",
     "signature",
     "smod4",
     "symbol_positions",

@@ -60,6 +60,8 @@ def run_simulate(args) -> Report:
     kind, count = _parse_mode(args.mode)
     failures = 0
     if t == 1:
+        if kind == "sampled":
+            raise ParameterError("--t 1 decodes every single cycle; it has no sampled mode")
         codeword, plan, params = random_member_1sdcc(n, m, seed=args.seed)
         deltas = [frozenset({d}) for d in range(1, 4 * n + 1)]
     elif t == 2:
@@ -166,6 +168,9 @@ def run_verify_kdcc(args) -> Report:
                             "mode": args.mode})
     kind, count = _parse_mode(args.mode)
     if family in ("sum1", "svt1"):
+        if kind == "sampled":
+            raise ParameterError(f"family {family} sweeps its whole codebook; "
+                                 "it has no sampled mode")
         check_ceiling("strand_sweep", args.n)
         _verify_single_defect_family(family, args.n, report)
     elif family == "array2":
@@ -230,6 +235,8 @@ def run_bounds(args) -> Report:
 
 
 def run_sketch_audit(args) -> Report:
+    if args.n < 3:
+        raise ParameterError("sketch-audit needs --n >= 3")
     check_ceiling("sketch_audit", args.n)
     report = Report(task="sketch-audit", params={"n": args.n})
     all_ok = True
@@ -280,6 +287,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
+        if args.n < 1:
+            raise ParameterError(f"--n must be at least 1, got {args.n}")
         report = TASKS[args.task](args)
     except (ParameterError, json.JSONDecodeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -11,7 +11,6 @@ that symbol.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, product
 
 ALPHABET = (1, 2, 3, 4)
@@ -222,41 +221,12 @@ def symbol_positions(strand: Strand, sigma: int) -> tuple[int, tuple[int, ...]]:
     return len(pos), pos
 
 
-@dataclass(frozen=True)
-class ShiftedStrand:
-    """A strand re-timed by ``shift`` cycles.
-
-    The machine synthesises the same schedule moved by ``shift``, which on the
-    symbol level adds ``shift`` to every symbol shifted-mod 4.  The shift is
-    carried as metadata because the transmitted symbols alone do not reveal
-    the re-timed schedule.
-    """
-
-    base: Strand
-    shift: int
-
-    def __post_init__(self):
-        sched = cycles(self.base)
-        lo, hi = 1 - sched[0], 4 * len(self.base) - sched[-1]
-        if not lo <= self.shift <= hi:
-            raise ParameterError(f"shift {self.shift} outside feasible range [{lo}, {hi}]")
-
-    @property
-    def symbols(self) -> Strand:
-        return shift_symbols(self.base, self.shift)
-
-    @property
-    def schedule(self) -> tuple[int, ...]:
-        return tuple(c + self.shift for c in cycles(self.base))
-
-
-def shift(strand: Strand, a: int) -> ShiftedStrand:
-    """Shift operation with parameter ``a``; see :class:`ShiftedStrand`."""
-    return ShiftedStrand(base=tuple(strand), shift=a)
-
-
 def shift_symbols(strand: Strand, a: int) -> Strand:
-    """Symbols transmitted for a base strand re-timed by ``a`` cycles."""
+    """Symbols transmitted for a base strand re-timed by ``a`` cycles.
+
+    The machine synthesises the base schedule moved by ``a``, which adds ``a``
+    to every symbol shifted-mod 4.  The symbols alone do not reveal the shift,
+    so a re-timed strand travels with ``a`` as metadata."""
     return tuple(smod4(s + a) for s in strand)
 
 

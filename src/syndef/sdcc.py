@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .array_code import ArrayCodeParams, array_syndromes
-from .binary import SvtParams, svt_member, vt_decode, vt_syndrome, weight
+from .binary import SvtParams, vt_decode, vt_syndrome, weight
 from .core import (
     ALPHABET,
     ConstructionError,
@@ -45,7 +45,7 @@ from .core import (
 )
 from .kdcc import array1_candidates, array2_candidates, svt1_candidates
 from .rng import SplitMix
-from .sketch import EXACT, _completions, moment_vector
+from .sketch import _completions, moment_vector
 
 LOG43 = 2 - math.log2(3)
 
@@ -183,6 +183,13 @@ class SdccCodeword:
             raise ParameterError("tuple JSON header disagrees with payload")
         if cw.cover_count > len(cw.strands):
             raise ParameterError("more shifts than strands")
+        for s, a in zip(cw.strands, cw.shifts):
+            if type(a) is not int:
+                raise ParameterError(f"shift {a!r} is not an integer")
+            sched = cycles(unshift_symbols(s, a))
+            lo, hi = 1 - sched[0], 4 * len(s) - sched[-1]
+            if not lo <= a <= hi:
+                raise ParameterError(f"shift {a} outside feasible range [{lo}, {hi}]")
         return cw
 
 
@@ -223,24 +230,6 @@ def sdcc1_params_of(codeword: SdccCodeword, regular_window: int | None = None) -
         e.append(weight(sig) % 2)
     return Sdcc1Params(n=n, s=tuple(s), b=tuple(b), d=tuple(d), e=tuple(e),
                        window=window, regular_window=regular_window)
-
-
-def sdcc1_membership(codeword: SdccCodeword, params: Sdcc1Params) -> bool:
-    if codeword.n != params.n or codeword.cover_count != len(params.s):
-        return False
-    n = params.n
-    for x, s_i, b_i in zip(codeword.bases(), params.s, params.b):
-        sig = signature(x)
-        if sum(x) % 4 != s_i or vt_syndrome(sig) % (n + 1) != b_i:
-            return False
-        if not is_regular(sig, params.regular_window):
-            return False
-    rest = codeword.strands[codeword.cover_count:]
-    for strand, d_j, e_j in zip(rest, params.d, params.e):
-        if not svt_member(signature(strand),
-                          SvtParams(a=d_j, b=e_j, window=params.window + 1)):
-            return False
-    return True
 
 
 def _common_prefix(u, v) -> int:
@@ -451,7 +440,7 @@ def c2d_decode(received, params: C2dParams, n: int | None = None) -> Strand:
         return received
 
     sig_short = signature(received) if len(received) >= 2 else ()
-    sig_candidates = _completions(sig_short, n - 1, params.sketch, EXACT)
+    sig_candidates = _completions(sig_short, n - 1, params.sketch)
     values = _deleted_values(received, params.counts)
     if len(values) != k:
         raise DecodeFailure("symbol counts disagree with the received length")
@@ -526,22 +515,6 @@ def sdcc2_params_of(codeword: SdccCodeword, regular_window: int | None = None,
     sums = tuple(position_sums(s, m) for s in rest)
     return Sdcc2Params(n=n, cover=cover, sig_arrays=arrays,
                        position_sums=sums, pos_modulus=m, sig_rows=rows)
-
-
-def sdcc2_membership(codeword: SdccCodeword, params: Sdcc2Params) -> bool:
-    if codeword.n != params.n or codeword.cover_count != len(params.cover):
-        return False
-    for x, cp in zip(codeword.bases(), params.cover):
-        if not c2d_membership(x, cp):
-            return False
-    rest = codeword.strands[codeword.cover_count:]
-    for s, arr, sums in zip(rest, params.sig_arrays, params.position_sums):
-        got = array_syndromes(signature(s), params.sig_rows)
-        if got != arr:
-            return False
-        if sums != position_sums(s, params.pos_modulus):
-            return False
-    return True
 
 
 def _cover_delta_options(x: Strand, short: Strand, sched) -> set[frozenset]:
@@ -667,36 +640,6 @@ def template_strand(n: int, start: int) -> Strand:
     return tuple(smod4(start + i) for i in range(n))
 
 
-def _realize_signature(sig, rng: SplitMix) -> Strand:
-    """Some strand whose signature equals ``sig``.
-
-    Runs of more than three descents are unrealisable over a four-letter
-    alphabet; otherwise a lookahead on the upcoming descent run keeps every
-    choice feasible.
-    """
-    sig = tuple(sig)
-
-    def upcoming_zeros(i):
-        z = 0
-        while i + z < len(sig) and sig[i + z] == 0:
-            z += 1
-        return z
-
-    need = upcoming_zeros(0) + 1
-    if need > 4:
-        raise ParameterError("signature demands a descent below the alphabet")
-    out = [rng.randrange(need, 5)]
-    for i, bit in enumerate(sig):
-        cur = out[-1]
-        need = upcoming_zeros(i + 1) + 1  # room for the descents ahead
-        lo = max(cur, need) if bit == 1 else need
-        hi = 4 if bit == 1 else cur - 1
-        if lo > hi:
-            raise ParameterError("signature demands a descent below the alphabet")
-        out.append(rng.randrange(lo, hi + 1))
-    return tuple(out)
-
-
 def random_member_1sdcc(n: int, m: int, seed: int = 0,
                         regular_window: int | None = None):
     """A deterministic member tuple with four template cover strands (one per
@@ -734,40 +677,4 @@ def random_member_2sdcc(n: int, m: int, seed: int = 0, cover_count: int = 8,
     strands = tuple(shift_symbols(x, a) for x, a in zip(covers, plan.shifts))
     codeword = SdccCodeword(strands=strands + tuple(rest), shifts=plan.shifts)
     params = sdcc2_params_of(codeword, regular_window, sig_rows)
-    return codeword, plan, params
-
-
-def zero_residue_member_1sdcc(n: int, m: int, seed: int = 0):
-    """Constructive search for a member with all-zero residues.
-
-    Cover strands come from seeded rejection sampling; remaining strands are
-    realised from signatures found by scanning the signature space for the
-    zero class of the windowed code.
-    """
-    from itertools import product as iproduct
-
-    rng = SplitMix(seed)
-    n_mod = n + 1
-    window = min(localization_window(n), n - 2)
-    covers = []
-    while len(covers) < 4:
-        x = rng.strand(n)
-        sig = signature(x)
-        if sum(x) % 4 == 0 and vt_syndrome(sig) % n_mod == 0:
-            covers.append(x)
-    target_sig = None
-    for bits in iproduct((0, 1), repeat=n - 1):
-        if vt_syndrome(bits) % (window + 1) == 0 and weight(bits) % 2 == 0:
-            if max((len(run) for run in "".join(map(str, bits)).split("1")), default=0) <= 3:
-                target_sig = bits
-                break
-    if target_sig is None:
-        raise ConstructionError("no realisable zero-residue signature exists")
-    rest = [_realize_signature(target_sig, rng) for _ in range(m - 4)]
-    # membership does not need cycle coverage, so identity shifts suffice
-    plan = CoverPlan(n=n, shifts=(0, 0, 0, 0))
-    codeword = SdccCodeword(strands=tuple(covers) + tuple(rest), shifts=plan.shifts)
-    params = Sdcc1Params(n=n, s=(0,) * 4, b=(0,) * 4,
-                         d=(0,) * (m - 4), e=(0,) * (m - 4),
-                         window=window, regular_window=default_regular_window(n))
     return codeword, plan, params

@@ -132,8 +132,8 @@ def _suffix_tables(word: Bits, max_order: int):
     return tables
 
 
-def _insert1_moments(base, tables, p: int, b: int, orders) -> list[int]:
-    return [base[r] + b * comb(p, r) + tables[r - 1][p] for r in orders]
+def _insert1_moments(base, tables, p: int, b: int) -> list[int]:
+    return [base[r] + b * comb(p, r) + tables[r - 1][p] for r in MOMENT_ORDERS]
 
 
 def _insert2_moments(base, tables, p: int, q: int, b1: int, b2: int, orders) -> list[int]:
@@ -162,29 +162,22 @@ def _value_options(word: Bits, k: int, weight_mod3: int):
     return [(0, 1), (1, 0)]
 
 
-def _completions(word: Bits, n: int, targets, constraints, range1=None, range2=None) -> set[Bits]:
+def _completions(word: Bits, n: int, targets, range1=None, range2=None) -> set[Bits]:
     """All words of length ``n`` containing ``word`` as an (n - len)-deletion
-    subsequence whose moments satisfy the given constraints.
+    subsequence whose moment vector equals ``targets``.
 
-    ``targets`` is a full moment vector; ``constraints`` lists (order,
-    modulus) pairs to check, modulus ``None`` meaning exact equality.  The
-    optional 1-based position ranges confine the first and second insertion.
+    The optional 1-based position ranges confine the first and second insertion.
     """
     m = len(word)
     k = n - m
     if k < 0 or k > 2:
         raise ParameterError("completion supports at most two insertions")
-    if k == 0:
-        vec = moment_vector(word)
-        ok = vec[0] == targets[0] and all(
-            (vec[r] == targets[r]) if mod is None else (vec[r] % mod == targets[r] % mod)
-            for r, mod in constraints)
-        return {word} if ok else set()
-
-    orders = [r for r, _ in constraints]
-    max_order = max(orders)
     base = moment_vector(word)
-    tables = _suffix_tables(word, max_order)
+    if k == 0:
+        return {word} if base == tuple(targets) else set()
+
+    want = list(targets[1:])
+    tables = _suffix_tables(word, MOMENT_ORDERS[-1])
     r1 = range(1, n + 1) if range1 is None else range1
     r2 = range(1, n + 1) if range2 is None else range2
     out: set[Bits] = set()
@@ -192,47 +185,25 @@ def _completions(word: Bits, n: int, targets, constraints, range1=None, range2=N
     if k == 1:
         for (b,) in _value_options(word, 1, targets[0]):
             for p in r1:
-                if not 1 <= p <= m + 1:
-                    continue
-                vals = _insert1_moments(base, tables, p, b, orders)
-                if all((v == targets[r]) if mod is None else (v % mod == targets[r] % mod)
-                       for v, (r, mod) in zip(vals, constraints)):
+                if 1 <= p <= m + 1 and _insert1_moments(base, tables, p, b) == want:
                     out.add(word[:p - 1] + (b,) + word[p - 1:])
         return out
 
-    # Scan every position pair against the first constraint with pure table
-    # lookups, then confirm the survivors on the remaining moments.
-    r0, mod0 = constraints[0]
-    t0 = targets[r0] if mod0 is None else targets[r0] % mod0
-    col = _comb_column(r0, n)
-    s_hi = tables[r0 - 1]
-    s_lo = tables[r0 - 2] if r0 >= 2 else None
-    rest = constraints[1:]
+    # Scan every position pair against the first moment (C(p, 1) = p) with
+    # pure table lookups, then confirm the survivors on the whole vector.
+    t1 = targets[1]
+    s_hi = tables[0]
     p_list = [p for p in r1 if 1 <= p <= n]
     q_list = [q for q in r2 if 1 <= q <= n]
     for b1, b2 in _value_options(word, 2, targets[0]):
         for p in p_list:
-            head = base[r0] + b1 * col[p] + s_hi[p]
+            head = base[1] + b1 * p + s_hi[p]
             for q in q_list:
-                if q <= p:
+                if q <= p or head + b2 * q + s_hi[q - 1] != t1:
                     continue
-                v = head + b2 * col[q] + s_hi[q - 1]
-                if s_lo is not None:
-                    v += s_lo[q - 1]
-                if (v if mod0 is None else v % mod0) != t0:
-                    continue
-                if rest:
-                    vals = _insert2_moments(base, tables, p, q, b1, b2,
-                                            [r for r, _ in rest])
-                    if not all((v2 == targets[r]) if mod is None
-                               else (v2 % mod == targets[r] % mod)
-                               for v2, (r, mod) in zip(vals, rest)):
-                        continue
-                out.add(_insert_pair(word, p, q, b1, b2))
+                if _insert2_moments(base, tables, p, q, b1, b2, MOMENT_ORDERS) == want:
+                    out.add(_insert_pair(word, p, q, b1, b2))
     return out
-
-
-EXACT = tuple((r, None) for r in MOMENT_ORDERS)
 
 
 def xi_decode(received, sketch, n: int) -> Bits:
@@ -242,7 +213,7 @@ def xi_decode(received, sketch, n: int) -> Bits:
     if len(received) not in (n - 1, n - 2, n):
         raise ParameterError("received length incompatible with one or two deletions")
     targets = _unpack(from_bits(sketch), xi_field_widths(n))
-    found = _completions(received, n, targets, EXACT)
+    found = _completions(received, n, targets)
     if len(found) != 1:
         raise DecodeFailure(f"{len(found)} words consistent with the sketch")
     return found.pop()
@@ -326,7 +297,7 @@ def e1_decode(received, intervals, sketch: tuple[int, int], n: int, P1: int, P2:
 
     body = received[ws - 1:we - 2]
     local = range(lo - ws + 1, hi - ws + 2)
-    found = _completions(body, we - ws + 1, targets, EXACT, range1=local, range2=local)
+    found = _completions(body, we - ws + 1, targets, range1=local, range2=local)
     if len(found) != 1:
         raise DecodeFailure(f"{len(found)} window contents consistent with the sketch")
     return received[:ws - 1] + found.pop() + received[we - 2:]

@@ -1,8 +1,10 @@
 """CLI contract tests: exit codes, determinism, report schemas."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +53,32 @@ class TestExitCodes:
     def test_fewer_strands_than_covers_exits_two(self, m, t, capsys):
         assert run_cli(["simulate", "--n", "16", "--m", str(m), "--t", str(t)]) == 2
         assert "cover count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "0"],
+        ["simulate", "--n", "-3"],
+        ["simulate", "--n", "0", "--t", "2"],
+        ["verify-sdcc", "--n", "0"],
+        ["verify-kdcc", "--family", "sum1", "--n", "-1"],
+        ["enumerate", "--n", "-1"],
+        ["bounds", "--n", "-2"],
+        ["sketch-audit", "--n", "2"],
+        ["sketch-audit", "--n", "-5"],
+    ])
+    def test_bad_n_exits_two(self, argv, capsys):
+        assert run_cli(argv) == 2
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-kdcc", "--family", "sum1", "--n", "4", "--mode", "sampled:5"],
+        ["verify-kdcc", "--family", "svt1", "--n", "4", "--mode", "sampled:5"],
+        ["simulate", "--t", "1", "--n", "8", "--mode", "sampled:5"],
+        ["verify-sdcc", "--t", "1", "--n", "8", "--mode", "sampled:5"],
+    ])
+    def test_sampled_mode_without_sampling_exits_two(self, argv, capsys):
+        # these sweeps are always exhaustive, so a report saying sampled:K would lie
+        assert run_cli(argv) == 2
+        assert "no sampled mode" in capsys.readouterr().err
 
     def test_unknown_task_exits_two(self):
         with pytest.raises(SystemExit) as err:
@@ -191,8 +219,11 @@ class TestDeterminism:
 
 class TestConsoleEntry:
     def test_module_invocation(self):
+        # the child imports the same syndef as this process, installed or not
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "syndef.cli", "bounds", "--n", "5"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0
         assert "[pass] bounds" in proc.stdout

@@ -16,7 +16,7 @@ from syndef.core import (
     inverse_diff,
     is_regular,
     run_sequence,
-    shift,
+    shift_symbols,
     signature,
     smod4,
     symbol_positions,
@@ -209,31 +209,26 @@ class TestShift:
     X = (1, 3, 2, 1, 1, 4, 3, 2, 3, 4)
 
     def test_shift_by_one(self):
-        sh = shift(self.X, 1)
-        assert sh.symbols == (2, 4, 3, 2, 2, 1, 4, 3, 4, 1)
-        assert sh.schedule == (2, 4, 7, 10, 14, 17, 20, 23, 24, 25)
+        symbols = shift_symbols(self.X, 1)
+        assert symbols == (2, 4, 3, 2, 2, 1, 4, 3, 4, 1)
+        # the re-timed schedule: a defect at each of its cycles drops that symbol
+        schedule = (2, 4, 7, 10, 14, 17, 20, 23, 24, 25)
+        for i, c in enumerate(schedule):
+            assert apply_defects_shifted(symbols, 1, {c}) == symbols[:i] + symbols[i + 1:]
 
     def test_shift_by_six(self):
-        assert shift(self.X, 6).symbols == (3, 1, 4, 3, 3, 2, 1, 4, 1, 2)
+        assert shift_symbols(self.X, 6) == (3, 1, 4, 3, 3, 2, 1, 4, 1, 2)
 
     def test_identity(self):
-        sh = shift(self.X, 0)
-        assert sh.symbols == self.X
-        assert sh.schedule == cycles(self.X)
-
-    def test_out_of_range(self):
-        with pytest.raises(ParameterError):
-            shift(self.X, -1)  # first cycle is 1, shift below 0 impossible
-        with pytest.raises(ParameterError):
-            shift(self.X, 4 * len(self.X) - cycles(self.X)[-1] + 1)
+        assert shift_symbols(self.X, 0) == self.X
 
     def test_commutes_with_defects(self):
         for x in all_strands(3):
             sched = cycles(x)
             for a in range(1 - sched[0], 12 - sched[-1] + 1):
-                sh = shift(x, a)
+                symbols = shift_symbols(x, a)
                 for d in range(1, 13):
-                    shifted_then_defect = apply_defects_shifted(sh.symbols, a, {d + a})
+                    shifted_then_defect = apply_defects_shifted(symbols, a, {d + a})
                     defect_then_shift = tuple(smod4(v + a) for v in apply_defects(x, {d}))
                     assert shifted_then_defect == defect_then_shift
 

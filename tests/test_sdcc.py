@@ -13,6 +13,7 @@ from syndef.core import (
     apply_defects,
     cycles,
     longest_run,
+    shift_symbols,
     signature,
 )
 from syndef.rng import SplitMix
@@ -29,14 +30,11 @@ from syndef.sdcc import (
     random_member_1sdcc,
     random_member_2sdcc,
     sdcc1_decode,
-    sdcc1_membership,
     sdcc1_params_of,
     sdcc2_decode,
-    sdcc2_membership,
     sdcc2_params_of,
     select_cover_shifts,
     template_strand,
-    zero_residue_member_1sdcc,
 )
 
 
@@ -94,25 +92,6 @@ class TestCoverSelection:
 
 
 class TestSdcc1:
-    def test_membership_roundtrip(self):
-        codeword, plan, params = random_member_1sdcc(16, 8, seed=1)
-        assert sdcc1_membership(codeword, params)
-
-    def test_membership_detects_violation(self):
-        # a cover-strand symbol change always moves the symbol sum mod 4
-        codeword, plan, params = random_member_1sdcc(16, 8, seed=2)
-        strands = list(codeword.strands)
-        s = list(strands[0])
-        s[5] = 1 + (s[5] % 4)
-        strands[0] = tuple(s)
-        broken = SdccCodeword(strands=tuple(strands), shifts=codeword.shifts)
-        assert not sdcc1_membership(broken, params)
-
-    def test_zero_residue_witness(self):
-        codeword, plan, params = zero_residue_member_1sdcc(16, 8, seed=4)
-        assert params.s == (0, 0, 0, 0) and params.b == (0, 0, 0, 0)
-        assert sdcc1_membership(codeword, params)
-
     def test_no_defect_identity(self):
         codeword, plan, params = random_member_1sdcc(16, 8, seed=5)
         out, window = sdcc1_decode(codeword.strands, plan, params)
@@ -252,10 +231,6 @@ class TestDoubleInsertionSearch:
 
 
 class TestSdcc2:
-    def test_membership_roundtrip(self):
-        codeword, plan, params = random_member_2sdcc(32, 12, seed=1)
-        assert sdcc2_membership(codeword, params)
-
     def test_no_defect_identity(self):
         codeword, plan, params = random_member_2sdcc(32, 12, seed=2)
         assert sdcc2_decode(codeword.strands, plan, params) == codeword.strands
@@ -347,6 +322,29 @@ class TestCodewordJson:
         data = {"n": 4, "m": 1, "cover_count": 2, "shifts": [0, 1],
                 "strands": [[1, 2, 3, 4]]}
         with pytest.raises(ParameterError):
+            SdccCodeword.from_json(data)
+
+    X = (1, 3, 2, 1, 1, 4, 3, 2, 3, 4)  # cycles 1, 3, ..., 24 of [1, 40]
+
+    @staticmethod
+    def _cover_json(base, a):
+        return {"n": len(base), "m": 1, "cover_count": 1, "shifts": [a],
+                "strands": [list(shift_symbols(base, a))]}
+
+    def test_shift_out_of_feasible_range(self):
+        lo, hi = 1 - cycles(self.X)[0], 4 * len(self.X) - cycles(self.X)[-1]
+        assert (lo, hi) == (0, 16)
+        for a in (lo, hi):
+            assert SdccCodeword.from_json(self._cover_json(self.X, a)).shifts == (a,)
+        for a in (lo - 1, hi + 1, 1000):
+            with pytest.raises(ParameterError, match="feasible range"):
+                SdccCodeword.from_json(self._cover_json(self.X, a))
+
+    @pytest.mark.parametrize("shift", ["x", 1.0, True, None, [1]])
+    def test_shift_not_an_integer(self, shift):
+        data = self._cover_json(self.X, 0)
+        data["shifts"] = [shift]
+        with pytest.raises(ParameterError, match="not an integer"):
             SdccCodeword.from_json(data)
 
 

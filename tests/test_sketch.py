@@ -79,11 +79,9 @@ class TestXiSketch:
         common = ({delete(x, i, j) for i, j in combinations(range(1, 8), 2)}
                   & {delete(y, i, j) for i, j in combinations(range(1, 8), 2)})
         assert common
-        received = common.pop()
-        weak = tuple((r, None) for r in (1, 2))
-        found = _completions(received, 7, moment_vector(x), weak)
-        assert len(found) > 1
-        assert xi_decode(received, sketch_xi(x), 7) == x
+        assert moment(x, 2) == moment(y, 2)
+        assert moment_vector(x) != moment_vector(y)
+        assert xi_decode(common.pop(), sketch_xi(x), 7) == x
 
     def test_injectivity_audit_small(self):
         assert verify_sketch_injectivity(8)
@@ -91,6 +89,56 @@ class TestXiSketch:
     def test_budget_at_64(self):
         assert xi_bit_length(64) <= xi_budget(64)
         assert XI_VERIFIED_MAX_LENGTH >= 16
+
+
+def grown_words(word, k):
+    """((p, q), z) for every way to insert k bits into ``word``: z holds them at
+    the 1-based positions p < q of its own (unused positions are None)."""
+    if k == 0:
+        return [((None, None), word)]
+    n = len(word) + k
+    out = []
+    for pos in combinations(range(1, n + 1), k):
+        for values in product((0, 1), repeat=k):
+            z = list(word)
+            for p, v in zip(pos, values):
+                z.insert(p - 1, v)
+            out.append(((pos + (None,))[:2], tuple(z)))
+    return out
+
+
+class TestCompletions:
+    """``_completions`` against brute-force insertion for every word of length
+    at most 8: the words it returns are exactly the insertions, inside the
+    position ranges, whose moment vector equals the targets."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_matches_brute_force(self, k):
+        rng = random.Random(k)
+        for m in range(9):
+            n = m + k
+            for word in all_words(m):
+                grown = [(pq, z, moment_vector(z)) for pq, z in grown_words(word, k)]
+                parent = rng.choice(grown)[1]
+                stranger = tuple(rng.randint(0, 1) for _ in range(n))
+                a, b = rng.randint(0, n + 1), rng.randint(0, n + 1)
+                clipped = (range(a, a + rng.randint(0, 4)), range(b, b + rng.randint(0, 4)))
+                cases = [(moment_vector(parent), None, None),
+                         (moment_vector(word), None, None),
+                         (moment_vector(stranger), None, None),
+                         (moment_vector(parent),) + clipped]
+                for targets, range1, range2 in cases:
+                    want = {z for (p, q), z, vec in grown if vec == targets
+                            and (range1 is None or p is None or p in range1)
+                            and (range2 is None or q is None or q in range2)}
+                    assert _completions(word, n, targets, range1, range2) == want, \
+                        (word, n, targets, range1, range2)
+
+    def test_rejects_more_than_two_insertions(self):
+        with pytest.raises(ParameterError):
+            _completions((0, 1), 5, moment_vector((0, 1, 0, 1, 0)))
+        with pytest.raises(ParameterError):
+            _completions((0, 1), 1, moment_vector((0,)))
 
 
 class TestE1:
