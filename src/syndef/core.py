@@ -69,12 +69,16 @@ def inverse_diff(d: Strand) -> Strand:
     return tuple(out)
 
 
-def cycles(strand: Strand) -> tuple[int, ...]:
+def cycles(strand: Strand, start: int = 0) -> tuple[int, ...]:
     """Synthesis cycle of each symbol: plain prefix sums of the difference
     sequence, in one pass.  Each symbol lands on the first cycle past the
-    previous one that carries its value (the step of :func:`landing_cycles`)."""
+    previous one that carries its value (the step of :func:`landing_cycles`).
+
+    Started at ``start`` on the symbols of a strand re-timed by ``start``
+    (:func:`shift_symbols`), the recurrence gives the base schedule moved by
+    ``start``."""
     out = []
-    c = 0
+    c = start
     for s in strand:
         c += (s - c - 1) % 4 + 1
         out.append(c)
@@ -87,9 +91,7 @@ def apply_defects(strand: Strand, delta) -> Strand:
     Cycles in ``delta`` that no symbol occupies delete nothing, so the result
     may equal the input.
     """
-    hit = set(delta)
-    sched = cycles(strand)
-    return tuple(s for s, c in zip(strand, sched) if c not in hit)
+    return apply_defects_shifted(strand, 0, delta)
 
 
 def apply_defects_tuple(strands, delta) -> tuple[Strand, ...]:

@@ -33,11 +33,5 @@ class SplitMix:
         span = hi - lo
         return lo + self.next_u64() % span
 
-    def choice(self, seq):
-        return seq[self.randrange(0, len(seq))]
-
     def strand(self, n: int) -> tuple[int, ...]:
         return tuple(self.randrange(1, 5) for _ in range(n))
-
-    def bits(self, n: int) -> tuple[int, ...]:
-        return tuple(self.randrange(0, 2) for _ in range(n))

@@ -40,7 +40,6 @@ from .core import (
     shift_symbols,
     signature,
     smod4,
-    symbol_positions,
     unshift_symbols,
 )
 from .kdcc import array1_candidates, array2_candidates, svt1_candidates
@@ -70,12 +69,16 @@ def position_sum_modulus(n: int) -> int:
 
 def position_sums(strand, m: int) -> tuple[int, ...]:
     """Sum of the 1-based positions of each symbol, mod ``m``."""
-    return tuple(sum(symbol_positions(strand, v)[1]) % m for v in ALPHABET)
+    sums = dict.fromkeys(ALPHABET, 0)
+    for i, s in enumerate(strand, start=1):
+        if s in sums:
+            sums[s] += i
+    return tuple(v % m for v in sums.values())
 
 
 def symbol_counts_mod3(strand) -> tuple[int, ...]:
     """Count of each symbol, mod 3."""
-    return tuple(symbol_positions(strand, v)[0] % 3 for v in ALPHABET)
+    return tuple(strand.count(v) % 3 for v in ALPHABET)
 
 
 @dataclass(frozen=True)
@@ -178,6 +181,8 @@ class SdccCodeword:
     def from_json(data) -> "SdccCodeword":
         cw = SdccCodeword(strands=tuple(as_strand(s) for s in data["strands"]),
                           shifts=tuple(data["shifts"]))
+        if not cw.strands:
+            raise ParameterError("a tuple needs at least one strand")
         if len(cw.strands) != data["m"] or cw.cover_count != data["cover_count"] \
                 or any(len(s) != data["n"] for s in cw.strands):
             raise ParameterError("tuple JSON header disagrees with payload")
@@ -248,9 +253,9 @@ def _common_suffix(u, v) -> int:
     return k
 
 
-def _matching_slots(word, value: int, sig) -> list[int]:
-    """1-based slots at which inserting ``value`` into ``word`` gives a word
-    whose signature is exactly ``sig``.
+def _matching_slots(word, value: int, sig, own) -> list[int]:
+    """1-based slots at which inserting ``value`` into ``word`` (whose own
+    signature is ``own``) gives a word whose signature is exactly ``sig``.
 
     An insertion at slot p rewrites only signature bits p-1 and p (1-based):
     the bits before them are the word's own and the bits after them the word's
@@ -261,7 +266,6 @@ def _matching_slots(word, value: int, sig) -> list[int]:
     n = len(word)
     if len(sig) != n:
         return []
-    own = () if n == 1 else signature(word)
     first, last = n - _common_suffix(own, sig), _common_prefix(own, sig) + 2
     return [p for p in range(first, last + 1)
             if (p == 1 or (value >= word[p - 2]) == sig[p - 2])
@@ -271,8 +275,9 @@ def _matching_slots(word, value: int, sig) -> list[int]:
 def _insert_matching_signature(word, value: int, sig) -> set[Strand]:
     """Words obtained by inserting ``value`` into ``word`` whose signature is
     exactly ``sig``."""
+    own = () if len(word) == 1 else signature(word)
     return {word[:p - 1] + (value,) + word[p - 1:]
-            for p in _matching_slots(word, value, sig)}
+            for p in _matching_slots(word, value, sig, own)}
 
 
 def _deleted_positions(full: Strand, short: Strand) -> list[int]:
@@ -469,7 +474,8 @@ def _double_insertions_matching(received, values, sig) -> set[Strand]:
     The search corridor comes from aligning the received signature against
     the target: the first insertion cannot sit past the leftmost signature
     mismatch and the second cannot sit before the rightmost one.  Each first
-    placement then leaves a one-insertion slot test.
+    placement then leaves a one-insertion slot test; the once-grown word's
+    signature is the received one with the two bits around slot p rewritten.
     """
     n = len(received) + 2
     sr = signature(received) if len(received) >= 2 else ()
@@ -480,7 +486,10 @@ def _double_insertions_matching(received, values, sig) -> set[Strand]:
     for v1, v2 in orders:
         for p in range(1, p_max + 1):
             w1 = received[:p - 1] + (v1,) + received[p - 1:]
-            for q in _matching_slots(w1, v2, sig):
+            left = (1 if v1 >= received[p - 2] else 0,) if p > 1 else ()
+            right = (1 if received[p - 1] >= v1 else 0,) if p < n - 1 else ()
+            own = sr[:max(p - 2, 0)] + left + right + sr[p - 1:]
+            for q in _matching_slots(w1, v2, sig, own):
                 if q > p and q >= q_min:
                     out.add(w1[:q - 1] + (v2,) + w1[q - 1:])
     return out
@@ -525,12 +534,19 @@ def _cover_delta_options(x: Strand, short: Strand, sched) -> set[frozenset]:
         return {frozenset()}
     if k == 1:
         return {frozenset({sched[p - 1]}) for p in _deleted_positions(x, short)}
+    # Deleting positions p < q leaves x[:p-1] + x[p:q-1] + x[q:]: the first
+    # part inside the common prefix, the last inside the common suffix and
+    # the middle equal to ``short`` one place left, so q stops at the first
+    # position past p where x and ``short`` differ under that shift.
+    n = len(x)
+    q_min = n - _common_suffix(x, short)
     options = set()
-    for p in range(1, len(x) + 1):
-        once = x[:p - 1] + x[p:]
-        for q in _deleted_positions(once, short):
-            qq = q if q < p else q + 1
-            options.add(frozenset({sched[p - 1], sched[qq - 1]}))
+    for p in range(1, min(_common_prefix(x, short) + 1, n - 1) + 1):
+        for q in range(p + 1, n + 1):
+            if q > p + 1 and x[q - 2] != short[q - 3]:
+                break
+            if q >= q_min:
+                options.add(frozenset({sched[p - 1], sched[q - 1]}))
     return options
 
 
@@ -569,10 +585,17 @@ def sdcc2_decode(received, plan: CoverPlan, params: Sdcc2Params) -> tuple[Strand
     per_cover_options = []
     for i in range(cover_count):
         a = plan.shifts[i]
+        if not shortfalls[i]:
+            # An unhit cover arrives as sent; its re-timed schedule is the
+            # landing recurrence on its symbols started at its shift.
+            transmitted.append(received[i])
+            schedules.append(frozenset(cycles(received[i], a)))
+            per_cover_options.append({frozenset()})
+            continue
         short = unshift_symbols(received[i], a)
         x = c2d_decode(short, params.cover[i], n)
-        sched = tuple(c + a for c in cycles(x))
         transmitted.append(shift_symbols(x, a))
+        sched = cycles(transmitted[i], a)
         schedules.append(frozenset(sched))
         per_cover_options.append(_cover_delta_options(x, short, sched))
 

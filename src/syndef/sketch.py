@@ -172,12 +172,17 @@ def _completions(word: Bits, n: int, targets, range1=None, range2=None) -> set[B
     k = n - m
     if k < 0 or k > 2:
         raise ParameterError("completion supports at most two insertions")
-    base = moment_vector(word)
+    # tables[r][1] is the word's whole order-r moment (r = 0 is its weight).
+    tables = _suffix_tables(word, MOMENT_ORDERS[-1] + 1)
+    base = (tables[0][1] % 3,) + tuple(tables[r][1] for r in MOMENT_ORDERS)
     if k == 0:
         return {word} if base == tuple(targets) else set()
 
+    # Each insertion's first moment is a table lookup (C(p, 1) = p); only the
+    # positions that match it are confirmed on the whole vector.
     want = list(targets[1:])
-    tables = _suffix_tables(word, MOMENT_ORDERS[-1])
+    t1 = targets[1]
+    s_hi = tables[0]
     r1 = range(1, n + 1) if range1 is None else range1
     r2 = range(1, n + 1) if range2 is None else range2
     out: set[Bits] = set()
@@ -185,23 +190,23 @@ def _completions(word: Bits, n: int, targets, range1=None, range2=None) -> set[B
     if k == 1:
         for (b,) in _value_options(word, 1, targets[0]):
             for p in r1:
-                if 1 <= p <= m + 1 and _insert1_moments(base, tables, p, b) == want:
+                if 1 <= p <= m + 1 and base[1] + b * p + s_hi[p] == t1 \
+                        and _insert1_moments(base, tables, p, b) == want:
                     out.add(word[:p - 1] + (b,) + word[p - 1:])
         return out
 
-    # Scan every position pair against the first moment (C(p, 1) = p) with
-    # pure table lookups, then confirm the survivors on the whole vector.
-    t1 = targets[1]
-    s_hi = tables[0]
+    # The pair's first moment splits as A(p) + B(q): key the q's by B(q) and
+    # look up t1 - A(p) for each p.
     p_list = [p for p in r1 if 1 <= p <= n]
     q_list = [q for q in r2 if 1 <= q <= n]
     for b1, b2 in _value_options(word, 2, targets[0]):
+        by_key: dict[int, list[int]] = {}
+        for q in q_list:
+            by_key.setdefault(b2 * q + s_hi[q - 1], []).append(q)
         for p in p_list:
-            head = base[1] + b1 * p + s_hi[p]
-            for q in q_list:
-                if q <= p or head + b2 * q + s_hi[q - 1] != t1:
-                    continue
-                if _insert2_moments(base, tables, p, q, b1, b2, MOMENT_ORDERS) == want:
+            for q in by_key.get(t1 - base[1] - b1 * p - s_hi[p], ()):
+                if q > p and _insert2_moments(base, tables, p, q, b1, b2,
+                                              MOMENT_ORDERS) == want:
                     out.add(_insert_pair(word, p, q, b1, b2))
     return out
 

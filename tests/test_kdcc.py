@@ -1,6 +1,7 @@
 """Known-defect code tests: constructions, decoders, and the code property."""
 
 import hashlib
+import json
 from itertools import combinations
 
 import pytest
@@ -301,6 +302,17 @@ class TestResidueValidation:
         # n = 11 gives a 10-bit signature, padded to 18 bits in 9 rows
         spec = KdccSpec("array2", 11, {"a": [2] * 9, "b": 3 ** 9 * 18 - 1})
         assert array2_params(spec).modulus == 3 ** 9 * 18
+
+
+class TestSpecJson:
+    @pytest.mark.parametrize("family", ["sum1", "svt1", "array2"])
+    def test_roundtrip(self, family):
+        rng = SplitMix(5)
+        for n in (3, 8, 17):
+            spec = spec_for_strand(family, rng.strand(n))
+            data = json.loads(json.dumps(spec.to_json()))
+            assert data == {"family": family, "n": n, "residues": spec.residues}
+            assert KdccSpec.from_json(data) == spec
 
 
 class TestBestResidues:

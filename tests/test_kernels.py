@@ -122,9 +122,11 @@ class TestMatchingSlots:
                 # unreachable
                 targets = {sig[:i] + (1 - sig[i],) + sig[i + 1:]
                            for sig in (sigs[0], sigs[-1]) for i in range(len(sig))}
+                own = signature(w) if len(w) > 1 else ()
                 for sig in targets | set(got):
-                    assert _matching_slots(w, value, sig) == got.get(sig, []), (w, value, sig)
-                assert _matching_slots(w, value, (1,) * (len(w) + 1)) == []
+                    assert _matching_slots(w, value, sig, own) == got.get(sig, []), \
+                        (w, value, sig)
+                assert _matching_slots(w, value, (1,) * (len(w) + 1), own) == []
 
 
 class TestDeletedPositions:
@@ -171,6 +173,14 @@ class TestShiftPair:
             for a in range(-9, 10):
                 assert unshift_symbols(shift_symbols(x, a), a) == x
                 assert shift_symbols(unshift_symbols(x, a), a) == x
+
+    def test_cycles_started_at_the_shift(self):
+        # on a re-timed strand's symbols, starting the recurrence at the shift
+        # gives the base schedule moved by the shift
+        for x in words_up_to(5):
+            sched = cycles(x)
+            for a in range(-4, 4 * len(x) + 5):
+                assert cycles(shift_symbols(x, a), a) == tuple(c + a for c in sched)
 
     def test_defects_hit_the_shifted_schedule(self):
         for x in all_strands(4):

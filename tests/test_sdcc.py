@@ -1,11 +1,13 @@
 """Tuple-code tests: cover selection, single- and double-defect decoding."""
 
+import hashlib
 import math
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
 from syndef.core import (
+    ALPHABET,
     ConstructionError,
     DecodeFailure,
     ParameterError,
@@ -21,6 +23,8 @@ from syndef.sdcc import (
     C2dParams,
     CoverPlan,
     SdccCodeword,
+    _cover_delta_options,
+    _double_insertions_matching,
     c2d_decode,
     c2d_membership,
     c2d_params_of,
@@ -198,24 +202,53 @@ class TestC2d:
             assert c2d_decode(delete(x, d1, d2), params) == x
 
 
-class TestDoubleInsertionSearch:
+class TestCoverDeltaOptions:
+    """Every cycle set whose loss turns a cover into a shorter copy, against
+    deleting every position set of the same size."""
+
     def test_matches_brute_force(self):
-        # the corridor-pruned search must equal the unpruned enumeration
-        from itertools import product
-        from syndef.sdcc import _double_insertions_matching
+        for n in range(2, 7):
+            for x in all_strands(n):
+                sched = cycles(x)
+                expect: dict = {}
+                for k in (0, 1, 2):
+                    for pos in combinations(range(1, n + 1), k):
+                        expect.setdefault(delete(x, *pos), set()).add(
+                            frozenset(sched[p - 1] for p in pos))
+                shorts = set(expect)
+                if n <= 5:  # words that are no subsequence of x give no option
+                    shorts.update(all_strands(n - 2))
+                for short in shorts:
+                    assert _cover_delta_options(x, short, sched) == expect.get(short, set())
 
-        def brute(received, values, sig):
-            n = len(received) + 2
-            out = set()
-            for v1, v2 in {(values[0], values[1]), (values[1], values[0])}:
-                for p in range(1, n):
-                    w1 = received[:p - 1] + (v1,) + received[p - 1:]
-                    for q in range(p + 1, n + 1):
-                        y = w1[:q - 1] + (v2,) + w1[q - 1:]
-                        if signature(y) == sig:
-                            out.add(y)
-            return out
 
+class TestDoubleInsertionSearch:
+    """The corridor-pruned search against inserting both values at every
+    slot pair and filtering on the signature."""
+
+    @staticmethod
+    def brute(received, values, sig):
+        n = len(received) + 2
+        out = set()
+        for v1, v2 in {(values[0], values[1]), (values[1], values[0])}:
+            for p in range(1, n):
+                w1 = received[:p - 1] + (v1,) + received[p - 1:]
+                for q in range(p + 1, n + 1):
+                    y = w1[:q - 1] + (v2,) + w1[q - 1:]
+                    if signature(y) == sig:
+                        out.add(y)
+        return out
+
+    def test_exhaustive_small(self):
+        # every received word of length <= 3, value pair and target signature
+        for m in range(1, 4):
+            for received in all_strands(m):
+                for values in combinations_with_replacement(ALPHABET, 2):
+                    for sig in product((0, 1), repeat=m + 1):
+                        assert _double_insertions_matching(received, values, sig) == \
+                            self.brute(received, values, sig)
+
+    def test_matches_brute_force(self):
         rng = SplitMix(41)
         for _ in range(150):
             x = rng.strand(7)
@@ -226,7 +259,7 @@ class TestDoubleInsertionSearch:
             received = delete(x, d1, d2)
             values = [x[min(d1, d2) - 1], x[max(d1, d2) - 1]]
             got = _double_insertions_matching(received, values, signature(x))
-            assert got == brute(received, values, signature(x))
+            assert got == self.brute(received, values, signature(x))
             assert x in got
 
 
@@ -261,6 +294,31 @@ class TestSdcc2:
         codeword, plan, params = random_member_2sdcc(32, 12, seed=290857749)
         received = codeword.channel({19, 30})
         assert sdcc2_decode(received, plan, params) == codeword.strands
+
+    def test_outcomes_pinned(self):
+        # sha256 of every outcome (tuple or failure message) for four members,
+        # every set of at most two cycles, each also with one symbol of a
+        # seeded strand rewritten: 6112 decodes, 1548 of them failures.  Any
+        # change to what sdcc2_decode returns shows here.
+        digest = hashlib.sha256()
+        rng = SplitMix(8)
+        for n, m, seed in ((8, 12, 0), (8, 12, 1), (10, 12, 2), (12, 10, 3)):
+            codeword, plan, params = random_member_2sdcc(n, m, seed=seed)
+            span = range(1, 4 * n + 1)
+            for delta in [()] + [(d,) for d in span] + list(combinations(span, 2)):
+                received = codeword.channel(delta)
+                j = rng.randrange(0, m)
+                i = rng.randrange(0, len(received[j]))
+                bad = list(received)
+                bad[j] = bad[j][:i] + (bad[j][i] % 4 + 1,) + bad[j][i + 1:]
+                for r in (received, bad):
+                    try:
+                        out = repr(sdcc2_decode(r, plan, params))
+                    except DecodeFailure as exc:
+                        out = f"DecodeFailure: {exc}"
+                    digest.update(out.encode() + b"\n")
+        assert digest.hexdigest() == \
+            "6e77191ccfb72d9463acbf14faa530f859e8231f6bf9201348fcf1848641cd1a"
 
 
 class TestMemberSizes:
@@ -316,6 +374,11 @@ class TestCodewordJson:
         data = random_member_2sdcc(16, 10, seed=1)[0].to_json()
         data["strands"][9][3] = 5
         with pytest.raises(ParameterError):
+            SdccCodeword.from_json(data)
+
+    def test_no_strands(self):
+        data = {"n": 4, "m": 0, "cover_count": 0, "shifts": [], "strands": []}
+        with pytest.raises(ParameterError, match="at least one strand"):
             SdccCodeword.from_json(data)
 
     def test_more_shifts_than_strands(self):

@@ -86,6 +86,11 @@ class TestXiSketch:
     def test_injectivity_audit_small(self):
         assert verify_sketch_injectivity(8)
 
+    def test_injectivity_audit_at_16(self):
+        # the first length at which two words share a moment vector, so the
+        # audit's two-deletion intersection runs
+        assert verify_sketch_injectivity(16)
+
     def test_budget_at_64(self):
         assert xi_bit_length(64) <= xi_budget(64)
         assert XI_VERIFIED_MAX_LENGTH >= 16
