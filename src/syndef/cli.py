@@ -99,29 +99,28 @@ def run_simulate(args) -> Report:
 
 def _verify_single_defect_family(family: str, n: int, report: Report):
     spec, size = best_residues(family, n)
-    members = enumerate_codebook(spec)
+    # Each member under each of its own cycles, channel applied once for
+    # both the disjointness check and the decode check.
+    outputs = [(x, d, apply_defects(x, {d}))
+               for x in enumerate_codebook(spec) for d in cycles(x)]
     seen: dict = {}
     disjoint = True
-    for x in members:
-        for d in cycles(x):
-            key = (d, apply_defects(x, {d}))
-            if seen.setdefault(key, x) != x:
-                disjoint = False
-                report.counterexamples.append(
-                    {"strands": [list(seen[key]), list(x)], "delta": [d]})
+    for x, d, y in outputs:
+        key = (d, y)
+        if seen.setdefault(key, x) != x:
+            disjoint = False
+            report.counterexamples.append(
+                {"strands": [list(seen[key]), list(x)], "delta": [d]})
     failures = 0
-    for x in members:
-        for d in cycles(x):
-            inst = KnownDefectInstance(apply_defects(x, {d}), (d,), n)
-            try:
-                ok = decode(spec, inst) == x
-            except DecodeFailure:
-                ok = False
-            if not ok:
-                failures += 1
-                if len(report.counterexamples) < 10:
-                    report.counterexamples.append(
-                        {"strand": list(x), "delta": [d]})
+    for x, d, y in outputs:
+        try:
+            ok = decode(spec, KnownDefectInstance(y, (d,), n)) == x
+        except DecodeFailure:
+            ok = False
+        if not ok:
+            failures += 1
+            if len(report.counterexamples) < 10:
+                report.counterexamples.append({"strand": list(x), "delta": [d]})
     report.metrics = {
         "family": family, "n": n, "residues": spec.residues,
         "code_size": size,
@@ -212,9 +211,9 @@ def run_enumerate(args) -> Report:
     if args.out:
         payload = {"family": spec.family, "n": spec.n, "residues": spec.residues,
                    "size": len(members), "strands": [list(x) for x in members]}
+        # dumps, unlike dump, runs the C encoder; the bytes are the same.
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(payload, sort_keys=True) + "\n")
         report.owns_output = True
     report.passed = True
     return report

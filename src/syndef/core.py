@@ -50,7 +50,7 @@ def as_strand(symbols) -> Strand:
 
 def all_strands(n: int):
     """Iterate over all of Sigma^n in lexicographic order."""
-    return (tuple(p) for p in product(ALPHABET, repeat=n))
+    return product(ALPHABET, repeat=n)
 
 
 def diff(strand: Strand) -> Strand:

@@ -15,7 +15,9 @@ and :func:`array2_candidates` once the cover strands localise the defect.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress, cycle, product
 
 from .array_code import (
     ArrayCodeParams,
@@ -25,6 +27,7 @@ from .array_code import (
 )
 from .binary import SvtParams, svt_decode, vt_syndrome, weight
 from .core import (
+    ALPHABET,
     DecodeFailure,
     ParameterError,
     Strand,
@@ -40,11 +43,20 @@ from .core import (
 
 FAMILIES = ("sum1", "svt1", "array2")
 ARRAY2_ROWS = 9
+# _STEP_BITS[last - 1]: the signature bit that each next symbol adds after ``last``.
+_STEP_BITS = tuple(tuple(int(v >= last) for v in ALPHABET) for last in ALPHABET)
 
 
 def _below(value, bound: int) -> bool:
     """Is ``value`` an integer (not a bool) in [0, bound)?"""
     return type(value) is int and 0 <= value < bound
+
+
+def _check_length(family: str, n):
+    if type(n) is not int or n < 1:
+        raise ParameterError(f"strand length must be a positive integer, got {n!r}")
+    if family in ("svt1", "array2") and n < 3:
+        raise ParameterError(f"family {family} needs n >= 3")
 
 
 @dataclass(frozen=True)
@@ -58,8 +70,7 @@ class KdccSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ParameterError(f"unknown family {self.family!r}")
-        if self.family in ("svt1", "array2") and self.n < 3:
-            raise ParameterError(f"family {self.family} needs n >= 3")
+        _check_length(self.family, self.n)
         r = self.residues
         keys = {"a"} if self.family == "sum1" else {"a", "b"}
         if not isinstance(r, dict) or set(r) != keys:
@@ -125,11 +136,38 @@ def syndrome_key(family: str, strand):
     """The family's syndromes of a strand, as a hashable key."""
     if family == "sum1":
         return even_position_sum(strand) % 4
-    sig = signature(strand)
+    return _signature_key(family, signature(strand))
+
+
+def _signature_key(family: str, sig):
+    """The syndromes of a signature family, from the strand's signature."""
     if family == "svt1":
         return vt_syndrome(sig) % 5, weight(sig) % 2
     p = array_syndromes(sig, ARRAY2_ROWS)
     return p.row_sums, p.weighted_vt
+
+
+def _sweep_keys(family: str, n: int) -> list:
+    """:func:`syndrome_key` of every strand of length ``n``, in
+    :func:`all_strands` order.
+
+    The keys are built by prefix extension, one symbol at a time.  ``sum1``
+    extends each prefix's even-position sum.  The signature families extend
+    each prefix's signature as an int (first bit on top) and then look it up
+    in a table that holds the key of every signature, so each of the
+    2^(n-1) keys is computed once."""
+    if family == "sum1":
+        sums = [0]
+        for pos in range(1, n + 1):
+            step = ALPHABET if pos % 2 == 0 else (0,) * len(ALPHABET)
+            sums = [(t + v) % 4 for t in sums for v in step]
+        return sums
+    table = [_signature_key(family, sig) for sig in product((0, 1), repeat=n - 1)]
+    # A prefix's last symbol is its index mod 4, plus one.
+    sigs = [0] * len(ALPHABET)
+    for _ in range(n - 2):
+        sigs = [2 * s + b for s, bits in zip(sigs, cycle(_STEP_BITS)) for b in bits]
+    return [table[2 * s + b] for s, bits in zip(sigs, cycle(_STEP_BITS)) for b in bits]
 
 
 def _residues_of(family: str, key) -> dict:
@@ -345,22 +383,23 @@ def decode(spec: KdccSpec, instance: KnownDefectInstance) -> Strand:
 
 
 def best_residues(family: str, n: int, sample=None, seed: int = 0):
-    """Residues maximising the codebook size.
+    """Residues maximising the codebook size, and that size.
 
-    Exhaustive over Sigma^n by default; with ``sample`` given, scans that many
-    seeded random strands instead and reports the best observed class size.
+    Exhaustive over Sigma^n by default, counting the keys of
+    :func:`_sweep_keys`; with ``sample`` (a positive int) given, scans that
+    many seeded random strands through :func:`syndrome_key` instead and
+    reports the best observed class size.  Ties go to the larger key string.
     """
     if family not in FAMILIES:
         raise ParameterError(f"unknown family {family!r}")
-    if family != "sum1" and n < 3:
-        raise ParameterError(f"family {family} needs n >= 3")
-    counts: dict = {}
+    _check_length(family, n)
     if sample is None:
-        for x in all_strands(n):
-            key = syndrome_key(family, x)
-            counts[key] = counts.get(key, 0) + 1
+        counts = Counter(_sweep_keys(family, n))
     else:
+        if type(sample) is not int or sample < 1:
+            raise ParameterError(f"sample must be a positive integer, got {sample!r}")
         from .rng import SplitMix
+        counts = {}
         rng = SplitMix(seed)
         for i in range(sample):
             x = tuple(rng.randrange(1, 5) for _ in range(n))
@@ -371,5 +410,8 @@ def best_residues(family: str, n: int, sample=None, seed: int = 0):
 
 
 def enumerate_codebook(spec: KdccSpec) -> list[Strand]:
-    """All members of the residue class, in lexicographic order."""
-    return [x for x in all_strands(spec.n) if membership(spec, x)]
+    """All members of the residue class, in lexicographic order: the strands
+    whose :func:`_sweep_keys` entry is the spec's key."""
+    target = _key_of(spec)
+    keys = _sweep_keys(spec.family, spec.n)
+    return list(compress(all_strands(spec.n), [k == target for k in keys]))

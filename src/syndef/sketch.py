@@ -20,8 +20,10 @@ deletion at an unknown position.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 from .binary import _is_subsequence, as_bits, vt_decode, weight
@@ -224,21 +226,53 @@ def xi_decode(received, sketch, n: int) -> Bits:
     return found.pop()
 
 
+def sketch_values(length: int) -> list[int]:
+    """:func:`xi_value` of every word of ``length`` bits at its own length, in
+    lexicographic order, built for the whole word space at once.
+
+    The field widths of ``length`` hold every moment sum without a carry, so
+    the list doubles once per position s: the half whose bit s is 1 adds
+    C(s, r) into each field r.  The weight mod 3 goes on top at the end.
+    """
+    if type(length) is not int or length < 1:
+        raise ParameterError(f"word length must be a positive integer, got {length!r}")
+    widths = xi_field_widths(length)
+    shifts = [sum(widths[i + 1:]) for i in range(len(widths))]
+    values = [0]
+    # Position s ends up as bit length - s of a word's index, first bit on top.
+    for s in range(length, 0, -1):
+        step = sum(comb(s, r) << shift for r, shift in zip(MOMENT_ORDERS, shifts[1:]))
+        values += [v + step for v in values]
+    return [v | (i.bit_count() % 3) << shifts[0] for i, v in enumerate(values)]
+
+
+def moment_collisions(length: int) -> list[list[Bits]]:
+    """Every group of two or more words of ``length`` bits that share a moment
+    vector; the words of a group, and the groups by their first word, in
+    lexicographic order.  Only the :func:`sketch_values` that two or more
+    words share become groups."""
+    values = sketch_values(length)
+    shared = {v for v, count in Counter(values).items() if count > 1}
+    groups: dict[int, list[Bits]] = {}
+    for i, v in enumerate(values):
+        if v in shared:
+            groups.setdefault(v, []).append(to_bits(i, length))
+    return list(groups.values())
+
+
 def verify_sketch_injectivity(length: int) -> bool:
     """Exhaustively confirm that no two distinct words of this length share a
-    sketch and a common two-deletion subsequence."""
-    from itertools import combinations, product
+    sketch and a common two-deletion subsequence.
 
-    groups: dict[tuple, list[Bits]] = {}
-    for word in product((0, 1), repeat=length):
-        groups.setdefault(moment_vector(word), []).append(word)
+    Only the words of :func:`moment_collisions` need the two-deletion check;
+    at lengths up to 15 every word has a sketch of its own."""
 
     def ball(w):
         n = len(w)
         return {tuple(b for j, b in enumerate(w) if j not in pair)
                 for pair in combinations(range(n), 2)}
 
-    for words in groups.values():
+    for words in moment_collisions(length):
         for a, b in combinations(words, 2):
             if ball(a) & ball(b):
                 return False

@@ -1,5 +1,6 @@
 """CLI contract tests: exit codes, determinism, report schemas."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -215,6 +216,49 @@ class TestDeterminism:
             run_cli(["enumerate", "--family", "svt1", "--n", "4",
                      "--params", "best", "--out", str(path)])
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestReportDigests:
+    """Report bytes of the exhaustive sweeps, pinned by sha256.
+
+    The six fixed tasks of the benchmark's ``cli`` workload are checked
+    against ``perfbench/cli_digests.json``, which this test only reads.  The
+    pins below cover sweeps the benchmark does not digest."""
+
+    BENCHMARK_TASKS = {
+        "verify-kdcc-sum1-n7": ["verify-kdcc", "--family", "sum1", "--n", "7"],
+        "verify-kdcc-svt1-n7": ["verify-kdcc", "--family", "svt1", "--n", "7"],
+        "enumerate-svt1-n8": ["enumerate", "--family", "svt1", "--n", "8",
+                              "--params", "best"],
+        "bounds-n6": ["bounds", "--n", "6"],
+        "bounds-n8": ["bounds", "--n", "8"],
+        "sketch-audit-n15": ["sketch-audit", "--n", "15"],
+    }
+    PINNED = {
+        ("enumerate", "--family", "sum1", "--n", "6", "--params", "best"):
+            "938597cf01fce1f2c5eaec3b47e617b2f76fb77e6afdf00d68ec9c7c2a816359",
+        ("enumerate", "--family", "array2", "--n", "6", "--params", "best"):
+            "cd5f39a69ad175180a7c3febbc81afa4bb8307be9695d0fb7ec10ca65f274dd5",
+        ("bounds", "--n", "7"):
+            "9702638004a20b3e4d6c4e514669d976b9c3fab5275c63c2438bba3af7f25d21",
+        ("verify-kdcc", "--family", "svt1", "--n", "5"):
+            "fc59af09049220b7e0dd82e7f65890e77c6990d9751a1caba74f9e2b0bfaebcf",
+    }
+
+    @staticmethod
+    def digest(argv, out):
+        assert run_cli(list(argv) + ["--out", str(out)]) == 0
+        return hashlib.sha256(out.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("key", sorted(BENCHMARK_TASKS))
+    def test_benchmark_tasks(self, key, tmp_path):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "cli_digests.json"
+        recorded = json.loads(path.read_text())[key]
+        assert self.digest(self.BENCHMARK_TASKS[key], tmp_path / "r.json") == recorded
+
+    @pytest.mark.parametrize("argv", sorted(PINNED))
+    def test_pinned(self, argv, tmp_path):
+        assert self.digest(argv, tmp_path / "r.json") == self.PINNED[argv]
 
 
 class TestConsoleEntry:

@@ -29,6 +29,7 @@ from syndef.kdcc import (
     even_position_sum,
     membership,
     spec_for_strand,
+    syndrome_key,
 )
 from syndef.rng import SplitMix
 
@@ -337,6 +338,40 @@ class TestBestResidues:
         a = best_residues("svt1", 8, sample=300, seed=9)
         b = best_residues("svt1", 8, sample=300, seed=9)
         assert a == b
+
+    @pytest.mark.parametrize("sample", [0, -3, 2.5, True])
+    def test_bad_sample_rejected(self, sample):
+        with pytest.raises(ParameterError):
+            best_residues("svt1", 6, sample=sample)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_bad_length_rejected(self, n):
+        with pytest.raises(ParameterError):
+            best_residues("sum1", n)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_spec_length_rejected(self, n):
+        with pytest.raises(ParameterError):
+            KdccSpec("sum1", n, {"a": 0})
+
+
+class TestSweepAgainstPerWord:
+    """The table-driven sweeps of ``best_residues`` and ``enumerate_codebook``
+    against the per-word ``syndrome_key`` over ``all_strands``."""
+
+    @pytest.mark.parametrize("family, n", [
+        (family, n) for family in ("sum1", "svt1", "array2")
+        for n in range(1 if family == "sum1" else 3, 7)])
+    def test_every_class(self, family, n):
+        classes: dict = {}
+        for x in all_strands(n):
+            classes.setdefault(syndrome_key(family, x), []).append(x)
+        _, best = max(classes.items(), key=lambda kv: (len(kv[1]), str(kv[0])))
+        assert best_residues(family, n) == (spec_for_strand(family, best[0]), len(best))
+        for members in classes.values():
+            spec = spec_for_strand(family, members[0])
+            assert enumerate_codebook(spec) == members
+            assert all(membership(spec, x) for x in members)
 
 
 class TestCodeProperty:

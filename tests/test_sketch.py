@@ -11,6 +11,7 @@ from syndef.sketch import (
     SketchBundle,
     XI_VERIFIED_MAX_LENGTH,
     _completions,
+    _pack,
     decode_E,
     e1_decode,
     e1_sketch,
@@ -19,6 +20,7 @@ from syndef.sketch import (
     e2_sketch,
     encode_E,
     moment,
+    moment_collisions,
     moment_vector,
     prefix_codeword_length,
     prefix_decode_one,
@@ -26,11 +28,13 @@ from syndef.sketch import (
     prefix_encode,
     prefix_member,
     sketch_bundle,
+    sketch_values,
     sketch_xi,
     verify_sketch_injectivity,
     xi_bit_length,
     xi_budget,
     xi_decode,
+    xi_field_widths,
 )
 
 
@@ -91,9 +95,45 @@ class TestXiSketch:
         # audit's two-deletion intersection runs
         assert verify_sketch_injectivity(16)
 
+    @pytest.mark.parametrize("length", [17, 18])
+    def test_injectivity_audit_beyond_16(self, length):
+        assert verify_sketch_injectivity(length)
+
+    @pytest.mark.parametrize("length", [0, -1, 2.5, True])
+    def test_audit_rejects_bad_length(self, length):
+        with pytest.raises(ParameterError):
+            verify_sketch_injectivity(length)
+
     def test_budget_at_64(self):
         assert xi_bit_length(64) <= xi_budget(64)
         assert XI_VERIFIED_MAX_LENGTH >= 16
+
+
+class TestMomentCollisions:
+    """The whole-space sweep against ``moment_vector`` word by word: its
+    packed values, the groups of words sharing a vector, and the audit's
+    two-deletion check over those groups."""
+
+    @staticmethod
+    def ball(w):
+        return {tuple(x for j, x in enumerate(w) if j not in pair)
+                for pair in combinations(range(len(w)), 2)}
+
+    @pytest.mark.parametrize("length", range(1, 17))
+    def test_matches_moment_vector_grouping(self, length):
+        widths = xi_field_widths(length)
+        groups: dict = {}
+        values = []
+        for word in all_words(length):
+            vector = moment_vector(word)
+            groups.setdefault(vector, []).append(word)
+            values.append(_pack(vector, widths))
+        assert sketch_values(length) == values
+        shared = [words for words in groups.values() if len(words) > 1]
+        assert moment_collisions(length) == shared
+        injective = not any(self.ball(u) & self.ball(v)
+                            for words in shared for u, v in combinations(words, 2))
+        assert verify_sketch_injectivity(length) == injective
 
 
 def grown_words(word, k):
