@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import compress, product
 
-from .binary import _is_subsequence, as_bits
-from .core import Bits, DecodeFailure, ParameterError
+from .binary import as_bits
+from .core import Bits, DecodeFailure, ParameterError, is_subsequence
 
 Interval = tuple[int, int]  # (start, length), 1-based start
 
@@ -209,15 +209,17 @@ def array_erasure_decode(received, burst_positions, params: ArrayCodeParams) -> 
     return _solve_rows(word, windows, params)[:params.length]
 
 
-def _single_column_word(params: ArrayCodeParams) -> Bits:
+def _single_column_word(received: Bits, params: ArrayCodeParams) -> Bits:
     """With one column the row sums are the bits themselves, so the syndromes
-    pin down the whole word."""
+    pin down the whole word; it must still contain ``received``."""
     bits = params.row_sums[:params.length]
     if any(b not in (0, 1) for b in bits):
         raise DecodeFailure("single-column row sums are not bits")
     word = tuple(bits)
     if not is_member(word, params):
         raise DecodeFailure("single-column word contradicts the weighted residue")
+    if not is_subsequence(received, word):
+        raise DecodeFailure("recovered word cannot reproduce the received bits")
     return word
 
 
@@ -266,10 +268,7 @@ def array_bounded_decode(received, intervals, params: ArrayCodeParams) -> Bits:
     if len(received) != params.length - 2:
         raise ParameterError(f"expected length {params.length - 2}, got {len(received)}")
     if params.padded == params.rows:
-        word = _single_column_word(params)
-        if not _is_subsequence(received, word):
-            raise DecodeFailure("recovered word cannot reproduce the received bits")
-        return word
+        return _single_column_word(received, params)
     word, blocks = _deletions_to_erasures(received, intervals, params)
     if len(blocks) == 1:
         s, l = blocks[0]
@@ -280,7 +279,7 @@ def array_bounded_decode(received, intervals, params: ArrayCodeParams) -> Bits:
     decoded = array_erasure_decode(word, bursts, params)
     lo = min(s for s, l in blocks)
     hi = max(s + l - 1 for s, l in blocks)
-    if not _is_subsequence(received[lo - 1:hi - 1 - 1], decoded[lo - 1:hi]):
+    if not is_subsequence(received[lo - 1:hi - 1 - 1], decoded[lo - 1:hi]):
         raise DecodeFailure("recovered word cannot reproduce the received bits")
     return decoded
 
@@ -295,10 +294,7 @@ def array_single_bounded_decode(received, interval: Interval, params: ArrayCodeP
     if len(received) != params.length - 1:
         raise ParameterError(f"expected length {params.length - 1}, got {len(received)}")
     if params.padded == params.rows:
-        word = _single_column_word(params)
-        if not _is_subsequence(received, word):
-            raise DecodeFailure("recovered word cannot reproduce the received bits")
-        return word
+        return _single_column_word(received, params)
     word, blocks = _deletions_to_erasures(received, [interval], params)
     (s, l) = blocks[0]
     P, N = params.rows, params.padded
@@ -314,6 +310,6 @@ def array_single_bounded_decode(received, interval: Interval, params: ArrayCodeP
     candidate = tuple(out[:params.length])
     if not is_member(candidate, params):
         raise DecodeFailure("weighted VT residue mismatch after single-deletion fill")
-    if not _is_subsequence(received[s - 1:s + l - 2], candidate[s - 1:s + l - 1]):
+    if not is_subsequence(received[s - 1:s + l - 2], candidate[s - 1:s + l - 1]):
         raise DecodeFailure("recovered word cannot reproduce the received bits")
     return candidate

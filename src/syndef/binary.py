@@ -24,11 +24,6 @@ def as_bits(bits) -> Bits:
     return word
 
 
-def _is_subsequence(short, long) -> bool:
-    it = iter(long)
-    return all(any(b == s for b in it) for s in short)
-
-
 def insertions(word: Bits, position_range=None, values=(0, 1)) -> set[Bits]:
     """Distinct single-bit insertions into ``word``; positions are 1-based
     final coordinates, optionally restricted."""

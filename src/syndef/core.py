@@ -53,6 +53,12 @@ def all_strands(n: int):
     return product(ALPHABET, repeat=n)
 
 
+def is_subsequence(short, long) -> bool:
+    """Does ``short`` occur in ``long`` with gaps allowed?"""
+    it = iter(long)
+    return all(any(b == s for b in it) for s in short)
+
+
 def diff(strand: Strand) -> Strand:
     """Difference sequence: first symbol, then successive shifted-mod-4 gaps."""
     out = [strand[0]]
@@ -133,7 +139,7 @@ def _insert_slot_positions(word: Strand, delta: int) -> list[int]:
     return out
 
 
-def _insertions_at_cycle(word: Strand, delta: int) -> list[Strand]:
+def insertions_at_cycle(word: Strand, delta: int) -> list[Strand]:
     """All words obtained by inserting one symbol into ``word`` so that the new
     symbol is synthesised exactly at cycle ``delta``."""
     value = smod4(delta)
@@ -146,7 +152,7 @@ def reinsertions(word: Strand, delta) -> set[Strand]:
     in increasing cycle order."""
     frontier = {word}
     for d in sorted(set(delta)):
-        frontier = {y for w in frontier for y in _insertions_at_cycle(w, d)}
+        frontier = {y for w in frontier for y in insertions_at_cycle(w, d)}
     return frontier
 
 
@@ -166,7 +172,7 @@ def confusable_ball(strand: Strand, delta) -> set[Strand]:
         for w in frontier:
             grown.add(w)
             if len(w) < n:
-                grown.update(_insertions_at_cycle(w, d))
+                grown.update(insertions_at_cycle(w, d))
         frontier = grown
     hit = set(delta)
     return {w for w in frontier if len(w) == n and apply_defects(w, hit) == target}

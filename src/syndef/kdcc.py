@@ -32,10 +32,10 @@ from .core import (
     ParameterError,
     Strand,
     _insert_slot_positions,
-    _insertions_at_cycle,
     all_strands,
     apply_defects,
     as_strand,
+    insertions_at_cycle,
     reinsertions,
     signature,
     smod4,
@@ -207,7 +207,7 @@ def decode_sum1(instance: KnownDefectInstance, a: int) -> Strand:
     if _shortfall(instance, "sum1", 1) == 0:
         return received
     (d,) = instance.delta
-    found = {y for y in _insertions_at_cycle(received, d)
+    found = {y for y in insertions_at_cycle(received, d)
              if even_position_sum(y) % 4 == a % 4}
     if len(found) != 1:
         raise DecodeFailure(f"{len(found)} insertions match the even-position sum")

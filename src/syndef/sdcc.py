@@ -101,6 +101,11 @@ def plan_covers(strands, plan: CoverPlan) -> bool:
     return set(range(1, 4 * plan.n + 1)) <= covered
 
 
+def _shift_range(sched, n: int) -> tuple[int, int]:
+    """Least and greatest shift keeping schedule ``sched`` inside [1, 4n]."""
+    return 1 - sched[0], 4 * n - sched[-1]
+
+
 def select_cover_shifts(strands, n: int | None = None) -> CoverPlan:
     """Greedy shift selection: each of the four template blocks is covered by
     its own group of strands, every step claiming at least a quarter of the
@@ -123,7 +128,7 @@ def select_cover_shifts(strands, n: int | None = None) -> CoverPlan:
         uncovered = set(window)
         for c in strands[block * group:(block + 1) * group]:
             sched = cycles(c)
-            lo, hi = 1 - sched[0], 4 * n - sched[-1]
+            lo, hi = _shift_range(sched, n)
             base = max(lo, min(t - sched[0], hi - 3))
             if base + 3 > hi:
                 raise ConstructionError("no feasible shift candidates for a cover strand")
@@ -192,7 +197,7 @@ class SdccCodeword:
             if type(a) is not int:
                 raise ParameterError(f"shift {a!r} is not an integer")
             sched = cycles(unshift_symbols(s, a))
-            lo, hi = 1 - sched[0], 4 * len(s) - sched[-1]
+            lo, hi = _shift_range(sched, len(s))
             if not lo <= a <= hi:
                 raise ParameterError(f"shift {a} outside feasible range [{lo}, {hi}]")
         return cw
@@ -668,22 +673,22 @@ def random_member_1sdcc(n: int, m: int, seed: int = 0,
     """A deterministic member tuple with four template cover strands (one per
     block) and seeded random remaining strands, together with its plan and
     derived residues."""
-    if m < 4:
-        raise ParameterError(f"m={m} is below the cover count 4")
-    rng = SplitMix(seed)
-    covers = [template_strand(n, 1 + rng.randrange(0, 4)) for _ in range(4)]
-    rest = [rng.strand(n) for _ in range(m - 4)]
-    plan = select_cover_shifts(covers, n)
-    strands = tuple(shift_symbols(x, a) for x, a in zip(covers, plan.shifts))
-    codeword = SdccCodeword(strands=strands + tuple(rest), shifts=plan.shifts)
-    params = sdcc1_params_of(codeword, regular_window)
-    return codeword, plan, params
+    codeword, plan = _seeded_member(n, m, seed, 4)
+    return codeword, plan, sdcc1_params_of(codeword, regular_window)
 
 
 def random_member_2sdcc(n: int, m: int, seed: int = 0, cover_count: int = 8,
                         regular_window: int | None = None,
                         sig_rows: int | None = None):
-    """As above for the double-defect code; two template strands per block."""
+    """As above for the double-defect code, with ``cover_count / 4`` cover
+    strands per block: one template strand, the rest seeded random."""
+    codeword, plan = _seeded_member(n, m, seed, cover_count)
+    return codeword, plan, sdcc2_params_of(codeword, regular_window, sig_rows)
+
+
+def _seeded_member(n: int, m: int, seed: int, cover_count: int):
+    """(codeword, plan) of a seeded tuple: per block one template strand and
+    cover_count / 4 - 1 random ones, then m - cover_count random strands."""
     if cover_count % 4 != 0:
         raise ParameterError("cover count must split into four blocks")
     if m < cover_count:
@@ -698,6 +703,4 @@ def random_member_2sdcc(n: int, m: int, seed: int = 0, cover_count: int = 8,
     rest = [rng.strand(n) for _ in range(m - cover_count)]
     plan = select_cover_shifts(covers, n)
     strands = tuple(shift_symbols(x, a) for x, a in zip(covers, plan.shifts))
-    codeword = SdccCodeword(strands=strands + tuple(rest), shifts=plan.shifts)
-    params = sdcc2_params_of(codeword, regular_window, sig_rows)
-    return codeword, plan, params
+    return SdccCodeword(strands=strands + tuple(rest), shifts=plan.shifts), plan

@@ -23,11 +23,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
-from .binary import _is_subsequence, as_bits, vt_decode, weight
-from .core import Bits, ConstructionError, DecodeFailure, ParameterError
+from .binary import as_bits, insertions, vt_decode, weight
+from .core import Bits, ConstructionError, DecodeFailure, ParameterError, is_subsequence
 
 MOMENT_ORDERS = (1, 2, 3, 4)
 
@@ -151,6 +151,30 @@ def _insert2_moments(base, tables, p: int, q: int, b1: int, b2: int, orders) -> 
 
 def _insert_pair(word: Bits, p: int, q: int, b1: int, b2: int) -> Bits:
     return word[:p - 1] + (b1,) + word[p - 1:q - 2] + (b2,) + word[q - 2:]
+
+
+def _reinsert_in_intervals(word: Bits, intervals, length: int) -> set[Bits]:
+    """Every ``length``-bit word that leaves ``word`` by losing one bit inside
+    either (start, length) interval, or with two deletions one inside each;
+    positions are 1-based in the longer word."""
+    if length - len(word) == 1:
+        return set().union(*(insertions(word, range(s, s + l)) for s, l in intervals))
+    (s1, l1), (s2, l2) = intervals
+    return {_insert_pair(word, min(p, q), max(p, q), v1, v2)
+            for p in range(s1, s1 + l1) for q in range(s2, s2 + l2) if p != q
+            for v1, v2 in product((0, 1), repeat=2)}
+
+
+def _checked_intervals(intervals, length: int, P: int) -> list[tuple[int, int]]:
+    """The two declared deletion intervals, sorted; each must lie inside
+    [1, ``length``] and span at most ``P`` positions."""
+    intervals = sorted((s, l) for s, l in intervals)
+    for s, l in intervals:
+        if l < 1 or s < 1 or s + l - 1 > length:
+            raise ParameterError("malformed deletion interval")
+    if len(intervals) != 2 or intervals[0][1] > P or intervals[1][1] > P:
+        raise ParameterError("two intervals of length at most max(P1, P2) expected")
+    return intervals
 
 
 def _value_options(word: Bits, k: int, weight_mod3: int):
@@ -315,7 +339,7 @@ def e1_decode(received, intervals, sketch: tuple[int, int], n: int, P1: int, P2:
     pack_len = 2 * rho
     kappa = xi_bit_length(pack_len)
     windows = e1_windows(n, rho)
-    (s1, l1), (s2, l2) = sorted(intervals)
+    (s1, l1), (s2, l2) = _checked_intervals(intervals, n, max(P1, P2))
     lo, hi = s1, max(s1 + l1 - 1, s2 + l2 - 1)
     if hi - lo + 1 > rho:
         raise DecodeFailure("interval union wider than one sketch window")
@@ -356,19 +380,19 @@ def e2_decode(received, intervals, sketch: tuple[int, int, int], n: int, P1: int
     received = as_bits(received)
     if len(received) != n - 2:
         raise ParameterError(f"expected length {n - 2}, got {len(received)}")
-    (s1, l1), (s2, l2) = sorted(intervals)
+    P = max(P1, P2)
+    (s1, l1), (s2, l2) = _checked_intervals(intervals, n, P)
     e1, e2 = s1 + l1 - 1, s2 + l2 - 1
     if s2 <= e1 + 1:
         raise DecodeFailure("intervals are not separated")
-    P = max(P1, P2)
     t0, t1, t2 = sketch
     base = moment_vector(received)
     tables = _suffix_tables(received, 2)
     out: set[Bits] = set()
     for b1, b2 in _value_options(received, 2, t0):
         stage = []
-        for p in range(s1, min(e1, n) + 1):
-            for q in range(s2, min(e2, n) + 1):
+        for p in range(s1, e1 + 1):
+            for q in range(s2, e2 + 1):
                 v1, v2 = _insert2_moments(base, tables, p, q, b1, b2, (1, 2))
                 if v1 % (n + 1) == t1:
                     stage.append((v2, p, q))
@@ -430,6 +454,11 @@ class EParams:
         return sum(self.e2_widths)
 
     @property
+    def tail_widths(self) -> tuple[int, ...]:
+        """Field widths of E1's two sums followed by E2's three residues."""
+        return (self.kappa, self.kappa) + self.e2_widths
+
+    @property
     def xi_bits(self) -> int:
         return xi_bit_length(self.e1_bits + self.e2_bits)
 
@@ -470,8 +499,8 @@ class SketchBundle:
 
 def _tail_bits(e1, e2, params: EParams) -> Bits:
     """Both interval sketches packed at their fixed widths."""
-    return (to_bits(e1[0], params.kappa) + to_bits(e1[1], params.kappa)
-            + tuple(b for v, w in zip(e2, params.e2_widths) for b in to_bits(v, w)))
+    widths = params.tail_widths
+    return to_bits(_pack(e1 + e2, widths), sum(widths))
 
 
 @lru_cache(maxsize=8192)
@@ -494,19 +523,10 @@ def encode_E(bits, P1: int, P2: int) -> Bits:
 
 
 def _parse_tail(tail: Bits, params: EParams):
-    kappa = params.kappa
-    e1 = (from_bits(tail[:kappa]), from_bits(tail[kappa:2 * kappa]))
-    rest = tail[2 * kappa:]
-    e2 = []
-    at = 0
-    for w in params.e2_widths:
-        e2.append(from_bits(rest[at:at + w]))
-        at += w
-    return e1, tuple(e2)
-
-
-def _consistent(word: Bits, params: EParams) -> bool:
-    return word[params.n:] == encode_E(word[:params.n], params.P1, params.P2)[params.n:]
+    """(E1, E2) read from the start of a composition's tail."""
+    widths = params.tail_widths
+    values = _unpack(from_bits(tail[:sum(widths)]), widths)
+    return values[:2], values[2:]
 
 
 def decode_E(received, intervals, n: int, P1: int, P2: int) -> Bits:
@@ -515,25 +535,16 @@ def decode_E(received, intervals, n: int, P1: int, P2: int) -> Bits:
     received = as_bits(received)
     params = EParams(n=n, P1=P1, P2=P2)
     L = params.total
-    intervals = sorted((s, l) for s, l in intervals)
-    for s, l in intervals:
-        if l < 1 or s < 1 or s + l - 1 > L:
-            raise ParameterError("malformed deletion interval")
-    if len(intervals) != 2 or intervals[0][1] > max(P1, P2) or intervals[1][1] > max(P1, P2):
-        raise ParameterError("two intervals of length at most max(P1, P2) expected")
+    intervals = _checked_intervals(intervals, L, params.P)
 
     if len(received) == L:
-        if not _consistent(received, params):
+        if received != encode_E(received[:n], P1, P2):
             raise DecodeFailure("full-length word is not a valid composition")
         return received[:n]
 
     if len(received) == L - 1:
-        candidates = set()
-        for s, l in intervals:
-            for p in range(s, min(s + l - 1, L) + 1):
-                for v in (0, 1):
-                    candidates.add(received[:p - 1] + (v,) + received[p - 1:])
-        found = {c[:n] for c in candidates if _consistent(c, params)}
+        found = {c[:n] for c in _reinsert_in_intervals(received, intervals, L)
+                 if c == encode_E(c[:n], P1, P2)}
         if len(found) != 1:
             raise DecodeFailure(f"{len(found)} single-deletion completions are consistent")
         return found.pop()
@@ -546,8 +557,7 @@ def decode_E(received, intervals, n: int, P1: int, P2: int) -> Bits:
     if s1 > n:
         return received[:n]
     if e2_end <= n:
-        tail = received[n - 2:]
-        e1_sk, e2_sk = _parse_tail(tail[:params.e1_bits + params.e2_bits], params)
+        e1_sk, e2_sk = _parse_tail(received[n - 2:], params)
         body = received[:n - 2]
         if s2 <= e1_end + 1:
             return e1_decode(body, intervals, e1_sk, n, P1, P2)
@@ -555,16 +565,8 @@ def decode_E(received, intervals, n: int, P1: int, P2: int) -> Bits:
 
     # An interval reaches past the systematic prefix: reconstruct by direct
     # hypothesis over the two deletion positions and verify the composition.
-    candidates = set()
-    for d1 in range(s1, min(e1_end, L) + 1):
-        for d2 in range(s2, min(e2_end, L) + 1):
-            if d1 == d2:
-                continue
-            lo, hi = min(d1, d2), max(d1, d2)
-            for v1 in (0, 1):
-                for v2 in (0, 1):
-                    candidates.add(_insert_pair(received, lo, hi, v1, v2))
-    found = {c[:n] for c in candidates if _consistent(c, params)}
+    found = {c[:n] for c in _reinsert_in_intervals(received, intervals, L)
+             if c == encode_E(c[:n], P1, P2)}
     if len(found) != 1:
         raise DecodeFailure(f"{len(found)} completions are consistent with the composition")
     return found.pop()
@@ -599,7 +601,7 @@ def prefix_decode_two(received, intervals, k: int, P1: int, P2: int) -> Bits:
     L = prefix_codeword_length(k, P1, P2)
     if len(received) != L - 2:
         raise ParameterError(f"expected length {L - 2}, got {len(received)}")
-    intervals = sorted((s, l) for s, l in intervals)
+    intervals = _checked_intervals(intervals, L, max(P1, P2))
     marker = {k + 1, k + 2}
     touches = any(set(range(s, s + l)) & marker for s, l in intervals)
     if not touches:
@@ -611,16 +613,8 @@ def prefix_decode_two(received, intervals, k: int, P1: int, P2: int) -> Bits:
         mapped = [(s if s + l - 1 <= k else s - 2, l) for s, l in intervals]
         return decode_E(stripped, mapped, k, P1, P2)
 
-    candidates = set()
-    for d1 in range(intervals[0][0], min(intervals[0][0] + intervals[0][1] - 1, L) + 1):
-        for d2 in range(intervals[1][0], min(intervals[1][0] + intervals[1][1] - 1, L) + 1):
-            if d1 == d2:
-                continue
-            lo, hi = min(d1, d2), max(d1, d2)
-            for v1 in (0, 1):
-                for v2 in (0, 1):
-                    candidates.add(_insert_pair(received, lo, hi, v1, v2))
-    found = {c[:k] for c in candidates if prefix_member(c, k, P1, P2)}
+    found = {c[:k] for c in _reinsert_in_intervals(received, intervals, L)
+             if prefix_member(c, k, P1, P2)}
     if len(found) != 1:
         raise DecodeFailure(f"{len(found)} payloads consistent with the marker code")
     return found.pop()
@@ -643,20 +637,16 @@ def prefix_decode_one(received, k: int, P1: int, P2: int) -> Bits:
     if len(received) != L - 1:
         raise ParameterError(f"expected length {L} or {L - 1}, got {len(received)}")
 
-    candidates = set()
-    if received[k] == 0:
-        candidates.add(received[:k])
-    else:
-        candidates.add(received[:k])  # the marker's own 0 was deleted
-        tail = received[k + 1:]
-        f1_at = params.e1_bits + 2
-        f1_residue = from_bits(tail[f1_at:f1_at + _width(k)])
+    # Under a 1 the payload also survived if the marker's own 0 was deleted.
+    candidates = {received[:k]}
+    if received[k] == 1:
+        _, (_, f1_residue, _) = _parse_tail(received[k + 1:], params)
         try:
             candidates.add(vt_decode(received[:k - 1], f1_residue, k, modulus=k + 1))
         except DecodeFailure:
             pass
     verified = {z for z in candidates
-                if _is_subsequence(received, prefix_encode(z, P1, P2))}
+                if is_subsequence(received, prefix_encode(z, P1, P2))}
     if len(verified) != 1:
         raise DecodeFailure(f"{len(verified)} payloads consistent with one deletion")
     return verified.pop()

@@ -1,5 +1,6 @@
 """Shared channel kernels against brute force, and the benchmark's bindings."""
 
+import ast
 import importlib
 import importlib.util
 from itertools import accumulate, combinations
@@ -24,7 +25,8 @@ from syndef.core import (
 )
 from syndef.sdcc import _deleted_positions, _matching_slots, position_sums, symbol_counts_mod3
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 
 
 def words_up_to(length):
@@ -79,6 +81,22 @@ class TestBenchmarkBindings:
                      "kdcc.decode_svt1", "sdcc.sdcc1_decode", "kdcc.algorithm1_recover",
                      "binary.svt_decode", "array_code.array_single_bounded_decode"):
             assert calls[f"{name}.calls"] > 0, name
+
+
+class TestModuleBoundaries:
+    def test_no_private_name_crosses_a_module(self):
+        """A module of the package imports no other module's ``_private``
+        name, except the kernels the benchmark's tracer binds by name."""
+        bound = {path for _, _, path, _ in load_tracer().LAYER_FUNCTIONS
+                 if path.startswith("_")}
+        assert bound <= {"_insert_slot_positions", "_completions"}
+        crossings = []
+        for path in sorted((ROOT / "src" / "syndef").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    crossings += [f"{path.name}: {alias.name}" for alias in node.names
+                                  if alias.name.startswith("_") and alias.name not in bound]
+        assert crossings == []
 
 
 def schedule(x):

@@ -1,5 +1,6 @@
 """Sketch and composed-codec tests, all expected values oracle-computed."""
 
+import hashlib
 import random
 from itertools import combinations, product
 
@@ -376,3 +377,115 @@ class TestPrefixCode:
                                     self.K, self.P1, self.P2)
             if got != x:
                 raise DecodeFailure("decoded to a different payload")
+
+
+class TestMalformedIntervals:
+    """Every composition decoder checks its declared intervals the same way:
+    exactly two, each inside the word and of length 1 to max(P1, P2)."""
+
+    K, P1, P2 = 6, 2, 2
+    X = (1, 0, 1, 1, 0, 0)
+
+    def marked(self):
+        return prefix_encode(self.X, self.P1, self.P2)
+
+    @pytest.mark.parametrize("case", ["one", "three", "length 0", "start 0",
+                                      "too long", "past the end"])
+    def test_prefix_decode_two(self, case):
+        word = self.marked()
+        Lp = len(word)
+        # the marker sits at K+1, K+2 = 7, 8; every case touches it
+        intervals = {"one": [(7, 2)],
+                     "three": [(6, 2), (7, 2), (9, 2)],
+                     "length 0": [(7, 0), (8, 2)],
+                     "start 0": [(0, 2), (7, 2)],
+                     "too long": [(6, 3), (8, 2)],
+                     "past the end": [(7, 2), (Lp, 2)]}[case]
+        with pytest.raises(ParameterError):
+            prefix_decode_two(delete(word, 7, 9), intervals, self.K, self.P1, self.P2)
+
+    @pytest.mark.parametrize("intervals", [[(3, 2)], [(3, 2), (4, 2), (5, 2)]])
+    def test_e1_decode_count(self, intervals):
+        x = b("110100101011")
+        with pytest.raises(ParameterError):
+            e1_decode(delete(x, 3, 4), intervals, e1_sketch(x, 2, 2), 12, 2, 2)
+
+    @pytest.mark.parametrize("intervals", [[(3, 2)], [(3, 2), (8, 2), (10, 2)]])
+    def test_e2_decode_count(self, intervals):
+        x = b("110100101011")
+        with pytest.raises(ParameterError):
+            e2_decode(delete(x, 3, 9), intervals, e2_sketch(x, 2, 2), 12, 2, 2)
+
+    def test_e2_decode_negative_start(self):
+        x = b("110100101011")
+        with pytest.raises(ParameterError):
+            e2_decode(delete(x, 3, 9), [(-3, 2), (8, 2)], e2_sketch(x, 2, 2), 12, 2, 2)
+
+    def test_e1_decode_zero_length(self):
+        x = b("110100101011")
+        with pytest.raises(ParameterError):
+            e1_decode(delete(x, 3, 4), [(3, 0), (4, 2)], e1_sketch(x, 2, 2), 12, 2, 2)
+
+
+class TestCompositionOutcomesPinned:
+    """Every outcome, exception texts included, of a fixed grid of well-formed
+    composition decodes: zero, one and two deletions, declared intervals that
+    cover the deletions and intervals that miss them, each also with one bit
+    of the received word flipped."""
+
+    GRID = ((3, 2, 2), (5, 2, 3), (8, 2, 2), (8, 3, 2), (12, 2, 2), (12, 3, 3),
+            (16, 2, 2), (16, 2, 4))
+
+    @staticmethod
+    def outcome(decode, *args):
+        try:
+            return repr(decode(*args))
+        except (DecodeFailure, ConstructionError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    @staticmethod
+    def calls(rng, n, P1, P2, x):
+        """(decoder, received, intervals or None) for one payload."""
+        P = max(P1, P2)
+        word, marked = encode_E(x, P1, P2), prefix_encode(x, P1, P2)
+        L, Lp = len(word), len(marked)
+        for _ in range(10):
+            d = rng.randint(1, L)
+            d1, d2 = sorted(rng.sample(range(1, L + 1), 2))
+            e1, e2 = sorted(rng.sample(range(1, Lp + 1), 2))
+            for hit in (True, False):
+                def place(at, length=L):
+                    """An interval around ``at`` if hit, else anywhere."""
+                    l = rng.randint(1, P)
+                    if not hit or at is None:
+                        return (rng.randint(1, length - l + 1), l)
+                    return (rng.randint(max(1, at - l + 1), min(at, length - l + 1)), l)
+                yield decode_E, word, [place(d1), place(d2)]
+                yield decode_E, delete(word, d), [place(d), place(None)]
+                yield decode_E, delete(word, d1, d2), [place(d1), place(d2)]
+                yield (prefix_decode_two, delete(marked, e1, e2),
+                       [place(e1, Lp), place(e2, Lp)])
+            yield prefix_decode_one, marked, None
+            yield prefix_decode_one, delete(marked, rng.randint(1, Lp)), None
+
+    def outcomes(self):
+        rng = random.Random(2024)
+        for n, P1, P2 in self.GRID:
+            for _ in range(6):
+                x = tuple(rng.randint(0, 1) for _ in range(n))
+                for decode, received, ivs in self.calls(rng, n, P1, P2, x):
+                    i = rng.randrange(len(received))
+                    flipped = received[:i] + (1 - received[i],) + received[i + 1:]
+                    for r in (received, flipped):
+                        args = (r, n, P1, P2) if ivs is None else (r, ivs, n, P1, P2)
+                        yield self.outcome(decode, *args)
+
+    def test_outcomes_pinned(self):
+        digest = hashlib.sha256()
+        count = 0
+        for out in self.outcomes():
+            digest.update(out.encode() + b"\n")
+            count += 1
+        assert count == 9600
+        assert digest.hexdigest() == \
+            "f046599f71c775ca8414243dfcb6ae3236a781ddca78534d536859a0e4422f1e"
