@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from math import comb
 
 from .binary import as_bits, insertions, vt_decode, weight
@@ -31,8 +31,9 @@ from .core import Bits, ConstructionError, DecodeFailure, ParameterError, is_sub
 
 MOMENT_ORDERS = (1, 2, 3, 4)
 
-# Exhaustively audited: the moment vector is injective on two-deletion balls
-# for every length below this bound (see verify_sketch_injectivity).
+# The moment vector is injective on two-deletion balls at every length up to
+# and including this bound; length 23 has a colliding pair.  Tier-1 audits
+# lengths 17 and 18 with verify_sketch_injectivity.
 XI_VERIFIED_MAX_LENGTH = 22
 
 
@@ -40,20 +41,65 @@ def _width(vmax: int) -> int:
     return max(1, int(vmax).bit_length())
 
 
+_COMB_COLUMNS: dict = {}
+
+
+def _comb_column(r: int, size: int):
+    """Cached [C(0,r), C(1,r), ..., C(size,r)]."""
+    key = (r, size)
+    col = _COMB_COLUMNS.get(key)
+    if col is None:
+        col = [comb(p, r) for p in range(size + 1)]
+        _COMB_COLUMNS[key] = col
+    return col
+
+
+@lru_cache(maxsize=512)
+def _moment_table(length: int):
+    """(column, shifts, masks) of the moment kernel for words of ``length``
+    bits.  column[p - 1] packs C(p, r) for r = 0..4 in the xi field layout of
+    ``length``, order 0 on top.  Order r >= 1 has the width of
+    C(length + 1, r + 1), the largest sum of C(p, r) over positions
+    p <= length, so a sum over any set of positions carries into no other
+    field; the weight on top needs no bound."""
+    widths = xi_field_widths(length)
+    shifts = tuple(sum(widths[r + 1:]) for r in range(5))
+    cols = [_comb_column(r, length) for r in range(5)]
+    column = tuple(sum(col[p] << shift for col, shift in zip(cols, shifts))
+                   for p in range(1, length + 1))
+    return column, shifts, tuple((1 << w) - 1 for w in widths)
+
+
+def _moment_sums(bits) -> tuple[int, int, int, int, int]:
+    """(weight, f1, f2, f3, f4) of a 0/1 word, f_r the sum of C(p, r) over
+    its 1-based 1-positions p: one pass sums the packed table entries of
+    those positions, and each field of the total is one sum."""
+    bits = tuple(bits)
+    column, (s0, s1, s2, s3, _), (_, m1, m2, m3, m4) = _moment_table(len(bits))
+    total = sum(compress(column, bits))
+    return total >> s0, total >> s1 & m1, total >> s2 & m2, total >> s3 & m3, total & m4
+
+
 def moment(bits, order: int) -> int:
-    return sum(comb(i, order) * b for i, b in enumerate(bits, start=1))
+    """Sum of C(p, ``order``) over the 1-based positions p holding a 1, for
+    order 0 (the weight) to 4."""
+    if order not in range(5):
+        raise ParameterError(f"moment order must be 0 to 4, got {order!r}")
+    return _moment_sums(bits)[order]
 
 
 def moment_vector(bits) -> tuple[int, ...]:
     """(weight mod 3, f1, f2, f3, f4) with the moments stored exactly."""
-    bits = tuple(bits)
-    return (weight(bits) % 3,) + tuple(moment(bits, r) for r in MOMENT_ORDERS)
+    w, f1, f2, f3, f4 = _moment_sums(bits)
+    return w % 3, f1, f2, f3, f4
 
 
+@lru_cache(maxsize=512)
 def xi_field_widths(length: int) -> tuple[int, ...]:
     return (2,) + tuple(_width(comb(length + 1, r + 1)) for r in MOMENT_ORDERS)
 
 
+@lru_cache(maxsize=512)
 def xi_bit_length(length: int) -> int:
     return sum(xi_field_widths(length))
 
@@ -63,10 +109,14 @@ def xi_budget(length: int) -> int:
     return 10 * math.ceil(math.log2(length + 1)) + 6
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def to_bits(value: int, width: int) -> Bits:
     if value < 0 or value >> width:
         raise ParameterError(f"value {value} does not fit in {width} bits")
-    return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
+    # The 1 set above the top bit keeps the leading zeros, also at width 0.
+    return tuple(bin(value | 1 << width)[3:].encode().translate(_BIT_BYTES))
 
 
 def from_bits(bits) -> int:
@@ -96,28 +146,20 @@ def _unpack(value: int, widths) -> tuple[int, ...]:
 def xi_value(bits, pack_length: int) -> int:
     """Sketch of ``bits`` packed as one integer at the field widths of
     ``pack_length`` (which must be at least ``len(bits)``)."""
+    bits = tuple(bits)
     if len(bits) > pack_length:
         raise ParameterError("word longer than its packing length")
-    return _pack(moment_vector(bits), xi_field_widths(pack_length))
+    # The moment table of pack_length has the xi field layout, so no field
+    # of a word this short overflows.
+    _, (s0, s1, s2, s3, _), _ = _moment_table(pack_length)
+    w3, f1, f2, f3, f4 = moment_vector(bits)
+    return w3 << s0 | f1 << s1 | f2 << s2 | f3 << s3 | f4
 
 
 def sketch_xi(bits) -> Bits:
     """Two-deletion sketch of a binary word, as a bit string."""
     bits = as_bits(bits)
     return to_bits(xi_value(bits, len(bits)), xi_bit_length(len(bits)))
-
-
-_COMB_COLUMNS: dict = {}
-
-
-def _comb_column(r: int, size: int):
-    """Cached [C(0,r), C(1,r), ..., C(size,r)]."""
-    key = (r, size)
-    col = _COMB_COLUMNS.get(key)
-    if col is None:
-        col = [comb(p, r) for p in range(size + 1)]
-        _COMB_COLUMNS[key] = col
-    return col
 
 
 def _suffix_tables(word: Bits, max_order: int):
@@ -243,6 +285,9 @@ def xi_decode(received, sketch, n: int) -> Bits:
     received = as_bits(received)
     if len(received) not in (n - 1, n - 2, n):
         raise ParameterError("received length incompatible with one or two deletions")
+    sketch = tuple(sketch)
+    if len(sketch) != xi_bit_length(n) or not set(sketch) <= {0, 1}:
+        raise ParameterError(f"sketch must be {xi_bit_length(n)} bits, each 0 or 1")
     targets = _unpack(from_bits(sketch), xi_field_widths(n))
     found = _completions(received, n, targets)
     if len(found) != 1:
@@ -260,14 +305,14 @@ def sketch_values(length: int) -> list[int]:
     """
     if type(length) is not int or length < 1:
         raise ParameterError(f"word length must be a positive integer, got {length!r}")
-    widths = xi_field_widths(length)
-    shifts = [sum(widths[i + 1:]) for i in range(len(widths))]
+    column, (top, *_), _ = _moment_table(length)
+    orders = (1 << top) - 1  # the fields of orders 1-4, without the weight
     values = [0]
     # Position s ends up as bit length - s of a word's index, first bit on top.
     for s in range(length, 0, -1):
-        step = sum(comb(s, r) << shift for r, shift in zip(MOMENT_ORDERS, shifts[1:]))
+        step = column[s - 1] & orders
         values += [v + step for v in values]
-    return [v | (i.bit_count() % 3) << shifts[0] for i, v in enumerate(values)]
+    return [v | (i.bit_count() % 3) << top for i, v in enumerate(values)]
 
 
 def moment_collisions(length: int) -> list[list[Bits]]:
@@ -319,14 +364,16 @@ def e1_windows(n: int, rho: int) -> list[tuple[int, int]]:
 
 def e1_sketch(bits, P1: int, P2: int) -> tuple[int, int]:
     """Sums of packed window sketches over odd- and even-indexed windows."""
-    bits = as_bits(bits)
-    rho = P1 + P2
+    return _e1_sums(as_bits(bits), P1 + P2)
+
+
+def _e1_sums(bits: Bits, rho: int) -> tuple[int, int]:
     pack_len = 2 * rho
-    kappa = xi_bit_length(pack_len)
     totals = [0, 0]
-    for j, (ws, we) in enumerate(e1_windows(len(bits), rho), start=1):
-        totals[(j - 1) % 2] += xi_value(bits[ws - 1:we], pack_len)
-    return totals[0] % (1 << kappa), totals[1] % (1 << kappa)
+    for j, (ws, we) in enumerate(e1_windows(len(bits), rho)):
+        totals[j % 2] += xi_value(bits[ws - 1:we], pack_len)
+    mask = (1 << xi_bit_length(pack_len)) - 1
+    return totals[0] & mask, totals[1] & mask
 
 
 def e1_decode(received, intervals, sketch: tuple[int, int], n: int, P1: int, P2: int) -> Bits:
@@ -368,10 +415,13 @@ def e1_decode(received, intervals, sketch: tuple[int, int], n: int, P1: int, P2:
 
 def e2_sketch(bits, P1: int, P2: int) -> tuple[int, int, int]:
     """(weight mod 3, f1 mod n+1, f2 mod P*n) with P = max(P1, P2)."""
-    bits = as_bits(bits)
+    return _e2_residues(as_bits(bits), max(P1, P2))
+
+
+def _e2_residues(bits: Bits, P: int) -> tuple[int, int, int]:
     n = len(bits)
-    P = max(P1, P2)
-    return weight(bits) % 3, moment(bits, 1) % (n + 1), moment(bits, 2) % (P * n)
+    w, f1, f2, _, _ = _moment_sums(bits)
+    return w % 3, f1 % (n + 1), f2 % (P * n)
 
 
 def e2_decode(received, intervals, sketch: tuple[int, int, int], n: int, P1: int, P2: int) -> Bits:
@@ -415,15 +465,32 @@ def e2_decode(received, intervals, sketch: tuple[int, int, int], n: int, P1: int
 
 @dataclass(frozen=True)
 class EParams:
-    """Materialised layout of the composed codeword for given (n, P1, P2)."""
+    """Materialised layout of the composed codeword for given (n, P1, P2).
+
+    The layout fields are computed once, on construction, and the codec
+    shares one instance per parameter set."""
 
     n: int
     P1: int
     P2: int
+    kappa: int = field(init=False, repr=False, compare=False)
+    e2_widths: tuple[int, int, int] = field(init=False, repr=False, compare=False)
+    tail_widths: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    xi_bits: int = field(init=False, repr=False, compare=False)
+    total: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.P1 < 2 or self.P2 < 2 or self.n < 3:
             raise ParameterError("composition requires P1, P2 >= 2 and n >= 3")
+        kappa = xi_bit_length(self.window_pack_len)
+        e2_widths = (2, _width(self.n), _width(self.P * self.n - 1))
+        # E1's two sums followed by E2's three residues.
+        tail_widths = (kappa, kappa) + e2_widths
+        xi_bits = xi_bit_length(sum(tail_widths))
+        for name, value in (("kappa", kappa), ("e2_widths", e2_widths),
+                            ("tail_widths", tail_widths), ("xi_bits", xi_bits),
+                            ("total", self.n + sum(tail_widths) + xi_bits)):
+            object.__setattr__(self, name, value)
 
     @property
     def rho(self) -> int:
@@ -438,37 +505,21 @@ class EParams:
         return 2 * self.rho
 
     @property
-    def kappa(self) -> int:
-        return xi_bit_length(self.window_pack_len)
-
-    @property
     def e1_bits(self) -> int:
         return 2 * self.kappa
-
-    @property
-    def e2_widths(self) -> tuple[int, int, int]:
-        return (2, _width(self.n), _width(self.P * self.n - 1))
 
     @property
     def e2_bits(self) -> int:
         return sum(self.e2_widths)
 
     @property
-    def tail_widths(self) -> tuple[int, ...]:
-        """Field widths of E1's two sums followed by E2's three residues."""
-        return (self.kappa, self.kappa) + self.e2_widths
-
-    @property
-    def xi_bits(self) -> int:
-        return xi_bit_length(self.e1_bits + self.e2_bits)
-
-    @property
     def redundancy(self) -> int:
-        return self.e1_bits + self.e2_bits + self.xi_bits
+        return self.total - self.n
 
-    @property
-    def total(self) -> int:
-        return self.n + self.redundancy
+
+@lru_cache(maxsize=256)
+def _eparams(n: int, P1: int, P2: int) -> EParams:
+    return EParams(n=n, P1=P1, P2=P2)
 
 
 @dataclass(frozen=True)
@@ -482,19 +533,37 @@ class SketchBundle:
     params: EParams
 
     def to_json(self) -> dict:
-        p = self.params
         return {"e1": list(self.e1), "e2": list(self.e2),
-                "xi": "".join(str(b) for b in self.xi),
-                "params": {"n": p.n, "P1": p.P1, "P2": p.P2, "rho": p.rho, "P": p.P,
-                           "e1_modulus_bits": p.kappa,
-                           "f1_modulus": p.n + 1, "f2_modulus": p.P * p.n}}
+                "xi": "".join(str(b) for b in self.xi), "params": _params_json(self.params)}
 
     @staticmethod
     def from_json(data) -> "SketchBundle":
-        p = data["params"]
-        return SketchBundle(e1=tuple(data["e1"]), e2=tuple(data["e2"]),
-                            xi=tuple(int(c) for c in data["xi"]),
-                            params=EParams(n=p["n"], P1=p["P1"], P2=p["P2"]))
+        """The bundle ``to_json`` wrote; raises ParameterError unless the
+        parameter block, both interval sketches and ``xi`` are exactly what
+        that bundle would hold."""
+        try:
+            p, e1, e2, xi = data["params"], tuple(data["e1"]), tuple(data["e2"]), data["xi"]
+            n, P1, P2 = p["n"], p["P1"], p["P2"]
+        except (KeyError, TypeError):
+            raise ParameterError("malformed sketch bundle") from None
+        if any(type(v) is not int for v in (n, P1, P2) + e1 + e2):
+            raise ParameterError("sketch bundle fields must be integers")
+        params = _eparams(n, P1, P2)
+        if p != _params_json(params):
+            raise ParameterError("sketch bundle parameters disagree with n, P1 and P2")
+        if len(e1) != 2 or not all(0 <= v < 1 << params.kappa for v in e1):
+            raise ParameterError("e1 must be two sums of e1_modulus_bits bits")
+        moduli = (3, p["f1_modulus"], p["f2_modulus"])
+        if len(e2) != 3 or not all(0 <= v < m for v, m in zip(e2, moduli)):
+            raise ParameterError("e2 must be three residues inside their moduli")
+        if xi != "".join(map(str, sketch_xi(_tail_bits(e1, e2, params)))):
+            raise ParameterError("xi is not the sketch of the bundle's own tail")
+        return SketchBundle(e1=e1, e2=e2, xi=tuple(map(int, xi)), params=params)
+
+
+def _params_json(p: EParams) -> dict:
+    return {"n": p.n, "P1": p.P1, "P2": p.P2, "rho": p.rho, "P": p.P,
+            "e1_modulus_bits": p.kappa, "f1_modulus": p.n + 1, "f2_modulus": p.P * p.n}
 
 
 def _tail_bits(e1, e2, params: EParams) -> Bits:
@@ -505,10 +574,12 @@ def _tail_bits(e1, e2, params: EParams) -> Bits:
 
 @lru_cache(maxsize=8192)
 def _sketch_bundle_cached(bits: Bits, P1: int, P2: int) -> SketchBundle:
-    params = EParams(n=len(bits), P1=P1, P2=P2)
-    s1 = e1_sketch(bits, P1, P2)
-    s2 = e2_sketch(bits, P1, P2)
-    return SketchBundle(e1=s1, e2=s2, xi=sketch_xi(_tail_bits(s1, s2, params)), params=params)
+    """The bundle of a word ``as_bits`` has already checked."""
+    params = _eparams(len(bits), P1, P2)
+    s1, s2 = _e1_sums(bits, params.rho), _e2_residues(bits, params.P)
+    tail = _tail_bits(s1, s2, params)
+    return SketchBundle(e1=s1, e2=s2, xi=to_bits(xi_value(tail, len(tail)), params.xi_bits),
+                        params=params)
 
 
 def sketch_bundle(bits, P1: int, P2: int) -> SketchBundle:
@@ -518,8 +589,9 @@ def sketch_bundle(bits, P1: int, P2: int) -> SketchBundle:
 def encode_E(bits, P1: int, P2: int) -> Bits:
     """Systematic composition: the word, both interval sketches, then a
     deletion sketch protecting those sketches."""
-    bundle = sketch_bundle(bits, P1, P2)
-    return as_bits(bits) + _tail_bits(bundle.e1, bundle.e2, bundle.params) + bundle.xi
+    bits = as_bits(bits)
+    bundle = _sketch_bundle_cached(bits, P1, P2)
+    return bits + _tail_bits(bundle.e1, bundle.e2, bundle.params) + bundle.xi
 
 
 def _parse_tail(tail: Bits, params: EParams):
@@ -533,7 +605,7 @@ def decode_E(received, intervals, n: int, P1: int, P2: int) -> Bits:
     """Recover the systematic prefix from up to two deletions, each confined
     to its declared interval."""
     received = as_bits(received)
-    params = EParams(n=n, P1=P1, P2=P2)
+    params = _eparams(n, P1, P2)
     L = params.total
     intervals = _checked_intervals(intervals, L, params.P)
 
@@ -578,7 +650,7 @@ def decode_E(received, intervals, n: int, P1: int, P2: int) -> Bits:
 
 
 def prefix_codeword_length(k: int, P1: int, P2: int) -> int:
-    return EParams(n=k, P1=P1, P2=P2).total + 2
+    return _eparams(k, P1, P2).total + 2
 
 
 def prefix_encode(payload, P1: int, P2: int) -> Bits:
@@ -628,7 +700,7 @@ def prefix_decode_one(received, k: int, P1: int, P2: int) -> Bits:
     own 0) and the position-weighted residue stored in the tail pins it down.
     """
     received = as_bits(received)
-    params = EParams(n=k, P1=P1, P2=P2)
+    params = _eparams(k, P1, P2)
     L = params.total + 2
     if len(received) == L:
         if not prefix_member(received, k, P1, P2):

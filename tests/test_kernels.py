@@ -3,12 +3,14 @@
 import ast
 import importlib
 import importlib.util
-from itertools import accumulate, combinations
+import random
+from itertools import accumulate, combinations, product
+from math import comb
 from pathlib import Path
 
 import pytest
 
-from syndef import kdcc, sdcc
+from syndef import kdcc, sdcc, sketch
 from syndef.core import (
     _insert_slot_positions,
     all_strands,
@@ -23,7 +25,9 @@ from syndef.core import (
     smod4,
     unshift_symbols,
 )
+from syndef.core import ParameterError
 from syndef.sdcc import _deleted_positions, _matching_slots, position_sums, symbol_counts_mod3
+from syndef.sketch import EParams, from_bits, moment, moment_vector, to_bits, xi_value
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER_PATH = ROOT / "perfbench" / "tracer.py"
@@ -81,6 +85,11 @@ class TestBenchmarkBindings:
                      "kdcc.decode_svt1", "sdcc.sdcc1_decode", "kdcc.algorithm1_recover",
                      "binary.svt_decode", "array_code.array_single_bounded_decode"):
             assert calls[f"{name}.calls"] > 0, name
+
+    def test_sketch_bundle_cache_size(self):
+        assert sketch._sketch_bundle_cached.cache_info().maxsize == 8192, (
+            "perfbench sizes the sketch workload's payload pool from this value "
+            "(twice the cache), so changing it changes the workload")
 
 
 class TestModuleBoundaries:
@@ -209,3 +218,72 @@ class TestShiftPair:
                 for delta in combinations(range(1, 17), 2):
                     assert apply_defects_shifted(symbols, a, delta) == tuple(
                         v for v, c in zip(symbols, schedule) if c not in delta)
+
+
+def textbook_moment(bits, r):
+    return sum(comb(i, r) * b for i, b in enumerate(bits, start=1))
+
+
+def textbook_xi_widths(length):
+    return (2,) + tuple(max(1, comb(length + 1, r + 1).bit_length()) for r in (1, 2, 3, 4))
+
+
+def textbook_to_bits(value, width):
+    return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
+
+
+class TestSketchKernels:
+    """The table-driven sketch encoder kernels against their textbook forms:
+    per-order binomial sums, fields packed one after another, and one shift
+    per bit."""
+
+    @staticmethod
+    def words():
+        for length in range(13):
+            yield from product((0, 1), repeat=length)
+        rng = random.Random(64)
+        for _ in range(400):
+            yield tuple(rng.randint(0, 1) for _ in range(rng.randint(13, 64)))
+
+    def test_moments_and_xi_values(self):
+        for word in self.words():
+            orders = [textbook_moment(word, r) for r in range(5)]
+            vector = (orders[0] % 3,) + tuple(orders[1:])
+            packed = {}
+            for pack_length in (len(word), len(word) + 7):
+                packed[pack_length] = 0
+                for value, width in zip(vector, textbook_xi_widths(pack_length)):
+                    packed[pack_length] = packed[pack_length] << width | value
+            for form in (tuple, list, iter):
+                assert moment_vector(form(word)) == vector, word
+                assert [moment(form(word), r) for r in range(5)] == orders, word
+                for pack_length, value in packed.items():
+                    assert xi_value(form(word), pack_length) == value, (word, pack_length)
+
+    @pytest.mark.parametrize("order", [-1, 5, 1.5])
+    def test_moment_order_outside_the_table(self, order):
+        with pytest.raises(ParameterError):
+            moment((1, 0, 1), order)
+
+    def test_to_bits(self):
+        rng = random.Random(80)
+        for width in range(81):
+            values = {0, (1 << width) - 1} | {rng.randrange(1 << width) for _ in range(30)}
+            for value in values:
+                assert to_bits(value, width) == textbook_to_bits(value, width), (value, width)
+                assert from_bits(to_bits(value, width)) == value
+            for bad in (1 << width, (1 << width) + rng.randrange(1 << 8), -1, -(1 << width)):
+                with pytest.raises(ParameterError):
+                    to_bits(bad, width)
+
+    def test_composition_layout(self):
+        for n, P1, P2 in product(range(3, 41), range(2, 7), range(2, 7)):
+            params = EParams(n=n, P1=P1, P2=P2)
+            kappa = sum(textbook_xi_widths(2 * (P1 + P2)))
+            e2_widths = (2, max(1, n.bit_length()), max(1, (max(P1, P2) * n - 1).bit_length()))
+            xi_bits = sum(textbook_xi_widths(2 * kappa + sum(e2_widths)))
+            assert params.kappa == kappa
+            assert params.e2_widths == e2_widths
+            assert params.tail_widths == (kappa, kappa) + e2_widths
+            assert params.xi_bits == xi_bits
+            assert params.total == n + 2 * kappa + sum(e2_widths) + xi_bits

@@ -14,6 +14,7 @@ from syndef.sdcc import (
     sdcc1_decode,
     sdcc2_decode,
 )
+from syndef.sketch import decode_E, encode_E, prefix_decode_one, prefix_decode_two, prefix_encode
 
 SEEDS = st.integers(0, 2**31 - 1)
 LENGTHS = st.sampled_from([12, 16])
@@ -64,3 +65,54 @@ def test_array2_corrects_any_two_own_cycles(x, data):
         # same channel output
         assert any(y != x and spec_for_strand("array2", y) == spec
                    for y in confusable_ball(x, delta))
+
+
+# The composition's interval lengths: the first at most P1, the second at most
+# P2, so adjacent intervals span at most one sketch window's overlap P1 + P2.
+COMPOSITIONS = st.tuples(st.sampled_from([3, 5, 8, 12, 16]),
+                         st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]))
+
+
+def draw_composed(data, n, P1, P2, encode, min_deleted=0):
+    """(payload, received, intervals): ``min_deleted`` to two deletions, the
+    i-th inside the i-th declared interval, which has length at most Pi."""
+    x = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple),
+                  label="payload")
+    word = encode(x, P1, P2)
+    L = len(word)
+    deleted = data.draw(st.lists(st.integers(1, L), min_size=min_deleted, max_size=2,
+                                 unique=True).map(sorted), label="deleted")
+    intervals = []
+    for i, cap in enumerate((P1, P2)):
+        l = data.draw(st.integers(1, cap))
+        at = deleted[i] if i < len(deleted) else data.draw(st.integers(1, L))
+        intervals.append((data.draw(st.integers(max(1, at - l + 1), min(at, L - l + 1))), l))
+    received = tuple(bit for i, bit in enumerate(word, start=1) if i not in deleted)
+    return x, received, intervals
+
+
+@settings(max_examples=150, deadline=None)
+@given(params=COMPOSITIONS, data=st.data())
+def test_decode_E_corrects_deletions_inside_intervals(params, data):
+    n, (P1, P2) = params
+    x, received, intervals = draw_composed(data, n, P1, P2, encode_E)
+    assert decode_E(received, intervals, n, P1, P2) == x
+
+
+@settings(max_examples=150, deadline=None)
+@given(params=COMPOSITIONS, data=st.data())
+def test_prefix_decode_two_corrects_deletions_inside_intervals(params, data):
+    n, (P1, P2) = params
+    x, received, intervals = draw_composed(data, n, P1, P2, prefix_encode, min_deleted=2)
+    assert prefix_decode_two(received, intervals, n, P1, P2) == x
+
+
+@settings(max_examples=150, deadline=None)
+@given(params=COMPOSITIONS, data=st.data())
+def test_prefix_decode_one_corrects_any_single_deletion(params, data):
+    n, (P1, P2) = params
+    x = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple),
+                  label="payload")
+    word = prefix_encode(x, P1, P2)
+    d = data.draw(st.integers(0, len(word)), label="deleted (0 for none)")
+    assert prefix_decode_one(word[:d - 1] + word[d:] if d else word, n, P1, P2) == x

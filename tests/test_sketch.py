@@ -1,6 +1,7 @@
 """Sketch and composed-codec tests, all expected values oracle-computed."""
 
 import hashlib
+import json
 import random
 from itertools import combinations, product
 
@@ -31,6 +32,7 @@ from syndef.sketch import (
     sketch_bundle,
     sketch_values,
     sketch_xi,
+    to_bits,
     verify_sketch_injectivity,
     xi_bit_length,
     xi_budget,
@@ -87,6 +89,15 @@ class TestXiSketch:
         assert moment(x, 2) == moment(y, 2)
         assert moment_vector(x) != moment_vector(y)
         assert xi_decode(common.pop(), sketch_xi(x), 7) == x
+
+    @pytest.mark.parametrize("case", ["5 bits short", "3 bits long", "all 2s", "empty"])
+    def test_malformed_sketch_rejected(self, case):
+        x = b("1011001110")
+        sk = sketch_xi(x)
+        bad = {"5 bits short": sk[:-5], "3 bits long": sk + (0, 1, 0),
+               "all 2s": (2,) * len(sk), "empty": ()}[case]
+        with pytest.raises(ParameterError):
+            xi_decode(delete(x, 3, 7), bad, len(x))
 
     def test_injectivity_audit_small(self):
         assert verify_sketch_injectivity(8)
@@ -335,6 +346,68 @@ class TestComposition:
         assert again == bundle
 
 
+class TestBundleFromJson:
+    """``from_json`` accepts exactly what ``to_json`` writes: every case below
+    is a mutated bundle of one word and raises ParameterError naming what is
+    wrong."""
+
+    X, P1, P2 = b("1011010010"), 2, 3
+
+    def data(self):
+        return sketch_bundle(self.X, self.P1, self.P2).to_json()
+
+    @staticmethod
+    def reject(data, reason):
+        with pytest.raises(ParameterError, match=reason):
+            SketchBundle.from_json(data)
+
+    def with_own_xi(self, data):
+        """``data`` with the xi its own (possibly out-of-range) tail has."""
+        params = EParams(n=len(self.X), P1=self.P1, P2=self.P2)
+        tail = _pack(data["e1"] + data["e2"], params.tail_widths)
+        data["xi"] = "".join(map(str, sketch_xi(to_bits(tail, sum(params.tail_widths)))))
+        return data
+
+    def test_one_e1_sum(self):
+        data = self.data()
+        data["e1"] = [1]
+        self.reject(data, "e1")
+
+    def test_e2_out_of_its_moduli(self):
+        data = self.data()
+        data["e2"] = [5, 99999, -1]
+        self.reject(data, "e2")
+
+    def test_xi_not_a_bit_string(self):
+        data = self.data()
+        data["xi"] = "012"
+        self.reject(data, "xi")
+
+    @pytest.mark.parametrize("key", ["rho", "P", "e1_modulus_bits", "f1_modulus", "f2_modulus"])
+    def test_params_disagree(self, key):
+        data = self.data()
+        data["params"][key] += 1
+        self.reject(data, "parameters")
+
+    def test_e1_sum_wider_than_kappa(self):
+        data = self.data()
+        data["e1"][1] += 1 << data["params"]["e1_modulus_bits"]
+        self.reject(data, "e1")
+
+    @pytest.mark.parametrize("field", [1, 2])
+    def test_e2_residue_at_its_modulus(self, field):
+        # the residue still fits its width, and xi is the sketch of the
+        # mutated tail: only the modulus rejects it
+        data = self.data()
+        data["e2"][field] = data["params"][["f1_modulus", "f2_modulus"][field - 1]]
+        self.reject(self.with_own_xi(data), "e2")
+
+    def test_xi_of_another_tail(self):
+        data = self.data()
+        data["xi"] = data["xi"][:-1] + str(1 - int(data["xi"][-1]))
+        self.reject(data, "xi")
+
+
 class TestPrefixCode:
     K, P1, P2 = 6, 2, 2
 
@@ -489,3 +562,36 @@ class TestCompositionOutcomesPinned:
         assert count == 9600
         assert digest.hexdigest() == \
             "f046599f71c775ca8414243dfcb6ae3236a781ddca78534d536859a0e4422f1e"
+
+
+class TestEncodeOutputsPinned:
+    """Every encoder output on a fixed grid of lengths, parameters and seeded
+    payloads: the composition, its marker variant, the serialized bundle and
+    each sketch on its own."""
+
+    LENGTHS = (3, 5, 8, 12, 16, 23, 31)
+    PARAMS = ((2, 2), (2, 3), (3, 2), (3, 3), (2, 5), (4, 4))
+
+    def outputs(self):
+        rng = random.Random(12)
+        for n in self.LENGTHS:
+            payloads = [(0,) * n, (1,) * n] + [
+                tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(24)]
+            for P1, P2 in self.PARAMS:
+                for x in payloads:
+                    yield repr(encode_E(x, P1, P2))
+                    yield repr(prefix_encode(x, P1, P2))
+                    yield json.dumps(sketch_bundle(x, P1, P2).to_json(), sort_keys=True)
+                    yield repr(sketch_xi(x))
+                    yield repr(e1_sketch(x, P1, P2))
+                    yield repr(e2_sketch(x, P1, P2))
+
+    def test_outputs_pinned(self):
+        digest = hashlib.sha256()
+        count = 0
+        for out in self.outputs():
+            digest.update(out.encode() + b"\n")
+            count += 1
+        assert count == 6552
+        assert digest.hexdigest() == \
+            "70bd7f64d82c00666370e486a26540badfd68bb5952d5b58592b082f53dcd48f"
