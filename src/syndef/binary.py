@@ -24,7 +24,7 @@ def as_bits(bits) -> Bits:
     return word
 
 
-def insertions(word: Bits, position_range=None, values=(0, 1)) -> set[Bits]:
+def insertions(word: Bits, position_range=None) -> set[Bits]:
     """Distinct single-bit insertions into ``word``; positions are 1-based
     final coordinates, optionally restricted."""
     word = tuple(word)
@@ -33,7 +33,7 @@ def insertions(word: Bits, position_range=None, values=(0, 1)) -> set[Bits]:
     for p in positions:
         if not 1 <= p <= len(word) + 1:
             continue
-        for v in values:
+        for v in (0, 1):
             out.add(word[:p - 1] + (v,) + word[p - 1:])
     return out
 

@@ -59,6 +59,32 @@ def is_subsequence(short, long) -> bool:
     return all(any(b == s for b in it) for s in short)
 
 
+def common_prefix(u, v) -> int:
+    """Length of the longest common prefix of two sequences."""
+    k, top = 0, min(len(u), len(v))
+    while k < top and u[k] == v[k]:
+        k += 1
+    return k
+
+
+def common_suffix(u, v) -> int:
+    """Length of the longest common suffix of two sequences."""
+    k, top = 0, min(len(u), len(v))
+    while k < top and u[-1 - k] == v[-1 - k]:
+        k += 1
+    return k
+
+
+def deleted_positions(full, short) -> list[int]:
+    """All 1-based positions whose deletion from ``full`` yields ``short``:
+    the positions p with ``full[:p-1]`` inside the words' common prefix and
+    ``full[p:]`` inside their common suffix."""
+    if len(short) != len(full) - 1:
+        return []
+    return list(range(len(full) - common_suffix(full, short),
+                      common_prefix(full, short) + 2))
+
+
 def diff(strand: Strand) -> Strand:
     """Difference sequence: first symbol, then successive shifted-mod-4 gaps."""
     out = [strand[0]]
@@ -78,7 +104,7 @@ def inverse_diff(d: Strand) -> Strand:
 def cycles(strand: Strand, start: int = 0) -> tuple[int, ...]:
     """Synthesis cycle of each symbol: plain prefix sums of the difference
     sequence, in one pass.  Each symbol lands on the first cycle past the
-    previous one that carries its value (the step of :func:`landing_cycles`).
+    previous one that carries its value.
 
     Started at ``start`` on the symbols of a strand re-timed by ``start``
     (:func:`shift_symbols`), the recurrence gives the base schedule moved by
@@ -103,17 +129,6 @@ def apply_defects(strand: Strand, delta) -> Strand:
 def apply_defects_tuple(strands, delta) -> tuple[Strand, ...]:
     """Apply the same defect set to every strand of an ordered tuple."""
     return tuple(apply_defects(s, delta) for s in strands)
-
-
-def landing_cycles(word: Strand, value: int) -> list[int]:
-    """Cycle at which ``value`` inserted into ``word`` would be synthesised,
-    for each 1-based slot in [1, len(word) + 1].
-
-    The inserted symbol's cycle is the smallest value congruent to it mod 4
-    beyond the previous symbol's cycle, so each slot costs O(1).
-    """
-    return [prev + (value - prev - 1) % 4 + 1
-            for prev in (0,) + cycles(word)]
 
 
 def _insert_slot_positions(word: Strand, delta: int) -> list[int]:

@@ -33,8 +33,11 @@ from .core import (
     Strand,
     apply_defects_shifted,
     as_strand,
+    common_prefix,
+    common_suffix,
     cycles,
     default_regular_window,
+    deleted_positions,
     is_regular,
     run_sequence,
     shift_symbols,
@@ -242,22 +245,6 @@ def sdcc1_params_of(codeword: SdccCodeword, regular_window: int | None = None) -
                        window=window, regular_window=regular_window)
 
 
-def _common_prefix(u, v) -> int:
-    """Length of the longest common prefix of two sequences."""
-    k, top = 0, min(len(u), len(v))
-    while k < top and u[k] == v[k]:
-        k += 1
-    return k
-
-
-def _common_suffix(u, v) -> int:
-    """Length of the longest common suffix of two sequences."""
-    k, top = 0, min(len(u), len(v))
-    while k < top and u[-1 - k] == v[-1 - k]:
-        k += 1
-    return k
-
-
 def _matching_slots(word, value: int, sig, own) -> list[int]:
     """1-based slots at which inserting ``value`` into ``word`` (whose own
     signature is ``own``) gives a word whose signature is exactly ``sig``.
@@ -271,7 +258,7 @@ def _matching_slots(word, value: int, sig, own) -> list[int]:
     n = len(word)
     if len(sig) != n:
         return []
-    first, last = n - _common_suffix(own, sig), _common_prefix(own, sig) + 2
+    first, last = n - common_suffix(own, sig), common_prefix(own, sig) + 2
     return [p for p in range(first, last + 1)
             if (p == 1 or (value >= word[p - 2]) == sig[p - 2])
             and (p == n + 1 or (word[p - 1] >= value) == sig[p - 1])]
@@ -283,16 +270,6 @@ def _insert_matching_signature(word, value: int, sig) -> set[Strand]:
     own = () if len(word) == 1 else signature(word)
     return {word[:p - 1] + (value,) + word[p - 1:]
             for p in _matching_slots(word, value, sig, own)}
-
-
-def _deleted_positions(full: Strand, short: Strand) -> list[int]:
-    """All 1-based positions whose deletion from ``full`` yields ``short``:
-    the positions p with ``full[:p-1]`` inside the words' common prefix and
-    ``full[p:]`` inside their common suffix."""
-    if len(short) != len(full) - 1:
-        return []
-    return list(range(len(full) - _common_suffix(full, short),
-                      _common_prefix(full, short) + 2))
 
 
 def _received_strands(received, count: int) -> tuple[Strand, ...]:
@@ -333,7 +310,7 @@ def sdcc1_decode(received, plan: CoverPlan, params: Sdcc1Params):
             raise DecodeFailure("cover strand reconstruction is not unique")
         x = words.pop()
         sched = cycles(x)
-        cands = {sched[p - 1] + a for p in _deleted_positions(x, x_short)}
+        cands = {sched[p - 1] + a for p in deleted_positions(x, x_short)}
         delta_candidates = cands if delta_candidates is None else delta_candidates & cands
         out[i] = shift_symbols(x, a)
     if not delta_candidates:
@@ -433,7 +410,7 @@ def _strand_checks(y, params: C2dParams) -> bool:
     return params.position_sums == position_sums(y, params.pos_modulus)
 
 
-def c2d_decode(received, params: C2dParams, n: int | None = None) -> Strand:
+def c2d_decode(received, params: C2dParams) -> Strand:
     """Recover a codeword from at most two deletions.
 
     The signature comes back through the sketch; the deleted symbol values
@@ -442,7 +419,7 @@ def c2d_decode(received, params: C2dParams, n: int | None = None) -> Strand:
     blind, by the per-symbol position sums.
     """
     received = tuple(received)
-    n = n or params.n
+    n = params.n
     k = n - len(received)
     if k not in (0, 1, 2):
         raise ParameterError("received length incompatible with two deletions")
@@ -484,8 +461,8 @@ def _double_insertions_matching(received, values, sig) -> set[Strand]:
     """
     n = len(received) + 2
     sr = signature(received) if len(received) >= 2 else ()
-    p_max = min(_common_prefix(sr, sig) + 3, n - 1)
-    q_min = max(2, len(sig) - _common_suffix(sr, sig) - 1)
+    p_max = min(common_prefix(sr, sig) + 3, n - 1)
+    q_min = max(2, len(sig) - common_suffix(sr, sig) - 1)
     orders = {(values[0], values[1]), (values[1], values[0])}
     out: set[Strand] = set()
     for v1, v2 in orders:
@@ -538,15 +515,15 @@ def _cover_delta_options(x: Strand, short: Strand, sched) -> set[frozenset]:
     if k == 0:
         return {frozenset()}
     if k == 1:
-        return {frozenset({sched[p - 1]}) for p in _deleted_positions(x, short)}
+        return {frozenset({sched[p - 1]}) for p in deleted_positions(x, short)}
     # Deleting positions p < q leaves x[:p-1] + x[p:q-1] + x[q:]: the first
     # part inside the common prefix, the last inside the common suffix and
     # the middle equal to ``short`` one place left, so q stops at the first
     # position past p where x and ``short`` differ under that shift.
     n = len(x)
-    q_min = n - _common_suffix(x, short)
+    q_min = n - common_suffix(x, short)
     options = set()
-    for p in range(1, min(_common_prefix(x, short) + 1, n - 1) + 1):
+    for p in range(1, min(common_prefix(x, short) + 1, n - 1) + 1):
         for q in range(p + 1, n + 1):
             if q > p + 1 and x[q - 2] != short[q - 3]:
                 break
@@ -598,7 +575,7 @@ def sdcc2_decode(received, plan: CoverPlan, params: Sdcc2Params) -> tuple[Strand
             per_cover_options.append({frozenset()})
             continue
         short = unshift_symbols(received[i], a)
-        x = c2d_decode(short, params.cover[i], n)
+        x = c2d_decode(short, params.cover[i])
         transmitted.append(shift_symbols(x, a))
         sched = cycles(transmitted[i], a)
         schedules.append(frozenset(sched))

@@ -23,11 +23,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, compress, product
+from itertools import accumulate, combinations, compress, product
 from math import comb
 
 from .binary import as_bits, insertions, vt_decode, weight
-from .core import Bits, ConstructionError, DecodeFailure, ParameterError, is_subsequence
+from .core import Bits, ConstructionError, DecodeFailure, ParameterError, deleted_positions
 
 MOMENT_ORDERS = (1, 2, 3, 4)
 
@@ -41,19 +41,6 @@ def _width(vmax: int) -> int:
     return max(1, int(vmax).bit_length())
 
 
-_COMB_COLUMNS: dict = {}
-
-
-def _comb_column(r: int, size: int):
-    """Cached [C(0,r), C(1,r), ..., C(size,r)]."""
-    key = (r, size)
-    col = _COMB_COLUMNS.get(key)
-    if col is None:
-        col = [comb(p, r) for p in range(size + 1)]
-        _COMB_COLUMNS[key] = col
-    return col
-
-
 @lru_cache(maxsize=512)
 def _moment_table(length: int):
     """(column, shifts, masks) of the moment kernel for words of ``length``
@@ -64,8 +51,7 @@ def _moment_table(length: int):
     field; the weight on top needs no bound."""
     widths = xi_field_widths(length)
     shifts = tuple(sum(widths[r + 1:]) for r in range(5))
-    cols = [_comb_column(r, length) for r in range(5)]
-    column = tuple(sum(col[p] << shift for col, shift in zip(cols, shifts))
+    column = tuple(sum(comb(p, r) << shift for r, shift in enumerate(shifts))
                    for p in range(1, length + 1))
     return column, shifts, tuple((1 << w) - 1 for w in widths)
 
@@ -162,35 +148,6 @@ def sketch_xi(bits) -> Bits:
     return to_bits(xi_value(bits, len(bits)), xi_bit_length(len(bits)))
 
 
-def _suffix_tables(word: Bits, max_order: int):
-    """tables[r][t] = sum of C(s, r) over 1-based positions s >= t holding a 1
-    (r = 0 counts them); indexed for t in [1, len+2]."""
-    m = len(word)
-    tables = []
-    for r in range(max_order):
-        row = [0] * (m + 3)
-        col = _comb_column(r, m)
-        for s in range(m, 0, -1):
-            row[s] = row[s + 1] + (col[s] if word[s - 1] else 0)
-        tables.append(row)
-    return tables
-
-
-def _insert1_moments(base, tables, p: int, b: int) -> list[int]:
-    return [base[r] + b * comb(p, r) + tables[r - 1][p] for r in MOMENT_ORDERS]
-
-
-def _insert2_moments(base, tables, p: int, q: int, b1: int, b2: int, orders) -> list[int]:
-    out = []
-    for r in orders:
-        v = (base[r] + b1 * comb(p, r) + b2 * comb(q, r)
-             + tables[r - 1][p] + tables[r - 1][q - 1])
-        if r >= 2:
-            v += tables[r - 2][q - 1]
-        out.append(v)
-    return out
-
-
 def _insert_pair(word: Bits, p: int, q: int, b1: int, b2: int) -> Bits:
     return word[:p - 1] + (b1,) + word[p - 1:q - 2] + (b2,) + word[q - 2:]
 
@@ -230,51 +187,77 @@ def _value_options(word: Bits, k: int, weight_mod3: int):
     return [(0, 1), (1, 0)]
 
 
+def _growth_terms(word: Bits, n: int):
+    """(col, head, tail) of ``word`` grown to ``n`` = len + 1 or len + 2 bits,
+    packed in the moment table layout of ``n`` and indexed by 1-based
+    position: col[p] packs C(p, 0..4).  Bit b inserted at p gives a word
+    whose packed moments are head[p] + b * col[p]; a second bit c inserted at
+    q > p adds tail[q] + c * col[q] (``tail`` is None for one insertion).
+
+    A 1 of ``word`` at s stays at s before p, moves to s + 1 up to q - 2 and
+    to s + 2 from q - 1 on, and each move by one place adds a rise
+    col[s + 1] - col[s].  So head is the word's own moments plus a suffix sum
+    of rises, tail a suffix sum of the next rises, and the total is the packed
+    moment vector of the grown word: its fields fit, nothing carries."""
+    col = (0,) + _moment_table(n)[0]
+    rise = [b - a for a, b in zip(col, col[1:])]
+
+    def moved_from(shift: int, start: int) -> list[int]:
+        # item t - 1: start plus rise[s + shift - 1] over the 1-positions s >= t
+        terms = [r if b else 0 for b, r in zip(word, rise[shift:])]
+        return list(accumulate(reversed(terms), initial=start))[::-1]
+
+    head = [0] + moved_from(1, sum(compress(col[1:], word)))
+    tail = [0, 0] + moved_from(2, 0) if n - len(word) == 2 else None
+    return col, head, tail
+
+
 def _completions(word: Bits, n: int, targets, range1=None, range2=None) -> set[Bits]:
     """All words of length ``n`` containing ``word`` as an (n - len)-deletion
     subsequence whose moment vector equals ``targets``.
 
-    The optional 1-based position ranges confine the first and second insertion.
+    The optional 1-based position ranges confine the first and second
+    insertion.  Each candidate is accepted on one comparison of its packed
+    moments (:func:`_growth_terms`) with the packed targets.
     """
     m = len(word)
     k = n - m
     if k < 0 or k > 2:
         raise ParameterError("completion supports at most two insertions")
-    # tables[r][1] is the word's whole order-r moment (r = 0 is its weight).
-    tables = _suffix_tables(word, MOMENT_ORDERS[-1] + 1)
-    base = (tables[0][1] % 3,) + tuple(tables[r][1] for r in MOMENT_ORDERS)
     if k == 0:
-        return {word} if base == tuple(targets) else set()
-
-    # Each insertion's first moment is a table lookup (C(p, 1) = p); only the
-    # positions that match it are confirmed on the whole vector.
-    want = list(targets[1:])
-    t1 = targets[1]
-    s_hi = tables[0]
+        return {word} if moment_vector(word) == tuple(targets) else set()
+    _, shifts, masks = _moment_table(n)
+    fields = tuple(targets[1:])
+    # A field outside its width is no word's moment; packed, it could alias
+    # the moments of another word.
+    if len(fields) != 4 or not all(0 <= f <= mask for f, mask in zip(fields, masks[1:])):
+        return set()
+    top = shifts[0]
+    want = sum(f << shift for f, shift in zip(fields, shifts[1:])) + (weight(word) << top)
+    col, head, tail = _growth_terms(word, n)
     r1 = range(1, n + 1) if range1 is None else range1
     r2 = range(1, n + 1) if range2 is None else range2
     out: set[Bits] = set()
 
     if k == 1:
         for (b,) in _value_options(word, 1, targets[0]):
-            for p in r1:
-                if 1 <= p <= m + 1 and base[1] + b * p + s_hi[p] == t1 \
-                        and _insert1_moments(base, tables, p, b) == want:
-                    out.add(word[:p - 1] + (b,) + word[p - 1:])
+            key = want + (b << top)
+            out.update(word[:p - 1] + (b,) + word[p - 1:] for p in r1
+                       if 1 <= p <= m + 1 and head[p] + b * col[p] == key)
         return out
 
-    # The pair's first moment splits as A(p) + B(q): key the q's by B(q) and
-    # look up t1 - A(p) for each p.
-    p_list = [p for p in r1 if 1 <= p <= n]
-    q_list = [q for q in r2 if 1 <= q <= n]
+    # The pair's packed moments split as A(p) + B(q): key the q's by B(q) and
+    # look up key - A(p) for each p.
+    p_list = [p for p in r1 if 1 <= p <= m + 1]
+    q_list = [q for q in r2 if 2 <= q <= n]
     for b1, b2 in _value_options(word, 2, targets[0]):
-        by_key: dict[int, list[int]] = {}
+        by_term: dict[int, list[int]] = {}
         for q in q_list:
-            by_key.setdefault(b2 * q + s_hi[q - 1], []).append(q)
+            by_term.setdefault(tail[q] + b2 * col[q], []).append(q)
+        key = want + (b1 + b2 << top)
         for p in p_list:
-            for q in by_key.get(t1 - base[1] - b1 * p - s_hi[p], ()):
-                if q > p and _insert2_moments(base, tables, p, q, b1, b2,
-                                              MOMENT_ORDERS) == want:
+            for q in by_term.get(key - head[p] - b1 * col[p], ()):
+                if q > p:
                     out.add(_insert_pair(word, p, q, b1, b2))
     return out
 
@@ -436,16 +419,16 @@ def e2_decode(received, intervals, sketch: tuple[int, int, int], n: int, P1: int
     if s2 <= e1 + 1:
         raise DecodeFailure("intervals are not separated")
     t0, t1, t2 = sketch
-    base = moment_vector(received)
-    tables = _suffix_tables(received, 2)
+    col, head, tail = _growth_terms(received, n)
+    _, (_, at1, at2, _, _), (_, mask1, mask2, _, _) = _moment_table(n)
     out: set[Bits] = set()
     for b1, b2 in _value_options(received, 2, t0):
         stage = []
         for p in range(s1, e1 + 1):
             for q in range(s2, e2 + 1):
-                v1, v2 = _insert2_moments(base, tables, p, q, b1, b2, (1, 2))
-                if v1 % (n + 1) == t1:
-                    stage.append((v2, p, q))
+                total = head[p] + tail[q] + b1 * col[p] + b2 * col[q]
+                if (total >> at1 & mask1) % (n + 1) == t1:
+                    stage.append((total >> at2 & mask2, p, q))
         if stage:
             spread = max(v for v, _, _ in stage) - min(v for v, _, _ in stage)
             if spread >= P * n:
@@ -480,6 +463,8 @@ class EParams:
     total: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if any(type(v) is not int for v in (self.n, self.P1, self.P2)):
+            raise ParameterError("composition parameters n, P1 and P2 must be integers")
         if self.P1 < 2 or self.P2 < 2 or self.n < 3:
             raise ParameterError("composition requires P1, P2 >= 2 and n >= 3")
         kappa = xi_bit_length(self.window_pack_len)
@@ -718,7 +703,7 @@ def prefix_decode_one(received, k: int, P1: int, P2: int) -> Bits:
         except DecodeFailure:
             pass
     verified = {z for z in candidates
-                if is_subsequence(received, prefix_encode(z, P1, P2))}
+                if deleted_positions(prefix_encode(z, P1, P2), received)}
     if len(verified) != 1:
         raise DecodeFailure(f"{len(verified)} payloads consistent with one deletion")
     return verified.pop()

@@ -17,8 +17,8 @@ from syndef.core import (
     apply_defects,
     apply_defects_shifted,
     cycles,
+    deleted_positions,
     diff,
-    landing_cycles,
     reinsertions,
     shift_symbols,
     signature,
@@ -26,7 +26,7 @@ from syndef.core import (
     unshift_symbols,
 )
 from syndef.core import ParameterError
-from syndef.sdcc import _deleted_positions, _matching_slots, position_sums, symbol_counts_mod3
+from syndef.sdcc import _matching_slots, position_sums, symbol_counts_mod3
 from syndef.sketch import EParams, from_bits, moment, moment_vector, to_bits, xi_value
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -107,6 +107,34 @@ class TestModuleBoundaries:
                                   if alias.name.startswith("_") and alias.name not in bound]
         assert crossings == []
 
+    def test_every_private_name_is_used(self):
+        """Every module-level private function, class or constant of the
+        package is loaded somewhere in the package."""
+        trees = [(path.name, ast.parse(path.read_text()))
+                 for path in sorted((ROOT / "src" / "syndef").glob("*.py"))]
+        loaded = set()
+        for _, tree in trees:
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    loaded.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    loaded.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    loaded.update(alias.name for alias in node.names)
+        unused = []
+        for name, tree in trees:
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defined = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    defined = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                unused += [f"{name}: {d}" for d in defined
+                           if d.startswith("_") and not d.startswith("__") and d not in loaded]
+        assert unused == []
+
 
 def schedule(x):
     """Reference schedule: prefix sums of the difference sequence."""
@@ -164,7 +192,7 @@ class TestDeletedPositions:
                           for s in list(shorts) for i in range(len(s)))
             shorts.update({full, full[:-2]})
             for short in shorts:
-                assert _deleted_positions(full, short) == [
+                assert deleted_positions(full, short) == [
                     p for p in range(1, len(full) + 1) if full[:p - 1] + full[p:] == short]
 
 
@@ -175,7 +203,6 @@ class TestSlotKernel:
                 value = smod4(delta)
                 grown = [w[:p - 1] + (value,) + w[p - 1:] for p in range(1, len(w) + 2)]
                 landed = [cycles(y)[p - 1] for p, y in enumerate(grown, start=1)]
-                assert landing_cycles(w, value) == landed
                 assert _insert_slot_positions(w, delta) == \
                     [p for p, c in enumerate(landed, start=1) if c == delta]
 

@@ -3,7 +3,9 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -191,6 +193,39 @@ class TestCompletions:
                     assert _completions(word, n, targets, range1, range2) == want, \
                         (word, n, targets, range1, range2)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_random_long_words(self, k):
+        """Seeded words of 9 to 48 bits with true and perturbed targets.  A
+        field at or above its width, or negative, gives no word, also where
+        the packed fields alias a real word's moments."""
+        rng = random.Random(40 + k)
+        for m in rng.sample(range(9, 49), 20):
+            n = m + k
+            word = tuple(rng.randint(0, 1) for _ in range(m))
+            grown = [(pq, z, moment_vector(z)) for pq, z in grown_words(word, k)]
+            true = list(rng.choice(grown)[2])
+            perturbed = true.copy()
+            perturbed[rng.randint(1, 4)] += rng.choice((-2, -1, 1, 2))
+            clipped = (range(rng.randint(1, n), n + 1), range(1, rng.randint(1, n + 1)))
+            for targets, range1, range2 in [(true, None, None), (perturbed, None, None),
+                                            (true,) + clipped]:
+                want = {z for (p, q), z, vec in grown if vec == tuple(targets)
+                        and (range1 is None or p in range1)
+                        and (range2 is None or q is None or q in range2)}
+                assert _completions(word, n, tuple(targets), range1, range2) == want, \
+                    (word, n, targets, range1, range2)
+            widths = xi_field_widths(n)
+            for r in range(1, 5):
+                for bad in (1 << widths[r], true[r] + (1 << widths[r]), -1):
+                    assert _completions(word, n, tuple(true[:r] + [bad] + true[r + 1:])) == set()
+                if r < 4:
+                    # one less in field r and a full width more in field r + 1
+                    # packs to the true target's integer
+                    aliased = true.copy()
+                    aliased[r] -= 1
+                    aliased[r + 1] += 1 << widths[r + 1]
+                    assert _completions(word, n, tuple(aliased)) == set()
+
     def test_rejects_more_than_two_insertions(self):
         with pytest.raises(ParameterError):
             _completions((0, 1), 5, moment_vector((0, 1, 0, 1, 0)))
@@ -275,6 +310,63 @@ class TestE2:
         with pytest.raises(DecodeFailure):
             e2_decode(delete(x, 4, 5), [(3, 3), (4, 3)], sk, 12, 3, 3)
 
+    @staticmethod
+    def placement_search(received, intervals, sketch, n, P):
+        """``e2_decode``'s outcome by a search over every placement pair and
+        both bits, with the moments summed from their definition: the word
+        whose residues all match; a spread (ConstructionError) if the
+        placements of one bit pair that match the weight and first residue
+        spread their second moments over P*n or more; else a failure with
+        the number of matching words."""
+        (s1, l1), (s2, l2) = intervals
+        t0, t1, t2 = sketch
+        stages: dict = {}
+        found = set()
+        for p in range(s1, s1 + l1):
+            for q in range(s2, s2 + l2):
+                for v1, v2 in product((0, 1), repeat=2):
+                    z = received[:p - 1] + (v1,) + received[p - 1:q - 2] + (v2,) + received[q - 2:]
+                    f1 = sum(i for i, bit in enumerate(z, start=1) if bit)
+                    f2 = sum(comb(i, 2) for i, bit in enumerate(z, start=1) if bit)
+                    if (sum(z) - t0) % 3 or f1 % (n + 1) != t1:
+                        continue
+                    stages.setdefault((v1, v2), []).append(f2)
+                    if f2 % (P * n) == t2:
+                        found.add(z)
+        if any(max(f2s) - min(f2s) >= P * n for f2s in stages.values()):
+            return ("spread",)
+        return ("decoded", found.pop()) if len(found) == 1 else ("failed", len(found))
+
+    def test_matches_placement_search(self):
+        rng = random.Random(14)
+        outcomes = Counter()
+        for _ in range(1500):
+            n = rng.randint(6, 14)
+            P1, P2 = rng.randint(2, 4), rng.randint(2, 4)
+            P = max(P1, P2)
+            l1, l2 = rng.randint(1, P), rng.randint(1, P)
+            if l1 + l2 + 1 > n:
+                continue
+            s1 = rng.randint(1, n - l1 - l2)
+            s2 = rng.randint(s1 + l1 + 1, n - l2 + 1)
+            x = tuple(rng.randint(0, 1) for _ in range(n))
+            received = delete(x, rng.randint(s1, s1 + l1 - 1), rng.randint(s2, s2 + l2 - 1))
+            sketch = list(e2_sketch(x, P1, P2))
+            if rng.random() < 0.5:
+                j = rng.randint(0, 2)
+                sketch[j] = (sketch[j] + rng.choice((-1, 1))) % (3, n + 1, P * n)[j]
+            intervals = [(s1, l1), (s2, l2)]
+            want = self.placement_search(received, intervals, sketch, n, P)
+            try:
+                got = ("decoded", e2_decode(received, intervals, tuple(sketch), n, P1, P2))
+            except ConstructionError:
+                got = ("spread",)
+            except DecodeFailure as failure:
+                got = ("failed", int(str(failure).split()[0]))
+            assert got == want, (received, intervals, sketch, n, P1, P2)
+            outcomes[want[0]] += 1
+        assert outcomes["decoded"] > 500 and outcomes["failed"] > 100
+
 
 def stratified_pairs(params: EParams):
     """Deletion pairs touching every region combination of the composition."""
@@ -344,6 +436,18 @@ class TestComposition:
         bundle = sketch_bundle(x, 2, 3)
         again = SketchBundle.from_json(bundle.to_json())
         assert again == bundle
+
+    def test_float_length_rejected(self):
+        with pytest.raises(ParameterError, match="must be integers"):
+            EParams(16.0, 2, 2)
+
+    def test_float_interval_bound_rejected(self):
+        with pytest.raises(ParameterError, match="must be integers"):
+            EParams(16, 2.5, 2)
+
+    def test_encode_with_float_interval_bound_rejected(self):
+        with pytest.raises(ParameterError, match="must be integers"):
+            encode_E(b("1011010010110100"), 2.5, 2)
 
 
 class TestBundleFromJson:
