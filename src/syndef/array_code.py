@@ -17,7 +17,7 @@ solve then touches only the 2P erased positions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import compress, product
 
 from .binary import as_bits
@@ -209,15 +209,26 @@ def array_erasure_decode(received, burst_positions, params: ArrayCodeParams) -> 
     return _solve_rows(word, windows, params)[:params.length]
 
 
-def _single_column_word(received: Bits, params: ArrayCodeParams) -> Bits:
+@lru_cache(maxsize=64, typed=True)
+def _column_word(params: ArrayCodeParams) -> Bits:
     """With one column the row sums are the bits themselves, so the syndromes
-    pin down the whole word; it must still contain ``received``."""
-    bits = params.row_sums[:params.length]
-    if any(b not in (0, 1) for b in bits):
+    pin down the whole word.  A raise is not cached, so failing params raise
+    on every call; each entry keeps its params alive, and a tuple decode
+    reuses only its own few, so the cache stays small."""
+    word = params.row_sums[:params.length]
+    if any(b not in (0, 1) for b in word):
         raise DecodeFailure("single-column row sums are not bits")
-    word = tuple(bits)
-    if not is_member(word, params):
+    # Its padded form is the row sums, so it is a member exactly when the pad
+    # rows are 0 and the row sums carry the weighted residue.
+    if any(params.row_sums[params.length:]) \
+            or _weighted(params.row_sums, params.rows) % params.modulus != params.weighted_vt:
         raise DecodeFailure("single-column word contradicts the weighted residue")
+    return word
+
+
+def _single_column_word(received: Bits, params: ArrayCodeParams) -> Bits:
+    """The one-column word of ``params``; it must still contain ``received``."""
+    word = _column_word(params)
     if not is_subsequence(received, word):
         raise DecodeFailure("recovered word cannot reproduce the received bits")
     return word

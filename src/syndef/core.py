@@ -56,7 +56,7 @@ def all_strands(n: int):
 def is_subsequence(short, long) -> bool:
     """Does ``short`` occur in ``long`` with gaps allowed?"""
     it = iter(long)
-    return all(any(b == s for b in it) for s in short)
+    return all(s in it for s in short)
 
 
 def common_prefix(u, v) -> int:

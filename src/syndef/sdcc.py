@@ -258,7 +258,14 @@ def _matching_slots(word, value: int, sig, own) -> list[int]:
     n = len(word)
     if len(sig) != n:
         return []
-    first, last = n - common_suffix(own, sig), common_prefix(own, sig) + 2
+    return _slots_between(word, value, sig, n - common_suffix(own, sig),
+                          common_prefix(own, sig) + 2)
+
+
+def _slots_between(word, value: int, sig, first: int, last: int) -> list[int]:
+    """Slots p in [first, last] whose two rewritten signature bits match
+    ``sig``, for a corridor already aligned as in :func:`_matching_slots`."""
+    n = len(word)
     return [p for p in range(first, last + 1)
             if (p == 1 or (value >= word[p - 2]) == sig[p - 2])
             and (p == n + 1 or (word[p - 1] >= value) == sig[p - 1])]
@@ -353,8 +360,11 @@ class C2dParams:
 
 def run_weighted_sum(strand) -> int:
     """Symbols weighted by the run index of their signature position, mod 4n."""
-    sig = signature(strand)
-    runs = run_sequence(sig)
+    return _run_weighted(strand, run_sequence(signature(strand)))
+
+
+def _run_weighted(strand, runs) -> int:
+    """:func:`run_weighted_sum` given the run sequence of the signature."""
     return sum(v * r for v, r in zip(strand, runs)) % (4 * len(strand))
 
 
@@ -404,10 +414,10 @@ def _deleted_values(received, counts) -> list[int]:
     return out
 
 
-def _strand_checks(y, params: C2dParams) -> bool:
-    if run_weighted_sum(y) != params.run_weighted:
-        return False
-    return params.position_sums == position_sums(y, params.pos_modulus)
+def _strand_checks(y, runs, params: C2dParams) -> bool:
+    """``runs`` is the run sequence of the signature ``y`` was built to have."""
+    return (_run_weighted(y, runs) == params.run_weighted
+            and params.position_sums == position_sums(y, params.pos_modulus))
 
 
 def c2d_decode(received, params: C2dParams) -> Strand:
@@ -436,14 +446,11 @@ def c2d_decode(received, params: C2dParams) -> Strand:
     for sig in sig_candidates:
         if not is_regular(sig, params.regular_window):
             continue
-        if k == 1:
-            for y in _insert_matching_signature(received, values[0], sig):
-                if _strand_checks(y, params):
-                    survivors.add(y)
-        else:
-            for y in _double_insertions_matching(received, values, sig):
-                if _strand_checks(y, params):
-                    survivors.add(y)
+        words = (_insert_matching_signature(received, values[0], sig) if k == 1
+                 else _double_insertions_matching(received, values, sig))
+        if words:
+            runs = run_sequence(sig)
+            survivors.update(y for y in words if _strand_checks(y, runs, params))
     if len(survivors) != 1:
         raise DecodeFailure(f"{len(survivors)} strands consistent with all syndromes")
     return survivors.pop()
@@ -453,27 +460,38 @@ def _double_insertions_matching(received, values, sig) -> set[Strand]:
     """Words reached by inserting the two values (in either order) whose
     signature equals ``sig``.
 
-    The search corridor comes from aligning the received signature against
-    the target: the first insertion cannot sit past the leftmost signature
-    mismatch and the second cannot sit before the rightmost one.  Each first
-    placement then leaves a one-insertion slot test; the once-grown word's
-    signature is the received one with the two bits around slot p rewritten.
+    The received signature is aligned against the target once.  With v1 at
+    slot p and v2 at q > p, the bits before p are the received ones, so p
+    stays within two of the common prefix; the bits from q on are the received
+    ones two places right, so q sits inside the common suffix; the bits between
+    are the rewritten one after v1, then the received ones one place right,
+    whose run of matches (``ahead``) caps q.  The corridor left takes the
+    one-insertion slot test.
     """
-    n = len(received) + 2
-    sr = signature(received) if len(received) >= 2 else ()
-    p_max = min(common_prefix(sr, sig) + 3, n - 1)
-    q_min = max(2, len(sig) - common_suffix(sr, sig) - 1)
-    orders = {(values[0], values[1]), (values[1], values[0])}
+    m = len(received)
+    n = m + 2
+    if len(sig) != n - 1:
+        return set()
+    sr = signature(received) if m >= 2 else ()
+    prefix, suffix = common_prefix(sr, sig), common_suffix(sr, sig)
+    ahead = [0] * (m + 1)  # ahead[j]: length of the run of sr[i] == sig[i + 1] from i = j
+    for j in range(m - 2, -1, -1):
+        if sr[j] == sig[j + 1]:
+            ahead[j] = ahead[j + 1] + 1
     out: set[Strand] = set()
-    for v1, v2 in orders:
-        for p in range(1, p_max + 1):
+    for v1, v2 in {(values[0], values[1]), (values[1], values[0])}:
+        for p in range(1, min(prefix + 2, n - 1) + 1):
+            if p > 1 and (v1 >= received[p - 2]) != sig[p - 2]:
+                continue  # the rewritten bit before v1 already differs
+            last = p + 1
+            if p < n - 1 and (received[p - 1] >= v1) == sig[p - 1]:
+                last += 1 + ahead[p - 1]
+            first = max(n - 1 - suffix, p + 1)
+            if first > last:
+                continue
             w1 = received[:p - 1] + (v1,) + received[p - 1:]
-            left = (1 if v1 >= received[p - 2] else 0,) if p > 1 else ()
-            right = (1 if received[p - 1] >= v1 else 0,) if p < n - 1 else ()
-            own = sr[:max(p - 2, 0)] + left + right + sr[p - 1:]
-            for q in _matching_slots(w1, v2, sig, own):
-                if q > p and q >= q_min:
-                    out.add(w1[:q - 1] + (v2,) + w1[q - 1:])
+            out.update(w1[:q - 1] + (v2,) + w1[q - 1:]
+                       for q in _slots_between(w1, v2, sig, first, last))
     return out
 
 

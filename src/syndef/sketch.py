@@ -41,7 +41,7 @@ def _width(vmax: int) -> int:
     return max(1, int(vmax).bit_length())
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=512, typed=True)
 def _moment_table(length: int):
     """(column, shifts, masks) of the moment kernel for words of ``length``
     bits.  column[p - 1] packs C(p, r) for r = 0..4 in the xi field layout of
@@ -80,12 +80,12 @@ def moment_vector(bits) -> tuple[int, ...]:
     return w % 3, f1, f2, f3, f4
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=512, typed=True)
 def xi_field_widths(length: int) -> tuple[int, ...]:
     return (2,) + tuple(_width(comb(length + 1, r + 1)) for r in MOMENT_ORDERS)
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=512, typed=True)
 def xi_bit_length(length: int) -> int:
     return sum(xi_field_widths(length))
 
@@ -228,9 +228,10 @@ def _completions(word: Bits, n: int, targets, range1=None, range2=None) -> set[B
         return {word} if moment_vector(word) == tuple(targets) else set()
     _, shifts, masks = _moment_table(n)
     fields = tuple(targets[1:])
-    # A field outside its width is no word's moment; packed, it could alias
-    # the moments of another word.
-    if len(fields) != 4 or not all(0 <= f <= mask for f, mask in zip(fields, masks[1:])):
+    # A weight residue outside 0..2 or a field outside its width is no word's
+    # moment; packed or reduced, it could alias the moments of another word.
+    if len(fields) != 4 or targets[0] not in (0, 1, 2) \
+            or not all(0 <= f <= mask for f, mask in zip(fields, masks[1:])):
         return set()
     top = shifts[0]
     want = sum(f << shift for f, shift in zip(fields, shifts[1:])) + (weight(word) << top)
@@ -502,7 +503,7 @@ class EParams:
         return self.total - self.n
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def _eparams(n: int, P1: int, P2: int) -> EParams:
     return EParams(n=n, P1=P1, P2=P2)
 
@@ -557,7 +558,7 @@ def _tail_bits(e1, e2, params: EParams) -> Bits:
     return to_bits(_pack(e1 + e2, widths), sum(widths))
 
 
-@lru_cache(maxsize=8192)
+@lru_cache(maxsize=8192, typed=True)
 def _sketch_bundle_cached(bits: Bits, P1: int, P2: int) -> SketchBundle:
     """The bundle of a word ``as_bits`` has already checked."""
     params = _eparams(len(bits), P1, P2)

@@ -1,6 +1,7 @@
 """Array-code tests: syndromes, burst-erasure decoding, bounded deletions."""
 
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from syndef.array_code import (
     ArrayCodeParams,
     _assignments_matching,
+    _single_column_word,
     array_bounded_decode,
     array_erasure_decode,
     array_single_bounded_decode,
@@ -246,3 +248,36 @@ class TestSingleBoundedDecode:
         with pytest.raises(DecodeFailure):
             # received from a different strand family; rows cannot balance
             array_single_bounded_decode(b("0000000"), (1, 2), p)
+
+
+class TestSingleColumnWord:
+    """With one column the syndromes are the word; the per-params part is
+    derived once, and a failure must not be remembered as a success."""
+
+    x = b("1101001")
+
+    def test_word_recovered(self):
+        p = array_syndromes(self.x, 9)
+        for _ in range(2):
+            assert _single_column_word(b("11010"), p) == self.x
+
+    @pytest.mark.parametrize("case, message", [
+        ("row sum 2", "single-column row sums are not bits"),
+        ("residue", "single-column word contradicts the weighted residue"),
+        ("pad row", "single-column word contradicts the weighted residue"),
+        ("received", "recovered word cannot reproduce the received bits"),
+    ])
+    def test_failures_raise_on_every_call(self, case, message):
+        p = array_syndromes(self.x, 9)
+        received = b("11010")
+        if case == "row sum 2":
+            p = replace(p, row_sums=(1, 2) + p.row_sums[2:])
+        elif case == "residue":
+            p = replace(p, weighted_vt=(p.weighted_vt + 1) % p.modulus)
+        elif case == "pad row":
+            p = replace(p, row_sums=p.row_sums[:-1] + (1,))
+        else:
+            received = b("00000")
+        for _ in range(2):
+            with pytest.raises(DecodeFailure, match=f"^{message}$"):
+                _single_column_word(received, p)

@@ -15,6 +15,7 @@ from syndef.core import (
     diff,
     inverse_diff,
     is_regular,
+    is_subsequence,
     run_sequence,
     shift_symbols,
     signature,
@@ -22,7 +23,8 @@ from syndef.core import (
     symbol_positions,
 )
 
-from itertools import combinations
+import random
+from itertools import combinations, product
 
 
 def s(text):
@@ -285,3 +287,41 @@ class TestIndexWindows:
                         if ok:
                             break
                     assert ok
+
+
+def generator_subsequence(short, long) -> bool:
+    """The scan form the iterator-membership kernel replaced."""
+    it = iter(long)
+    return all(any(b == s for b in it) for s in short)
+
+
+class TestIsSubsequence:
+    def test_all_binary_pairs_up_to_seven(self):
+        words = [w for n in range(8) for w in product((0, 1), repeat=n)]
+        for long in words:
+            assert [is_subsequence(s, long) for s in words] == \
+                [generator_subsequence(s, long) for s in words], long
+
+    def test_argument_forms(self):
+        # tuples, lists and one-shot iterators on either side
+        words = [w for n in range(6) for w in product((0, 1), repeat=n)]
+        for short, long in product(words, repeat=2):
+            want = generator_subsequence(short, long)
+            for f, g in product((tuple, list, iter), repeat=2):
+                assert is_subsequence(f(short), g(long)) == want, (short, long)
+
+    def test_random_quaternary_pairs(self):
+        rng = random.Random(11)
+        for _ in range(2000):
+            long = tuple(rng.choice((1, 2, 3, 4)) for _ in range(rng.randrange(0, 25)))
+            if long and rng.random() < 0.5:  # a subsequence, perhaps with one change
+                short = tuple(v for v in long if rng.random() < 0.7)
+                if short and rng.random() < 0.5:
+                    i = rng.randrange(len(short))
+                    short = short[:i] + (smod4(short[i] + 1),) + short[i + 1:]
+            else:
+                short = tuple(rng.choice((1, 2, 3, 4)) for _ in range(rng.randrange(0, 8)))
+            want = generator_subsequence(short, long)
+            assert is_subsequence(short, long) == want
+            assert is_subsequence(list(short), iter(long)) == want
+            assert is_subsequence(iter(short), list(long)) == want

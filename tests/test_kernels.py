@@ -136,6 +136,61 @@ class TestModuleBoundaries:
         assert unused == []
 
 
+# Unbounded ``functools.cache`` is kept to these, each with why its keys
+# stay few.
+UNBOUNDED_CACHES = {
+    "array_code._weights": "keyed on (rows, cols) of params that were validated",
+    "array_code._choices": "keyed on a count of ambiguous rows, at most the row count",
+}
+
+
+def memo_name(node):
+    """``lru_cache`` or ``cache`` when ``node`` names or calls that memoiser."""
+    node = node.func if isinstance(node, ast.Call) else node
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name if name in ("lru_cache", "cache") else None
+
+
+def memo_decorators():
+    """(module.function, decorator) of every memoiser decorator in the
+    package, and every other use of a memoiser."""
+    found, stray = [], []
+    for path in sorted((ROOT / "src" / "syndef").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        decorators = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    if memo_name(dec):
+                        found.append((f"{path.stem}.{node.name}", dec))
+                        decorators.update(ast.walk(dec))
+        stray += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.Name, ast.Attribute)) and memo_name(node)
+                  and node not in decorators]
+    return found, stray
+
+
+class TestMemoisation:
+    def test_caches_are_typed_and_bounded(self):
+        """An untyped cache answers f(2.0) with f(2)'s result, skipping the
+        type checks inside f; an unbounded one grows with its callers."""
+        found, stray = memo_decorators()
+        assert stray == []
+        unbounded, loose = set(), []
+        for where, dec in found:
+            if memo_name(dec) == "cache":
+                unbounded.add(where)
+                continue
+            kw = {k.arg: k.value for k in getattr(dec, "keywords", ())}
+            maxsize = kw.get("maxsize", dec.args[0] if getattr(dec, "args", None) else None)
+            typed = kw.get("typed")
+            if not (isinstance(typed, ast.Constant) and typed.value is True
+                    and isinstance(maxsize, ast.Constant) and type(maxsize.value) is int):
+                loose.append(where)
+        assert loose == []
+        assert unbounded == set(UNBOUNDED_CACHES)
+
+
 def schedule(x):
     """Reference schedule: prefix sums of the difference sequence."""
     return tuple(accumulate(diff(x)))

@@ -227,17 +227,25 @@ class TestDoubleInsertionSearch:
     slot pair and filtering on the signature."""
 
     @staticmethod
-    def brute(received, values, sig):
+    def grown(received, values):
+        """Every word reached by inserting both values, in either order."""
         n = len(received) + 2
-        out = set()
         for v1, v2 in {(values[0], values[1]), (values[1], values[0])}:
             for p in range(1, n):
                 w1 = received[:p - 1] + (v1,) + received[p - 1:]
                 for q in range(p + 1, n + 1):
-                    y = w1[:q - 1] + (v2,) + w1[q - 1:]
-                    if signature(y) == sig:
-                        out.add(y)
-        return out
+                    yield w1[:q - 1] + (v2,) + w1[q - 1:]
+
+    @classmethod
+    def by_signature(cls, received, values) -> dict:
+        groups: dict = {}
+        for y in cls.grown(received, values):
+            groups.setdefault(signature(y), set()).add(y)
+        return groups
+
+    @classmethod
+    def brute(cls, received, values, sig):
+        return cls.by_signature(received, values).get(tuple(sig), set())
 
     def test_exhaustive_small(self):
         # every received word of length <= 3, value pair and target signature
@@ -247,6 +255,22 @@ class TestDoubleInsertionSearch:
                     for sig in product((0, 1), repeat=m + 1):
                         assert _double_insertions_matching(received, values, sig) == \
                             self.brute(received, values, sig)
+
+    def test_every_deletion_pair_up_to_six(self):
+        # The (received, values, signature) triples of every strand of length
+        # 4 to 6 and every pair of its deleted positions are exactly these:
+        # each grown word is such a strand.  Each signature is also tried with
+        # one bit flipped.
+        for n in range(4, 7):
+            for received in all_strands(n - 2):
+                for values in combinations_with_replacement(ALPHABET, 2):
+                    groups = self.by_signature(received, values)
+                    i = sum(received) % (n - 1)
+                    targets = set(groups).union(
+                        sig[:i] + (1 - sig[i],) + sig[i + 1:] for sig in groups)
+                    for target in targets:
+                        assert _double_insertions_matching(received, values, target) \
+                            == groups.get(target, set()), (received, values, target)
 
     def test_matches_brute_force(self):
         rng = SplitMix(41)
@@ -261,6 +285,22 @@ class TestDoubleInsertionSearch:
             got = _double_insertions_matching(received, values, signature(x))
             assert got == self.brute(received, values, signature(x))
             assert x in got
+
+    def test_long_strands(self):
+        # long runs of matching signature bits on both sides of the deletions
+        rng = SplitMix(43)
+        for n in range(7, 41):
+            for x in (rng.strand(n), template_strand(n, 1 + n % 4)):
+                d1, d2 = rng.randrange(1, n + 1), rng.randrange(1, n)
+                d1, d2 = sorted((d1, d2 + (d2 >= d1)))
+                received = delete(x, d1, d2)
+                values = [x[d1 - 1], x[d2 - 1]]
+                groups = self.by_signature(received, values)
+                sig = signature(x)
+                i = rng.randrange(0, n - 1)
+                for target in (sig, sig[:i] + (1 - sig[i],) + sig[i + 1:]):
+                    assert _double_insertions_matching(received, values, target) \
+                        == groups.get(target, set()), (x, d1, d2, target)
 
 
 class TestSdcc2:

@@ -101,6 +101,16 @@ class TestXiSketch:
         with pytest.raises(ParameterError):
             xi_decode(delete(x, 3, 7), bad, len(x))
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_weight_field_of_three_rejected(self, k):
+        # the weight field is two bits wide; 3 is no residue mod 3, and read
+        # mod 3 it would alias 0, the true residue of this x
+        x = b("1011001110")
+        bad = (1, 1) + sketch_xi(x)[2:]
+        received = {0: x, 1: delete(x, 3), 2: delete(x, 3, 7)}[k]
+        with pytest.raises(DecodeFailure, match="^0 words consistent with the sketch$"):
+            xi_decode(received, bad, len(x))
+
     def test_injectivity_audit_small(self):
         assert verify_sketch_injectivity(8)
 
@@ -448,6 +458,17 @@ class TestComposition:
     def test_encode_with_float_interval_bound_rejected(self):
         with pytest.raises(ParameterError, match="must be integers"):
             encode_E(b("1011010010110100"), 2.5, 2)
+
+    @pytest.mark.parametrize("P1, P2", [(2.0, 2), (2, 2.0)])
+    def test_integral_float_rejected_after_a_cached_int(self, P1, P2):
+        # 2.0 == 2 and hashes alike: an untyped cache would return the int
+        # call's codeword without ever checking the types
+        w = b("101100111010")
+        assert len(encode_E(w, 2, 2)) == EParams(len(w), 2, 2).total
+        with pytest.raises(ParameterError, match="must be integers"):
+            encode_E(w, P1, P2)
+        with pytest.raises(ParameterError, match="must be integers"):
+            sketch_bundle(w, P1, P2)
 
 
 class TestBundleFromJson:
