@@ -18,8 +18,12 @@ def weight(bits) -> int:
 
 
 def as_bits(bits) -> Bits:
-    word = tuple(map(int, bits))
-    if not set(word) <= {0, 1}:
+    """``bits`` as a tuple of ints; each entry must equal 0 or 1, or be "0" or "1"."""
+    try:
+        word = tuple(map({0: 0, 1: 1, "0": 0, "1": 1}.get, bits))
+    except TypeError:
+        raise ParameterError("binary word expected") from None
+    if None in word:
         raise ParameterError("binary word expected")
     return word
 
@@ -45,6 +49,8 @@ def vt_decode(received, a: int, n: int, modulus: int | None = None) -> Bits:
     if len(received) != n - 1:
         raise ParameterError(f"expected length {n - 1}, got {len(received)}")
     m = (n + 1) if modulus is None else modulus
+    if type(m) is not int or m < 1:
+        raise ParameterError(f"VT modulus must be a positive integer, got {m!r}")
     matches = {w for w in insertions(received) if vt_syndrome(w) % m == a % m}
     if len(matches) != 1:
         raise DecodeFailure(f"{len(matches)} candidates consistent with VT residue {a} mod {m}")
@@ -61,7 +67,7 @@ class SvtParams:
     window: int
 
     def __post_init__(self):
-        if self.window < 1 or not 0 <= self.a < self.window or self.b not in (0, 1):
+        if type(self.window) is not int or not 0 <= self.a < self.window or self.b not in (0, 1):
             raise ParameterError("invalid shifted-VT parameters")
 
 

@@ -176,6 +176,13 @@ def _checked_intervals(intervals, length: int, P: int) -> list[tuple[int, int]]:
     return intervals
 
 
+def _unique(found: set, what: str):
+    """The one member of ``found``; a DecodeFailure giving the count if not."""
+    if len(found) != 1:
+        raise DecodeFailure(f"{len(found)} {what}")
+    return found.pop()
+
+
 def _value_options(word: Bits, k: int, weight_mod3: int):
     d = (weight_mod3 - weight(word)) % 3
     if k == 1:
@@ -273,10 +280,7 @@ def xi_decode(received, sketch, n: int) -> Bits:
     if len(sketch) != xi_bit_length(n) or not set(sketch) <= {0, 1}:
         raise ParameterError(f"sketch must be {xi_bit_length(n)} bits, each 0 or 1")
     targets = _unpack(from_bits(sketch), xi_field_widths(n))
-    found = _completions(received, n, targets)
-    if len(found) != 1:
-        raise DecodeFailure(f"{len(found)} words consistent with the sketch")
-    return found.pop()
+    return _unique(_completions(received, n, targets), "words consistent with the sketch")
 
 
 def sketch_values(length: int) -> list[int]:
@@ -346,9 +350,18 @@ def e1_windows(n: int, rho: int) -> list[tuple[int, int]]:
             for i in range(1, count + 1)]
 
 
+def _checked_inputs(bits, P1, P2, sketch=(), arity: int = 0) -> tuple[Bits, tuple]:
+    """``bits`` through ``as_bits`` and ``sketch`` as a tuple of exactly
+    ``arity`` values, for interval bounds P1 and P2 that are positive ints."""
+    sketch = tuple(sketch)
+    if not (type(P1) is type(P2) is int and P1 > 0 and P2 > 0 and len(sketch) == arity):
+        raise ParameterError(f"positive int P1, P2 and a sketch of {arity} values expected")
+    return as_bits(bits), sketch
+
+
 def e1_sketch(bits, P1: int, P2: int) -> tuple[int, int]:
     """Sums of packed window sketches over odd- and even-indexed windows."""
-    return _e1_sums(as_bits(bits), P1 + P2)
+    return _e1_sums(_checked_inputs(bits, P1, P2)[0], P1 + P2)
 
 
 def _e1_sums(bits: Bits, rho: int) -> tuple[int, int]:
@@ -363,7 +376,7 @@ def _e1_sums(bits: Bits, rho: int) -> tuple[int, int]:
 def e1_decode(received, intervals, sketch: tuple[int, int], n: int, P1: int, P2: int) -> Bits:
     """Recover a word from two deletions confined to adjacent or overlapping
     intervals whose union spans at most P1 + P2 positions."""
-    received = as_bits(received)
+    received, sketch = _checked_inputs(received, P1, P2, sketch, 2)
     if len(received) != n - 2:
         raise ParameterError(f"expected length {n - 2}, got {len(received)}")
     rho = P1 + P2
@@ -392,14 +405,13 @@ def e1_decode(received, intervals, sketch: tuple[int, int], n: int, P1: int, P2:
     body = received[ws - 1:we - 2]
     local = range(lo - ws + 1, hi - ws + 2)
     found = _completions(body, we - ws + 1, targets, range1=local, range2=local)
-    if len(found) != 1:
-        raise DecodeFailure(f"{len(found)} window contents consistent with the sketch")
-    return received[:ws - 1] + found.pop() + received[we - 2:]
+    content = _unique(found, "window contents consistent with the sketch")
+    return received[:ws - 1] + content + received[we - 2:]
 
 
 def e2_sketch(bits, P1: int, P2: int) -> tuple[int, int, int]:
     """(weight mod 3, f1 mod n+1, f2 mod P*n) with P = max(P1, P2)."""
-    return _e2_residues(as_bits(bits), max(P1, P2))
+    return _e2_residues(_checked_inputs(bits, P1, P2)[0], max(P1, P2))
 
 
 def _e2_residues(bits: Bits, P: int) -> tuple[int, int, int]:
@@ -411,7 +423,7 @@ def _e2_residues(bits: Bits, P: int) -> tuple[int, int, int]:
 def e2_decode(received, intervals, sketch: tuple[int, int, int], n: int, P1: int, P2: int) -> Bits:
     """Recover a word from two deletions confined to intervals separated by at
     least one position."""
-    received = as_bits(received)
+    received, (t0, t1, t2) = _checked_inputs(received, P1, P2, sketch, 3)
     if len(received) != n - 2:
         raise ParameterError(f"expected length {n - 2}, got {len(received)}")
     P = max(P1, P2)
@@ -419,7 +431,6 @@ def e2_decode(received, intervals, sketch: tuple[int, int, int], n: int, P1: int
     e1, e2 = s1 + l1 - 1, s2 + l2 - 1
     if s2 <= e1 + 1:
         raise DecodeFailure("intervals are not separated")
-    t0, t1, t2 = sketch
     col, head, tail = _growth_terms(received, n)
     _, (_, at1, at2, _, _), (_, mask1, mask2, _, _) = _moment_table(n)
     out: set[Bits] = set()
@@ -438,9 +449,7 @@ def e2_decode(received, intervals, sketch: tuple[int, int, int], n: int, P1: int
         for v2, p, q in stage:
             if v2 % (P * n) == t2:
                 out.add(_insert_pair(received, p, q, b1, b2))
-    if len(out) != 1:
-        raise DecodeFailure(f"{len(out)} placements consistent with the interval sketch")
-    return out.pop()
+    return _unique(out, "placements consistent with the interval sketch")
 
 
 # ---------------------------------------------------------------------------
@@ -558,14 +567,23 @@ def _tail_bits(e1, e2, params: EParams) -> Bits:
     return to_bits(_pack(e1 + e2, widths), sum(widths))
 
 
+def _appended(e1, e2, params: EParams) -> Bits:
+    """E1 and E2 packed at their widths (the tail), then the tail's sketch."""
+    tail = _tail_bits(e1, e2, params)
+    return tail + to_bits(xi_value(tail, len(tail)), params.xi_bits)
+
+
+def _redundancy(bits: Bits, params: EParams) -> Bits:
+    """``_appended`` for a checked word, uncached: the decode candidate check."""
+    return _appended(_e1_sums(bits, params.rho), _e2_residues(bits, params.P), params)
+
+
 @lru_cache(maxsize=8192, typed=True)
 def _sketch_bundle_cached(bits: Bits, P1: int, P2: int) -> SketchBundle:
     """The bundle of a word ``as_bits`` has already checked."""
     params = _eparams(len(bits), P1, P2)
-    s1, s2 = _e1_sums(bits, params.rho), _e2_residues(bits, params.P)
-    tail = _tail_bits(s1, s2, params)
-    return SketchBundle(e1=s1, e2=s2, xi=to_bits(xi_value(tail, len(tail)), params.xi_bits),
-                        params=params)
+    e1, e2 = _e1_sums(bits, params.rho), _e2_residues(bits, params.P)
+    return SketchBundle(e1, e2, _appended(e1, e2, params)[-params.xi_bits:], params)
 
 
 def sketch_bundle(bits, P1: int, P2: int) -> SketchBundle:
@@ -587,6 +605,24 @@ def _parse_tail(tail: Bits, params: EParams):
     return values[:2], values[2:]
 
 
+def _compositions(candidates, n: int, params: EParams, gap: Bits = ()) -> set[Bits]:
+    """The prefixes z = c[:n] of candidates c == z + gap + _redundancy(z): compositions,
+    or marker codewords with ``gap`` (0, 1).  Per distinct prefix, one moment pass gives
+    the E2 residues, which rule out most; the redundancy is built only if they pass."""
+    at = n + len(gap) + params.e1_bits
+    e2_of, rest_of, found = {}, {}, set()
+    for c in candidates:
+        z = c[:n]
+        if z not in e2_of:
+            e2_of[z] = to_bits(_pack(_e2_residues(z, params.P), params.e2_widths), params.e2_bits)
+        if c[at:at + params.e2_bits] == e2_of[z]:
+            if z not in rest_of:
+                rest_of[z] = gap + _redundancy(z, params)
+            if c[n:] == rest_of[z]:
+                found.add(z)
+    return found
+
+
 def decode_E(received, intervals, n: int, P1: int, P2: int) -> Bits:
     """Recover the systematic prefix from up to two deletions, each confined
     to its declared interval."""
@@ -596,16 +632,13 @@ def decode_E(received, intervals, n: int, P1: int, P2: int) -> Bits:
     intervals = _checked_intervals(intervals, L, params.P)
 
     if len(received) == L:
-        if received != encode_E(received[:n], P1, P2):
+        if not _compositions((received,), n, params):
             raise DecodeFailure("full-length word is not a valid composition")
         return received[:n]
 
     if len(received) == L - 1:
-        found = {c[:n] for c in _reinsert_in_intervals(received, intervals, L)
-                 if c == encode_E(c[:n], P1, P2)}
-        if len(found) != 1:
-            raise DecodeFailure(f"{len(found)} single-deletion completions are consistent")
-        return found.pop()
+        found = _compositions(_reinsert_in_intervals(received, intervals, L), n, params)
+        return _unique(found, "single-deletion completions are consistent")
 
     if len(received) != L - 2:
         raise ParameterError(f"received length {len(received)} incompatible with <= 2 deletions")
@@ -623,11 +656,8 @@ def decode_E(received, intervals, n: int, P1: int, P2: int) -> Bits:
 
     # An interval reaches past the systematic prefix: reconstruct by direct
     # hypothesis over the two deletion positions and verify the composition.
-    found = {c[:n] for c in _reinsert_in_intervals(received, intervals, L)
-             if c == encode_E(c[:n], P1, P2)}
-    if len(found) != 1:
-        raise DecodeFailure(f"{len(found)} completions are consistent with the composition")
-    return found.pop()
+    found = _compositions(_reinsert_in_intervals(received, intervals, L), n, params)
+    return _unique(found, "completions are consistent with the composition")
 
 
 # ---------------------------------------------------------------------------
@@ -642,9 +672,7 @@ def prefix_codeword_length(k: int, P1: int, P2: int) -> int:
 def prefix_encode(payload, P1: int, P2: int) -> Bits:
     """Insert the 0,1 marker after the systematic payload of the composition."""
     payload = as_bits(payload)
-    word = encode_E(payload, P1, P2)
-    k = len(payload)
-    return word[:k] + (0, 1) + word[k:]
+    return payload + (0, 1) + encode_E(payload, P1, P2)[len(payload):]
 
 
 def prefix_member(word, k: int, P1: int, P2: int) -> bool:
@@ -656,10 +684,11 @@ def prefix_member(word, k: int, P1: int, P2: int) -> bool:
 def prefix_decode_two(received, intervals, k: int, P1: int, P2: int) -> Bits:
     """Recover the payload from two deletions confined to declared intervals."""
     received = as_bits(received)
-    L = prefix_codeword_length(k, P1, P2)
+    params = _eparams(k, P1, P2)
+    L = params.total + 2
     if len(received) != L - 2:
         raise ParameterError(f"expected length {L - 2}, got {len(received)}")
-    intervals = _checked_intervals(intervals, L, max(P1, P2))
+    intervals = _checked_intervals(intervals, L, params.P)
     marker = {k + 1, k + 2}
     touches = any(set(range(s, s + l)) & marker for s, l in intervals)
     if not touches:
@@ -671,11 +700,8 @@ def prefix_decode_two(received, intervals, k: int, P1: int, P2: int) -> Bits:
         mapped = [(s if s + l - 1 <= k else s - 2, l) for s, l in intervals]
         return decode_E(stripped, mapped, k, P1, P2)
 
-    found = {c[:k] for c in _reinsert_in_intervals(received, intervals, L)
-             if prefix_member(c, k, P1, P2)}
-    if len(found) != 1:
-        raise DecodeFailure(f"{len(found)} payloads consistent with the marker code")
-    return found.pop()
+    found = _compositions(_reinsert_in_intervals(received, intervals, L), k, params, (0, 1))
+    return _unique(found, "payloads consistent with the marker code")
 
 
 def prefix_decode_one(received, k: int, P1: int, P2: int) -> Bits:
@@ -689,7 +715,7 @@ def prefix_decode_one(received, k: int, P1: int, P2: int) -> Bits:
     params = _eparams(k, P1, P2)
     L = params.total + 2
     if len(received) == L:
-        if not prefix_member(received, k, P1, P2):
+        if not _compositions((received,), k, params, (0, 1)):
             raise DecodeFailure("full-length word is not a marker codeword")
         return received[:k]
     if len(received) != L - 1:
@@ -704,7 +730,5 @@ def prefix_decode_one(received, k: int, P1: int, P2: int) -> Bits:
         except DecodeFailure:
             pass
     verified = {z for z in candidates
-                if deleted_positions(prefix_encode(z, P1, P2), received)}
-    if len(verified) != 1:
-        raise DecodeFailure(f"{len(verified)} payloads consistent with one deletion")
-    return verified.pop()
+                if deleted_positions(z + (0, 1) + _redundancy(z, params), received)}
+    return _unique(verified, "payloads consistent with one deletion")

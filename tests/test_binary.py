@@ -2,10 +2,12 @@
 
 from itertools import product
 
+import numpy as np
 import pytest
 
 from syndef.binary import (
     SvtParams,
+    as_bits,
     insertions,
     svt_decode,
     svt_member,
@@ -21,6 +23,35 @@ def b(text):
 
 def all_words(n):
     return product((0, 1), repeat=n)
+
+
+class TestAsBits:
+    """Entries equal to 0 or 1, and the strings "0" and "1", become ints;
+    anything else raises ParameterError."""
+
+    @pytest.mark.parametrize("bits, want", [
+        ((0, 1, 1), (0, 1, 1)),
+        ([1, 0], (1, 0)),
+        ("0110", (0, 1, 1, 0)),
+        (["1", "0"], (1, 0)),
+        ((True, False), (1, 0)),
+        ((1.0, 0.0), (1, 0)),
+        ((np.int64(1), np.uint8(0), np.bool_(True)), (1, 0, 1)),
+        (np.array([0, 1, 1]), (0, 1, 1)),
+        ((), ()),
+    ])
+    def test_accepted(self, bits, want):
+        got = as_bits(bits)
+        assert got == want
+        assert all(type(v) is int for v in got)
+
+    @pytest.mark.parametrize("bits", [
+        (1.5, 0), (2, 1), (-1,), (0, None), ("a",), ("01",), " 1", "012",
+        b"01", ([0],), ({1},), 5, None,
+    ])
+    def test_rejected(self, bits):
+        with pytest.raises(ParameterError):
+            as_bits(bits)
 
 
 class TestVtSyndrome:
@@ -70,8 +101,19 @@ class TestVtDecode:
         with pytest.raises(ParameterError):
             vt_decode(b("11"), 0, 4)
 
+    @pytest.mark.parametrize("modulus", [0, -5, 5.0])
+    def test_modulus_not_a_positive_int(self, modulus):
+        with pytest.raises(ParameterError):
+            vt_decode(b("111"), 0, 4, modulus=modulus)
+
 
 class TestSvt:
+    @pytest.mark.parametrize("a, b, window", [(0, 0, 1.5), (0, 0, 5.0), (0, 0, 0),
+                                              (5, 0, 5), (0, 2, 5)])
+    def test_malformed_params_rejected(self, a, b, window):
+        with pytest.raises(ParameterError):
+            SvtParams(a, b, window)
+
     def test_all_zero(self):
         p = SvtParams(a=0, b=0, window=5)
         assert svt_decode(b("000000000"), 1, p) == b("0000000000")

@@ -4,6 +4,7 @@ Hypothesis beyond the fixed grids of the other tests."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from syndef.binary import SvtParams, svt_decode, vt_decode, vt_syndrome
 from syndef.core import DecodeFailure, apply_defects, confusable_ball, cycles
 from syndef.kdcc import KnownDefectInstance, array2_params, decode_array2, spec_for_strand
 from syndef.sdcc import (
@@ -18,6 +19,29 @@ from syndef.sketch import decode_E, encode_E, prefix_decode_one, prefix_decode_t
 
 SEEDS = st.integers(0, 2**31 - 1)
 LENGTHS = st.sampled_from([12, 16])
+WORDS = st.lists(st.integers(0, 1), min_size=2, max_size=40).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=WORDS, data=st.data())
+def test_vt_corrects_any_single_deletion(x, data):
+    # any modulus of at least n + 1 leaves one insertion per residue class
+    n = len(x)
+    i = data.draw(st.integers(0, n - 1), label="deleted index")
+    modulus = data.draw(st.one_of(st.none(), st.integers(n + 1, 3 * n)), label="modulus")
+    a = vt_syndrome(x) % (n + 1 if modulus is None else modulus)
+    assert vt_decode(x[:i] + x[i + 1:], a, n, modulus=modulus) == x
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=WORDS, data=st.data())
+def test_svt_corrects_a_deletion_inside_its_window(x, data):
+    n = len(x)
+    window = data.draw(st.integers(2, 8), label="window")
+    i = data.draw(st.integers(1, n), label="deleted position")
+    start = data.draw(st.integers(i - window + 1, i), label="window start")
+    params = SvtParams(a=vt_syndrome(x) % window, b=sum(x) % 2, window=window)
+    assert svt_decode(x[:i - 1] + x[i:], start, params) == x
 
 
 @settings(max_examples=150, deadline=None)

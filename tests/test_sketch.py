@@ -15,7 +15,11 @@ from syndef.sketch import (
     SketchBundle,
     XI_VERIFIED_MAX_LENGTH,
     _completions,
+    _compositions,
+    _eparams,
     _pack,
+    _reinsert_in_intervals,
+    _sketch_bundle_cached,
     decode_E,
     e1_decode,
     e1_sketch,
@@ -623,6 +627,136 @@ class TestMalformedIntervals:
         x = b("110100101011")
         with pytest.raises(ParameterError):
             e1_decode(delete(x, 3, 4), [(3, 0), (4, 2)], e1_sketch(x, 2, 2), 12, 2, 2)
+
+
+class TestMalformedSketchParameters:
+    """The interval sketch entry points take positive int bounds P1 and P2,
+    and the decoders a sketch of exactly its own arity."""
+
+    X = b("110100101011")
+
+    @pytest.mark.parametrize("P1, P2", [(0, 0), (-2, 2), (2, 0), (2.0, 2), (2, True)])
+    def test_bounds(self, P1, P2):
+        x, n = self.X, len(self.X)
+        for call in (lambda: e1_sketch(x, P1, P2), lambda: e2_sketch(x, P1, P2),
+                     lambda: e1_decode(delete(x, 3, 4), [(3, 2), (4, 2)], (0, 0), n, P1, P2),
+                     lambda: e2_decode(delete(x, 3, 9), [(3, 2), (8, 2)], (0, 0, 0), n, P1, P2)):
+            with pytest.raises(ParameterError):
+                call()
+
+    @pytest.mark.parametrize("sketch", [(), (1,), (1, 2, 3)])
+    def test_e1_sketch_arity(self, sketch):
+        with pytest.raises(ParameterError):
+            e1_decode(delete(self.X, 3, 4), [(3, 2), (4, 2)], sketch, 12, 2, 2)
+
+    @pytest.mark.parametrize("sketch", [(), (1, 2), (1, 2, 3, 4)])
+    def test_e2_sketch_arity(self, sketch):
+        with pytest.raises(ParameterError):
+            e2_decode(delete(self.X, 3, 9), [(3, 2), (8, 2)], sketch, 12, 2, 2)
+
+    def test_well_formed_calls_unchanged(self):
+        x = self.X
+        assert e2_sketch(x, 5, 9) == e2_sketch(x, 9, 5)
+        sk = list(e1_sketch(x, 2, 2))  # any sequence of the right arity
+        assert e1_decode(delete(x, 3, 4), [(3, 2), (4, 2)], sk, 12, 2, 2) == x
+
+
+def criterion_08_patterns(n: int, L: int, r12: int, marker: bool):
+    """Criterion 08's two-deletion patterns, each with its declared intervals,
+    for the composition (length L) or the marker code (length L + 2) of an
+    n-bit payload; r12 is the bit length of both interval sketches."""
+    if marker:
+        Lp = L + 2
+        pairs = [(1, 2), (4, 11), (n, n + 1), (n + 1, n + 2), (n + 2, n + 3), (25, 26),
+                 (Lp - 1, Lp), (6, Lp - 4)]
+        return [(pair, [(max(1, d - 1), 2) for d in pair]) for pair in pairs]
+    return [((2, 4), [(2, 2), (3, 2)]), ((5, 6), [(4, 2), (5, 2)]),
+            ((1, 2), [(1, 2), (1, 2)]), ((n - 1, n), [(n - 2, 2), (n - 1, 2)]),
+            ((2, 7), [(1, 2), (6, 2)]), ((3, n), [(2, 2), (n - 1, 2)]),
+            ((1, n), [(1, 2), (n - 1, 2)]), ((n, n + 1), [(n - 1, 2), (n + 1, 2)]),
+            ((n - 1, n + 2), [(n - 1, 2), (n + 1, 2)]), ((n + 1, n + 2), [(n + 1, 2), (n + 1, 2)]),
+            ((n + 3, n + r12), [(n + 2, 2), (n + r12 - 1, 2)]),
+            ((L - 1, L), [(L - 2, 2), (L - 1, 2)])]
+
+
+def criterion_08_sweep(L: int):
+    """Criterion 08's sweep: every deletion pair at most four apart, and here
+    every single deletion too, with intervals around each deleted bit."""
+    for d1 in range(1, L + 1):
+        yield (d1,), [(max(1, d1 - 1), 2), (max(1, d1 - 1), 2)]
+        for d2 in range(d1 + 1, min(d1 + 4, L) + 1):
+            yield (d1, d2), [(max(1, d1 - 1), 2), (max(1, d2 - 1), 2)]
+
+
+class TestCandidateCheck:
+    """``_compositions``, the decoders' one candidate check, against the
+    public encoders on the candidate sets the decoders build."""
+
+    N, P1, P2 = 6, 2, 2
+
+    def candidate_sets(self):
+        """(candidates, marker) for every payload of length N under criterion
+        08's patterns, the received word also with one bit flipped, and for
+        two payloads under its sweep."""
+        n, P1, P2 = self.N, self.P1, self.P2
+        params = _eparams(n, P1, P2)
+        r12 = params.e1_bits + params.e2_bits
+        for i, x in enumerate(all_words(n)):
+            for word, marker in ((encode_E(x, P1, P2), False), (prefix_encode(x, P1, P2), True)):
+                L = len(word)
+                patterns = criterion_08_patterns(n, params.total, r12, marker)
+                if i in (11, 45):
+                    patterns += criterion_08_sweep(L)
+                for deleted, ivs in patterns:
+                    received = delete(word, *deleted)
+                    j = sum(deleted) % len(received)
+                    flipped = received[:j] + (1 - received[j],) + received[j + 1:]
+                    for r in (received, flipped):
+                        yield _reinsert_in_intervals(r, ivs, L), marker
+
+    def test_matches_the_public_encoders(self):
+        n, P1, P2 = self.N, self.P1, self.P2
+        params = _eparams(n, P1, P2)
+        sets = Counter()
+        for candidates, marker in self.candidate_sets():
+            if marker:
+                want = {c[:n] for c in candidates if prefix_member(c, n, P1, P2)}
+            else:
+                want = {c[:n] for c in candidates if c == encode_E(c[:n], P1, P2)}
+            assert _compositions(candidates, n, params, (0, 1) if marker else ()) == want
+            sets[marker, len(want)] += 1
+        assert min(sets[m, k] for m in (False, True) for k in (0, 1)) > 100, sets
+
+    def test_full_length_words(self):
+        n, P1, P2 = self.N, self.P1, self.P2
+        params = _eparams(n, P1, P2)
+        for x in all_words(n):
+            word, marked = encode_E(x, P1, P2), prefix_encode(x, P1, P2)
+            assert _compositions([word], n, params) == {x}
+            assert _compositions([marked], n, params, (0, 1)) == {x}
+            assert _compositions([marked[:n] + marked[n + 2:]], n, params, (0, 1)) == set()
+            for j in range(n, len(word)):
+                flipped = word[:j] + (1 - word[j],) + word[j + 1:]
+                assert _compositions([flipped], n, params) == set()
+
+    def test_decoders_leave_the_bundle_cache_alone(self):
+        n, P1, P2 = 16, 2, 2
+        x = b("1011001110001011")
+        word, marked = encode_E(x, P1, P2), prefix_encode(x, P1, P2)
+        L, Lp = len(word), len(marked)
+        before = _sketch_bundle_cached.cache_info()
+        assert decode_E(word, [(1, 2), (5, 2)], n, P1, P2) == x
+        for d1, d2 in [(3, 4), (3, 9), (5, n + 4), (n + 2, L - 1), (L - 1, L)]:
+            assert decode_E(delete(word, d1, d2), [(d1, 2), (d2 - 1, 2)], n, P1, P2) == x
+        for d in (1, n, n + 1, L):
+            assert decode_E(delete(word, d), [(max(1, d - 1), 2), (1, 2)], n, P1, P2) == x
+        for d1, d2 in [(2, 9), (n, n + 1), (n + 2, n + 5), (Lp - 1, Lp)]:
+            ivs = [(max(1, d1 - 1), 2), (d2 - 1, 2)]
+            assert prefix_decode_two(delete(marked, d1, d2), ivs, n, P1, P2) == x
+        assert prefix_decode_one(marked, n, P1, P2) == x
+        for d in (1, n, n + 1, n + 2, Lp):
+            assert prefix_decode_one(delete(marked, d), n, P1, P2) == x
+        assert _sketch_bundle_cached.cache_info() == before
 
 
 class TestCompositionOutcomesPinned:
