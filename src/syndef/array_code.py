@@ -17,7 +17,7 @@ solve then touches only the 2P erased positions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import compress, product
 
 from .binary import as_bits
@@ -39,22 +39,28 @@ class ArrayCodeParams:
     weighted_vt: int
 
     def __post_init__(self):
+        for name in ("rows", "length", "weighted_vt"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
         if self.rows < 1 or self.length < 1:
             raise ParameterError("array code needs rows >= 1 and length >= 1")
-        if len(self.row_sums) != self.rows or not set(self.row_sums) <= {0, 1, 2}:
+        if (len(self.row_sums) != self.rows
+                or not all(type(v) is int and 0 <= v <= 2 for v in self.row_sums)):
             raise ParameterError(f"row sums must be {self.rows} values in {{0, 1, 2}}")
         if not 0 <= self.weighted_vt < self.modulus:
             raise ParameterError(f"weighted VT residue must lie in [0, {self.modulus})")
 
-    @property
+    # Cached in the instance dict, which equality, hashing and repr ignore.
+    @cached_property
     def padded(self) -> int:
         return self.cols * self.rows
 
-    @property
+    @cached_property
     def cols(self) -> int:
         return -(-self.length // self.rows)
 
-    @property
+    @cached_property
     def modulus(self) -> int:
         return 3 ** self.rows * self.padded
 
@@ -72,6 +78,8 @@ def _weighted(word, rows: int) -> int:
 
 def array_syndromes(word, rows: int) -> ArrayCodeParams:
     """Compute the array-code syndromes of a binary word."""
+    if type(rows) is not int:
+        raise ParameterError(f"row count must be an integer, got {rows!r}")
     if rows < 1:
         raise ParameterError("row count must be positive")
     word = as_bits(word)
@@ -118,10 +126,15 @@ def _normalize_windows(bursts, rows: int, padded: int) -> list[Interval]:
     return [(t, P), (t + P, P)]
 
 
-def _solve_rows(word: list, windows, params: ArrayCodeParams) -> Bits:
-    """Fill two disjoint length-P erasure windows, in increasing order, of a
-    padded word that holds ``None`` at every window position."""
+def _solve_rows(word: list, bursts, params: ArrayCodeParams) -> Bits:
+    """Fill the erasure bursts (``None``) of a length-``params.length`` list
+    of bits: widen them into two disjoint length-P windows, pad the word with
+    zeros and solve each row."""
     P = params.rows
+    windows = _normalize_windows(bursts, P, params.padded)
+    word = word + [0] * (params.padded - params.length)
+    for s, l in windows:
+        word[s - 1:s - 1 + l] = [None] * l
     weights = _weights(P, params.cols)
     base = _weighted(word, P)  # weighted VT of all determined bits
     ambiguous = []    # (p_k, p_l) with one 1 and one 0 in unknown order
@@ -147,7 +160,7 @@ def _solve_rows(word: list, windows, params: ArrayCodeParams) -> Bits:
             f"{len(matches)} row assignments consistent with the weighted VT residue")
     for c, (p_k, p_l) in zip(matches[0], ambiguous):
         word[p_k], word[p_l] = (1, 0) if c == 0 else (0, 1)
-    return tuple(word)
+    return tuple(word[:params.length])
 
 
 def _subset_sums(deltas) -> list[int]:
@@ -181,6 +194,17 @@ def _assignments_matching(deltas, target: int, modulus: int):
             for j in left.get((target - s) % modulus, ())]
 
 
+def _spans(spans, what: str) -> list[Interval]:
+    """``spans`` checked to be (start, length) pairs of integers."""
+    out = []
+    for span in spans:
+        if not (isinstance(span, (tuple, list)) and len(span) == 2
+                and type(span[0]) is type(span[1]) is int):
+            raise ParameterError(f"{what} must be a (start, length) pair of integers, got {span!r}")
+        out.append(tuple(span))
+    return out
+
+
 def array_erasure_decode(received, burst_positions, params: ArrayCodeParams) -> Bits:
     """Recover a codeword from two bursts of erasures.
 
@@ -193,6 +217,7 @@ def array_erasure_decode(received, burst_positions, params: ArrayCodeParams) -> 
         raise ParameterError("received word has the wrong length")
     if not set(received) <= _KNOWN:
         raise ParameterError("known symbols must be bits")
+    burst_positions = _spans(burst_positions, "a burst")
     declared = set()
     for s, l in burst_positions:
         declared.update(range(s, s + l))
@@ -201,12 +226,7 @@ def array_erasure_decode(received, burst_positions, params: ArrayCodeParams) -> 
         raise ParameterError("erasure outside the declared bursts")
     if not nones:
         return tuple(int(b) for b in received)
-
-    windows = _normalize_windows(burst_positions, params.rows, params.padded)
-    word = received + [0] * (params.padded - params.length)
-    for s, l in windows:
-        word[s - 1:s - 1 + l] = [None] * l
-    return _solve_rows(word, windows, params)[:params.length]
+    return _solve_rows(received, burst_positions, params)
 
 
 @lru_cache(maxsize=64, typed=True)
@@ -239,7 +259,7 @@ def _deletions_to_erasures(received: Bits, intervals, params: ArrayCodeParams):
     erasures: bits outside the intervals return to their true positions, the
     intervals themselves are treated as unknown."""
     n = params.length
-    intervals = sorted((s, l) for s, l in intervals)
+    intervals = sorted(intervals)
     for s, l in intervals:
         if l < 1 or l > params.rows:
             raise ParameterError("interval length must be in [1, rows]")
@@ -278,16 +298,19 @@ def array_bounded_decode(received, intervals, params: ArrayCodeParams) -> Bits:
     received = as_bits(received)
     if len(received) != params.length - 2:
         raise ParameterError(f"expected length {params.length - 2}, got {len(received)}")
+    intervals = _spans(intervals, "an interval")
     if params.padded == params.rows:
         return _single_column_word(received, params)
     word, blocks = _deletions_to_erasures(received, intervals, params)
+    if len(word) != params.length:  # both deletions declared at one position
+        raise ParameterError("received word has the wrong length")
     if len(blocks) == 1:
         s, l = blocks[0]
         half = (l + 1) // 2
         bursts = [(s, half), (s + half, l - half)]
     else:
         bursts = blocks
-    decoded = array_erasure_decode(word, bursts, params)
+    decoded = _solve_rows(word, bursts, params)
     lo = min(s for s, l in blocks)
     hi = max(s + l - 1 for s, l in blocks)
     if not is_subsequence(received[lo - 1:hi - 1 - 1], decoded[lo - 1:hi]):
@@ -304,9 +327,10 @@ def array_single_bounded_decode(received, interval: Interval, params: ArrayCodeP
     received = as_bits(received)
     if len(received) != params.length - 1:
         raise ParameterError(f"expected length {params.length - 1}, got {len(received)}")
+    intervals = _spans([interval], "an interval")
     if params.padded == params.rows:
         return _single_column_word(received, params)
-    word, blocks = _deletions_to_erasures(received, [interval], params)
+    word, blocks = _deletions_to_erasures(received, intervals, params)
     (s, l) = blocks[0]
     P, N = params.rows, params.padded
     # One length-P window around the block holds one position of every row.

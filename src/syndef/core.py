@@ -171,6 +171,43 @@ def reinsertions(word: Strand, delta) -> set[Strand]:
     return frontier
 
 
+def pair_alignment(own: Bits, sig: Bits) -> tuple[int, int, list[int]]:
+    """Align ``own``, a word's signature, against ``sig``, the target once two
+    symbols are inserted: common prefix, common suffix, and ahead[j], the run
+    length of ``own[i] == sig[i + 1]`` from i = j."""
+    ahead = [0] * (len(own) + 2)
+    for j in range(len(own) - 1, -1, -1):
+        if own[j] == sig[j + 1]:
+            ahead[j] = ahead[j + 1] + 1
+    return common_prefix(own, sig), common_suffix(own, sig), ahead
+
+
+def pair_slots(word: Strand, v1: int, v2: int, sig: Bits, alignment, firsts):
+    """Slot pairs (p, q), q > p, at which inserting ``v1`` into ``word`` at p,
+    then ``v2`` at q of the grown word, gives the signature ``sig``; p runs
+    over the ascending ``firsts`` and ``alignment`` is :func:`pair_alignment`.
+
+    The bits before p-1 are the word's own, so p is at most two past the
+    common prefix; those from q on are its own two places right, so q lies in
+    the common suffix; those between are its own one place right, a run that
+    ``ahead`` caps.  The four bits around v1 and v2 take one comparison each.
+    """
+    prefix, suffix, ahead = alignment
+    n = len(word) + 2
+    for p in firsts:
+        if p > prefix + 2:
+            return
+        if p > 1 and (v1 >= word[p - 2]) != sig[p - 2]:
+            continue  # the rewritten bit before v1 already differs
+        last = p + 1
+        if p < n - 1 and (word[p - 1] >= v1) == sig[p - 1]:
+            last += 1 + ahead[p - 1]
+        for q in range(max(n - 1 - suffix, p + 1), last + 1):
+            before = v1 if q == p + 1 else word[q - 3]
+            if (v2 >= before) == sig[q - 2] and (q == n or (word[q - 2] >= v2) == sig[q - 1]):
+                yield p, q
+
+
 def confusable_ball(strand: Strand, delta) -> set[Strand]:
     """Exact set of length-n words indistinguishable from ``strand`` once the
     cycles in ``delta`` are defective.

@@ -36,6 +36,8 @@ from .core import (
     apply_defects,
     as_strand,
     insertions_at_cycle,
+    pair_alignment,
+    pair_slots,
     reinsertions,
     signature,
     smod4,
@@ -52,9 +54,13 @@ def _below(value, bound: int) -> bool:
     return type(value) is int and 0 <= value < bound
 
 
-def _check_length(family: str, n):
+def _check_positive(n):
     if type(n) is not int or n < 1:
         raise ParameterError(f"strand length must be a positive integer, got {n!r}")
+
+
+def _check_length(family: str, n):
+    _check_positive(n)
     if family in ("svt1", "array2") and n < 3:
         raise ParameterError(f"family {family} needs n >= 3")
 
@@ -105,6 +111,11 @@ class KnownDefectInstance:
     n: int
 
     def __post_init__(self):
+        _check_positive(self.n)
+        if (any(type(d) is not int or d < 1 for d in self.delta)
+                or len(set(self.delta)) != len(self.delta)):
+            raise ParameterError(
+                f"defective cycles must be distinct positive integers, got {self.delta!r}")
         if len(self.received) < self.n - len(self.delta):
             raise ParameterError("received strand shorter than the defect count allows")
 
@@ -299,9 +310,20 @@ def array1_candidates(received, d: int, params: ArrayCodeParams) -> set[Strand]:
     return _recover_each(received, (d,), sig)
 
 
-def _signature_windows(received, d1: int, d2: int, sig_len: int):
+def _slot_table(received, d1: int, d2: int) -> dict[int, tuple[Strand, list[int]]]:
+    """Each slot p at which a symbol reinstated into ``received`` lands at
+    cycle ``d1``, with the once-grown word and that word's slots at ``d2``."""
+    value = smod4(d1)
+    table = {}
+    for p in _insert_slot_positions(received, d1):
+        grown = received[:p - 1] + (value,) + received[p - 1:]
+        table[p] = grown, _insert_slot_positions(grown, d2)
+    return table
+
+
+def _signature_windows(table, sig_len: int):
     """Pairs of intervals in signature coordinates covering the two missing
-    signature bits, derived from the cycle-consistent insertion slots.
+    signature bits, derived from the slot table of :func:`_slot_table`.
 
     The first symbol reinserts at index i1 within a run of at most four
     consecutive slots and removes signature bit i1-1 or i1; the second lands
@@ -310,23 +332,41 @@ def _signature_windows(received, d1: int, d2: int, sig_len: int):
     move with the first (for example from 8-11 to 12-15); then each first
     slot gets its own pair of windows.
     """
-    value = smod4(d1)
-    second = {p: _insert_slot_positions(received[:p - 1] + (value,) + received[p - 1:], d2)
-              for p in _insert_slot_positions(received, d1)}
-
     def windows(first):
-        slots = [q for p in first for q in second[p]]
+        slots = [q for p in first for q in table[p][1]]
         if not slots:
             return None
         return (_signature_window(min(first), max(first), sig_len),
                 _signature_window(min(slots) - 1, max(slots), sig_len))
 
-    union = windows(second)
+    union = windows(table)
     if union is None:
         return []
     if union[0][1] <= 5 and union[1][1] <= 9:
         return [union]
-    return [w for w in (windows([p]) for p in second) if w is not None]
+    return [w for w in (windows([p]) for p in table) if w is not None]
+
+
+def _pair_reinsertions(received, own, d1: int, d2: int, table, sigs) -> set[Strand]:
+    """The words of the slot table whose signature is one of ``sigs``, where
+    ``own`` is the signature of ``received``.  Only slot pairs that pass
+    :func:`pair_slots` are built, except a second slot at or before the first:
+    it moves the first symbol, so its word is built and checked in full."""
+    v1, v2 = smod4(d1), smod4(d2)
+    found = set()
+    for sig in set(sigs):
+        alignment = pair_alignment(own, sig)
+        for p, q in pair_slots(received, v1, v2, sig, alignment, table):
+            grown, seconds = table[p]
+            if q in seconds:
+                found.add(grown[:q - 1] + (v2,) + grown[q - 1:])
+    for p, (grown, seconds) in table.items():
+        for q in seconds:
+            if q <= p:
+                y = grown[:q - 1] + (v2,) + grown[q - 1:]
+                if signature(y) in sigs:
+                    found.add(y)
+    return found
 
 
 def array2_candidates(received, delta, params: ArrayCodeParams) -> set[Strand]:
@@ -337,18 +377,17 @@ def array2_candidates(received, delta, params: ArrayCodeParams) -> set[Strand]:
     first slot, each decode that fails rules out its slot.
     """
     d1, d2 = sorted(delta)
-    pairs = _signature_windows(received, d1, d2, len(received) + 1)
-    short_sig = signature(received) if len(received) >= 2 else ()
+    table = _slot_table(received, d1, d2)
+    pairs = _signature_windows(table, len(received) + 1)
+    own = signature(received) if len(received) >= 2 else ()
     sigs = []
     for pair in pairs:
         try:
-            sigs.append(array_bounded_decode(short_sig, pair, params))
+            sigs.append(array_bounded_decode(own, pair, params))
         except DecodeFailure:
             if len(pairs) == 1:
                 raise
-    if not sigs:
-        return set()
-    return {y for y in reinsertions(received, (d1, d2)) if signature(y) in sigs}
+    return _pair_reinsertions(received, own, d1, d2, table, sigs)
 
 
 def decode_array2(instance: KnownDefectInstance, params: ArrayCodeParams) -> Strand:

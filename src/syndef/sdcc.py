@@ -39,6 +39,8 @@ from .core import (
     default_regular_window,
     deleted_positions,
     is_regular,
+    pair_alignment,
+    pair_slots,
     run_sequence,
     shift_symbols,
     signature,
@@ -258,15 +260,7 @@ def _matching_slots(word, value: int, sig, own) -> list[int]:
     n = len(word)
     if len(sig) != n:
         return []
-    return _slots_between(word, value, sig, n - common_suffix(own, sig),
-                          common_prefix(own, sig) + 2)
-
-
-def _slots_between(word, value: int, sig, first: int, last: int) -> list[int]:
-    """Slots p in [first, last] whose two rewritten signature bits match
-    ``sig``, for a corridor already aligned as in :func:`_matching_slots`."""
-    n = len(word)
-    return [p for p in range(first, last + 1)
+    return [p for p in range(n - common_suffix(own, sig), common_prefix(own, sig) + 3)
             if (p == 1 or (value >= word[p - 2]) == sig[p - 2])
             and (p == n + 1 or (word[p - 1] >= value) == sig[p - 1])]
 
@@ -458,40 +452,17 @@ def c2d_decode(received, params: C2dParams) -> Strand:
 
 def _double_insertions_matching(received, values, sig) -> set[Strand]:
     """Words reached by inserting the two values (in either order) whose
-    signature equals ``sig``.
-
-    The received signature is aligned against the target once.  With v1 at
-    slot p and v2 at q > p, the bits before p are the received ones, so p
-    stays within two of the common prefix; the bits from q on are the received
-    ones two places right, so q sits inside the common suffix; the bits between
-    are the rewritten one after v1, then the received ones one place right,
-    whose run of matches (``ahead``) caps q.  The corridor left takes the
-    one-insertion slot test.
-    """
+    signature equals ``sig``: the received signature is aligned against the
+    target once, and :func:`pair_slots` tests each slot pair."""
     m = len(received)
-    n = m + 2
-    if len(sig) != n - 1:
+    if len(sig) != m + 1:
         return set()
-    sr = signature(received) if m >= 2 else ()
-    prefix, suffix = common_prefix(sr, sig), common_suffix(sr, sig)
-    ahead = [0] * (m + 1)  # ahead[j]: length of the run of sr[i] == sig[i + 1] from i = j
-    for j in range(m - 2, -1, -1):
-        if sr[j] == sig[j + 1]:
-            ahead[j] = ahead[j + 1] + 1
+    alignment = pair_alignment(signature(received) if m >= 2 else (), sig)
     out: set[Strand] = set()
     for v1, v2 in {(values[0], values[1]), (values[1], values[0])}:
-        for p in range(1, min(prefix + 2, n - 1) + 1):
-            if p > 1 and (v1 >= received[p - 2]) != sig[p - 2]:
-                continue  # the rewritten bit before v1 already differs
-            last = p + 1
-            if p < n - 1 and (received[p - 1] >= v1) == sig[p - 1]:
-                last += 1 + ahead[p - 1]
-            first = max(n - 1 - suffix, p + 1)
-            if first > last:
-                continue
+        for p, q in pair_slots(received, v1, v2, sig, alignment, range(1, m + 2)):
             w1 = received[:p - 1] + (v1,) + received[p - 1:]
-            out.update(w1[:q - 1] + (v2,) + w1[q - 1:]
-                       for q in _slots_between(w1, v2, sig, first, last))
+            out.add(w1[:q - 1] + (v2,) + w1[q - 1:])
     return out
 
 

@@ -1,7 +1,8 @@
 """Array-code tests: syndromes, burst-erasure decoding, bounded deletions."""
 
 import random
-from dataclasses import replace
+import re
+from dataclasses import FrozenInstanceError, replace
 from itertools import product
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from syndef.array_code import (
     ArrayCodeParams,
     _assignments_matching,
+    _column_word,
     _single_column_word,
     array_bounded_decode,
     array_erasure_decode,
@@ -154,10 +156,74 @@ class TestParamsValidation:
             ArrayCodeParams(rows=rows, length=length, row_sums=row_sums,
                             weighted_vt=weighted_vt)
 
+    @pytest.mark.parametrize("rows, length, row_sums, weighted_vt, fault", [
+        (2.5, 8, (0, 0), 0, "rows must be an integer, got 2.5"),
+        ("2", 8, (0, 0), 0, "rows must be an integer, got '2'"),
+        (True, 8, (0,), 0, "rows must be an integer, got True"),
+        (2, 8.0, (0, 0), 0, "length must be an integer, got 8.0"),
+        (2, 8, (0, 0), 1.0, "weighted_vt must be an integer, got 1.0"),
+        (2, 8, (0, 1.0), 0, "row sums must be 2 values in {0, 1, 2}"),
+    ])
+    def test_non_integers_named(self, rows, length, row_sums, weighted_vt, fault):
+        with pytest.raises(ParameterError, match=f"^{re.escape(fault)}$"):
+            ArrayCodeParams(rows, length, row_sums, weighted_vt)
+
     def test_extremes_accepted(self):
         p = ArrayCodeParams(rows=2, length=7, row_sums=(2, 2), weighted_vt=71)
         assert p.modulus == 72
         assert ArrayCodeParams(rows=1, length=1, row_sums=(0,), weighted_vt=0).padded == 1
+
+
+class TestParamsCaching:
+    """``padded``, ``cols`` and ``modulus`` are computed once per instance;
+    the instance still behaves as a frozen value of its four fields."""
+
+    def test_read_instance_behaves_like_a_fresh_one(self):
+        read = array_syndromes(b("1101001"), 9)
+        assert (read.padded, read.cols, read.modulus) == (9, 1, 3 ** 9 * 9)
+        fresh = ArrayCodeParams(read.rows, read.length, read.row_sums, read.weighted_vt)
+        assert read == fresh and hash(read) == hash(fresh)
+        assert repr(read) == repr(fresh) == (
+            f"ArrayCodeParams(rows=9, length=7, row_sums={read.row_sums!r}, "
+            f"weighted_vt={read.weighted_vt})")
+        for name, value in (("rows", 3), ("padded", 10), ("modulus", 1)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(read, name, value)
+        assert read.padded == 9 and read.modulus == 3 ** 9 * 9
+
+    def test_column_word_cache_hit_across_instances(self):
+        read = array_syndromes(b("1101001"), 9)
+        _column_word(read)  # reads modulus
+        hits = _column_word.cache_info().hits
+        fresh = ArrayCodeParams(read.rows, read.length, read.row_sums, read.weighted_vt)
+        assert _column_word(fresh) == b("1101001")
+        assert _column_word.cache_info().hits == hits + 1
+
+
+class TestIntegerChecks:
+    """Non-integer row counts, interval starts and burst starts raise
+    ``ParameterError`` naming the fault, not a ``TypeError``."""
+
+    x = b("10110100")
+
+    def test_row_count(self):
+        for rows in ("2", 2.0, None):
+            with pytest.raises(ParameterError, match="row count must be an integer"):
+                array_syndromes(self.x, rows)
+
+    @pytest.mark.parametrize("span", [("1", 2), (1.0, 2), (1, 2.0), (None, 2), (1, 2, 3), 1])
+    def test_interval(self, span):
+        p = array_syndromes(self.x, 2)
+        with pytest.raises(ParameterError, match="an interval must be a"):
+            array_bounded_decode(self.x[2:], [span, (6, 2)], p)
+        with pytest.raises(ParameterError, match="an interval must be a"):
+            array_single_bounded_decode(self.x[1:], span, p)
+
+    @pytest.mark.parametrize("span", [("1", 2), (1.5, 2), (1, "2")])
+    def test_burst(self, span):
+        p = array_syndromes(self.x, 2)
+        with pytest.raises(ParameterError, match="a burst must be a"):
+            array_erasure_decode(erase(self.x, [(1, 2), (6, 2)]), [span, (6, 2)], p)
 
 
 class TestAssignmentsMatching:

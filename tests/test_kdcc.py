@@ -243,6 +243,28 @@ class TestDecodeArray2:
         assert decode_array2(inst, array2_params(spec)) == x
 
 
+class TestInstanceValidation:
+    """Malformed defective cycles or lengths are rejected when the instance is
+    built, before any decoder sees them."""
+
+    @pytest.mark.parametrize("delta", [
+        (2.0, 3),    # a float cycle once decoded to a strand holding 2.0
+        ("a", 3),    # once a TypeError traceback
+        (3, 3),      # once two cycles, ending in "0 strands consistent"
+        (True, 3),
+        (0, 3),
+        (-1, 3),
+    ])
+    def test_malformed_cycles_rejected(self, delta):
+        with pytest.raises(ParameterError, match="distinct positive integers"):
+            KnownDefectInstance((1, 2, 3), delta, 5)
+
+    @pytest.mark.parametrize("n", [5.0, "5", True, 0])
+    def test_malformed_length_rejected(self, n):
+        with pytest.raises(ParameterError, match="positive integer"):
+            KnownDefectInstance((1, 2, 3), (2, 3), n)
+
+
 class TestAgainstConfusableBall:
     """Differential check of the known-defect decoders against the exact
     confusable ball: each returns x exactly when x is the only member of its

@@ -267,6 +267,64 @@ class TestSlotKernel:
                 assert x in reinsertions(apply_defects(x, delta), delta)
 
 
+class TestPairReinsertions:
+    """The signature-guided pair kernel of the array2 decode against building
+    every reinsertion at the two cycles and comparing its signature."""
+
+    @staticmethod
+    def check(r, d1, d2, sigs):
+        by_sig = {}
+        for y in reinsertions(r, (d1, d2)):
+            by_sig.setdefault(signature(y), set()).add(y)
+        table = kdcc._slot_table(r, d1, d2)
+        own = signature(r) if len(r) >= 2 else ()
+        for sig in sigs:
+            got = kdcc._pair_reinsertions(r, own, d1, d2, table, [sig])
+            assert got == by_sig.get(sig, set()), (r, d1, d2, sig)
+
+    @staticmethod
+    def flipped(sig, i):
+        i %= len(sig)
+        return sig[:i] + (1 - sig[i],) + sig[i + 1:]
+
+    def test_every_strand_up_to_length_6(self):
+        # each pair of the strand's own cycles, and up to length 5 also the
+        # first cycle paired with the next cycle that misses the strand; the
+        # true signature and one with a bit flipped
+        for x in words_up_to(6):
+            sched = cycles(x)
+            sig = signature(x) if len(x) >= 2 else ()
+            for d1, d2 in combinations(sched, 2):
+                r = apply_defects(x, (d1, d2))
+                pairs = [(d1, d2)]
+                if len(x) <= 5:
+                    pairs.append((d1, next(d for d in range(d1 + 1, 4 * len(x) + 2)
+                                           if d not in sched)))
+                for e1, e2 in pairs:
+                    self.check(r, e1, e2, [sig, self.flipped(sig, e1 + e2)])
+
+    def test_random_strands(self):
+        rng = random.Random(17)
+        for _ in range(2000):
+            x = tuple(rng.randint(1, 4) for _ in range(rng.randint(7, 30)))
+            d1, d2 = sorted(rng.sample(cycles(x), 2))
+            sig = signature(x)
+            self.check(apply_defects(x, (d1, d2)), d1, d2,
+                       [sig, self.flipped(sig, rng.randrange(len(sig)))])
+
+    def test_second_slot_at_the_first(self):
+        # 2 reinstated at cycle 2 lands at slot 1 of 41143; 3 at cycle 3 then
+        # fits at slot 1 or 2 of 241143.  At slot 1 it pushes the 2 to cycle 6,
+        # so that word has no symbol at cycle 2 and takes the exact check.
+        r = (4, 1, 1, 4, 3)
+        assert kdcc._slot_table(r, 2, 3) == {1: ((2, 4, 1, 1, 4, 3), [1, 2])}
+        y = (3, 2, 4, 1, 1, 4, 3)
+        assert cycles(y)[:2] == (3, 6)
+        assert kdcc._pair_reinsertions(r, signature(r), 2, 3, kdcc._slot_table(r, 2, 3),
+                                       [signature(y)]) == {y}
+        self.check(r, 2, 3, [signature(y), signature((2, 3, 4, 1, 1, 4, 3))])
+
+
 class TestSyndromes:
     @pytest.mark.parametrize("m", [3, 7, 100])
     def test_position_sums_and_counts(self, m):

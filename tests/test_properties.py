@@ -6,7 +6,14 @@ from hypothesis import strategies as st
 
 from syndef.binary import SvtParams, svt_decode, vt_decode, vt_syndrome
 from syndef.core import DecodeFailure, apply_defects, confusable_ball, cycles
-from syndef.kdcc import KnownDefectInstance, array2_params, decode_array2, spec_for_strand
+from syndef.kdcc import (
+    KnownDefectInstance,
+    array2_params,
+    decode_array2,
+    decode_sum1,
+    decode_svt1,
+    spec_for_strand,
+)
 from syndef.sdcc import (
     c2d_decode,
     c2d_params_of,
@@ -89,6 +96,27 @@ def test_array2_corrects_any_two_own_cycles(x, data):
         # same channel output
         assert any(y != x and spec_for_strand("array2", y) == spec
                    for y in confusable_ball(x, delta))
+
+
+STRANDS = st.lists(st.integers(1, 4), min_size=3, max_size=40).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=STRANDS, data=st.data())
+def test_sum1_corrects_any_single_cycle(x, data):
+    # a cycle outside the strand's schedule deletes nothing
+    d = data.draw(st.integers(1, 4 * len(x)), label="defect")
+    inst = KnownDefectInstance(apply_defects(x, (d,)), (d,), len(x))
+    assert decode_sum1(inst, spec_for_strand("sum1", x).residues["a"]) == x
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=STRANDS, data=st.data())
+def test_svt1_corrects_any_single_cycle(x, data):
+    d = data.draw(st.integers(1, 4 * len(x)), label="defect")
+    inst = KnownDefectInstance(apply_defects(x, (d,)), (d,), len(x))
+    r = spec_for_strand("svt1", x).residues
+    assert decode_svt1(inst, r["a"], r["b"]) == x
 
 
 # The composition's interval lengths: the first at most P1, the second at most
