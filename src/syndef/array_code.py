@@ -273,6 +273,9 @@ def _deletions_to_erasures(received: Bits, intervals, params: ArrayCodeParams):
         # Overlapping intervals collapse to one unknown block.
         (s1, l1), (s2, l2) = intervals
         hi = max(s1 + l1 - 1, s2 + l2 - 1)
+        if hi == s1:
+            raise ParameterError(
+                f"two deletions cannot share the one position of intervals {intervals}")
         blocks = [(s1, hi - s1 + 1)]
         drops = [hi - s1 + 1 - 2]
     else:
@@ -302,8 +305,6 @@ def array_bounded_decode(received, intervals, params: ArrayCodeParams) -> Bits:
     if params.padded == params.rows:
         return _single_column_word(received, params)
     word, blocks = _deletions_to_erasures(received, intervals, params)
-    if len(word) != params.length:  # both deletions declared at one position
-        raise ParameterError("received word has the wrong length")
     if len(blocks) == 1:
         s, l = blocks[0]
         half = (l + 1) // 2

@@ -42,19 +42,47 @@ def insertions(word: Bits, position_range=None) -> set[Bits]:
     return out
 
 
+def _insertion_shifts(received: Bits, lo: int, hi: int):
+    """(bit, final position, syndrome rise) of each distinct single-bit
+    insertion into ``received`` at a final position in [lo, hi].
+
+    Inserting v at final position p raises the VT syndrome by p*v plus the
+    number of ones at or after p, which move one place right.  Positions
+    inside a run of v's give one word, so only the first position of each
+    run in the range counts."""
+    ones = sum(received[lo - 1:])
+    for p in range(lo, hi + 1):
+        before = received[p - 2] if p > lo else -1
+        if before != 0:
+            yield 0, p, ones
+        if before != 1:
+            yield 1, p, p + ones
+        if p <= len(received):
+            ones -= received[p - 1]
+
+
 def vt_decode(received, a: int, n: int, modulus: int | None = None) -> Bits:
     """Recover the unique word of length ``n`` with VT syndrome ``a`` (mod
-    ``modulus``, default n+1) that yields ``received`` under one deletion."""
+    ``modulus``, default n+1) that yields ``received`` under one deletion.
+
+    Levenshtein's direct decoder (V. I. Levenshtein, "Binary codes capable
+    of correcting deletions, insertions and reversals", 1966): each
+    insertion's syndrome follows from the received word's syndrome and
+    suffix weight, so one O(n) pass counts the candidates and only the
+    returned word is built.  :func:`insertions` is its test oracle."""
     received = as_bits(received)
     if len(received) != n - 1:
         raise ParameterError(f"expected length {n - 1}, got {len(received)}")
     m = (n + 1) if modulus is None else modulus
     if type(m) is not int or m < 1:
         raise ParameterError(f"VT modulus must be a positive integer, got {m!r}")
-    matches = {w for w in insertions(received) if vt_syndrome(w) % m == a % m}
+    target = (a - vt_syndrome(received)) % m
+    matches = [(v, p) for v, p, rise in _insertion_shifts(received, 1, n)
+               if rise % m == target]
     if len(matches) != 1:
         raise DecodeFailure(f"{len(matches)} candidates consistent with VT residue {a} mod {m}")
-    return matches.pop()
+    ((v, p),) = matches
+    return received[:p - 1] + (v,) + received[p - 1:]
 
 
 @dataclass(frozen=True)
@@ -78,14 +106,24 @@ def svt_member(bits, params: SvtParams) -> bool:
 
 def svt_decode(received, window_start: int, params: SvtParams) -> Bits:
     """Recover the unique shifted-VT codeword whose single deletion lies in
-    [window_start, window_start + window - 1]."""
+    [window_start, window_start + window - 1].
+
+    The direct decoder of the shifted code (Schoeny, Wachter-Zeh, Gabrys,
+    Yaakobi, "Codes correcting a burst of deletions or insertions", IEEE
+    T-IT 2017): the weight parity fixes the lost bit, and each position's
+    syndrome follows as in :func:`vt_decode`.  :func:`insertions` with
+    :func:`svt_member` is its test oracle."""
     received = as_bits(received)
     lo = max(1, window_start)
     hi = min(len(received) + 1, window_start + params.window - 1)
     if lo > hi:
         raise DecodeFailure("deletion window does not meet the received word")
-    matches = {w for w in insertions(received, range(lo, hi + 1)) if svt_member(w, params)}
+    bit = (params.b - sum(received)) % 2
+    target = (params.a - vt_syndrome(received)) % params.window
+    matches = [p for v, p, rise in _insertion_shifts(received, lo, hi)
+               if v == bit and rise % params.window == target]
     if len(matches) != 1:
         raise DecodeFailure(
             f"{len(matches)} shifted-VT candidates in window [{lo}, {hi}]")
-    return matches.pop()
+    (p,) = matches
+    return received[:p - 1] + (bit,) + received[p - 1:]

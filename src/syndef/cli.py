@@ -25,6 +25,7 @@ from .kdcc import (
     best_residues,
     decode,
     enumerate_codebook,
+    hit_decoder,
     spec_for_strand,
 )
 from .reports import Report, check_ceiling, stratified_delta_pairs
@@ -99,28 +100,29 @@ def run_simulate(args) -> Report:
 
 def _verify_single_defect_family(family: str, n: int, report: Report):
     spec, size = best_residues(family, n)
-    # Each member under each of its own cycles, channel applied once for
-    # both the disjointness check and the decode check.
-    outputs = [(x, d, apply_defects(x, {d}))
-               for x in enumerate_codebook(spec) for d in cycles(x)]
+    recover = hit_decoder(spec)
+    # Each member under each of its own cycles, for both the disjointness
+    # check and the decode check.  A schedule is strictly increasing, so each
+    # cycle holds exactly one symbol and the channel drops just that one.
     seen: dict = {}
-    disjoint = True
-    for x, d, y in outputs:
-        key = (d, y)
-        if seen.setdefault(key, x) != x:
-            disjoint = False
-            report.counterexamples.append(
-                {"strands": [list(seen[key]), list(x)], "delta": [d]})
+    clashes, failed = [], []
     failures = 0
-    for x, d, y in outputs:
-        try:
-            ok = decode(spec, KnownDefectInstance(y, (d,), n)) == x
-        except DecodeFailure:
-            ok = False
-        if not ok:
-            failures += 1
-            if len(report.counterexamples) < 10:
-                report.counterexamples.append({"strand": list(x), "delta": [d]})
+    for x in enumerate_codebook(spec):
+        for i, d in enumerate(cycles(x)):
+            y = x[:i] + x[i + 1:]
+            other = seen.setdefault((d, y), x)
+            if other != x:
+                clashes.append({"strands": [list(other), list(x)], "delta": [d]})
+            try:
+                ok = recover(y, d) == x
+            except DecodeFailure:
+                ok = False
+            if not ok:
+                failures += 1
+                if len(failed) < 10:
+                    failed.append({"strand": list(x), "delta": [d]})
+    disjoint = not clashes
+    report.counterexamples = clashes + failed[:max(0, 10 - len(clashes))]
     report.metrics = {
         "family": family, "n": n, "residues": spec.residues,
         "code_size": size,
@@ -283,7 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse printed a usage error (2) or --help (0)
+        return exc.code
     started = time.perf_counter()
     try:
         if args.n < 1:

@@ -171,6 +171,28 @@ def reinsertions(word: Strand, delta) -> set[Strand]:
     return frontier
 
 
+def matching_slots(word: Strand, value: int, sig: Bits, own: Bits, slots=None) -> list[int]:
+    """1-based slots, among ``slots`` (default every slot), at which inserting
+    ``value`` into ``word`` (whose own signature is ``own``) gives a word whose
+    signature is exactly ``sig``: the one-insertion signature slot kernel, as
+    :func:`pair_slots` is the two-insertion one.
+
+    An insertion at slot p rewrites only signature bits p-1 and p (1-based):
+    the bits before them are the word's own and the bits after them the word's
+    moved one place right.  So slot p needs the common prefix of the word's
+    signature and ``sig`` to reach p-2, their common suffix to reach back to
+    p+1, and two bit comparisons.
+    """
+    n = len(word)
+    if len(sig) != n:
+        return []
+    lo, hi = n - common_suffix(own, sig), common_prefix(own, sig) + 2
+    return [p for p in (range(lo, hi + 1) if slots is None else slots)
+            if lo <= p <= hi
+            and (p == 1 or (value >= word[p - 2]) == sig[p - 2])
+            and (p == n + 1 or (word[p - 1] >= value) == sig[p - 1])]
+
+
 def pair_alignment(own: Bits, sig: Bits) -> tuple[int, int, list[int]]:
     """Align ``own``, a word's signature, against ``sig``, the target once two
     symbols are inserted: common prefix, common suffix, and ahead[j], the run

@@ -35,7 +35,7 @@ from .core import (
     all_strands,
     apply_defects,
     as_strand,
-    insertions_at_cycle,
+    matching_slots,
     pair_alignment,
     pair_slots,
     reinsertions,
@@ -47,6 +47,7 @@ FAMILIES = ("sum1", "svt1", "array2")
 ARRAY2_ROWS = 9
 # _STEP_BITS[last - 1]: the signature bit that each next symbol adds after ``last``.
 _STEP_BITS = tuple(tuple(int(v >= last) for v in ALPHABET) for last in ALPHABET)
+_SYMBOL = {v: v for v in ALPHABET}
 
 
 def _below(value, bound: int) -> bool:
@@ -104,7 +105,8 @@ class KdccSpec:
 @dataclass(frozen=True)
 class KnownDefectInstance:
     """Decoder input: the shortened strand, the defective cycles, and the
-    original length."""
+    original length.  The strand is normalised to a tuple of symbols in
+    {1, 2, 3, 4}; it may be empty when every symbol can have been lost."""
 
     received: Strand
     delta: tuple[int, ...]
@@ -116,6 +118,12 @@ class KnownDefectInstance:
                 or len(set(self.delta)) != len(self.delta)):
             raise ParameterError(
                 f"defective cycles must be distinct positive integers, got {self.delta!r}")
+        try:
+            received = tuple(map(_SYMBOL.__getitem__, self.received))
+        except (KeyError, TypeError):  # a symbol outside the alphabet, or no strand
+            raise ParameterError("received strand must hold symbols of {1,2,3,4}, "
+                                 f"got {self.received!r}") from None
+        object.__setattr__(self, "received", received)
         if len(self.received) < self.n - len(self.delta):
             raise ParameterError("received strand shorter than the defect count allows")
 
@@ -214,15 +222,26 @@ def spec_for_strand(family: str, strand) -> KdccSpec:
 def decode_sum1(instance: KnownDefectInstance, a: int) -> Strand:
     """Single known defect: at most four cycle-consistent insertions exist and
     the even-position sum mod 4 separates them."""
-    received = instance.received
     if _shortfall(instance, "sum1", 1) == 0:
-        return received
-    (d,) = instance.delta
-    found = {y for y in insertions_at_cycle(received, d)
-             if even_position_sum(y) % 4 == a % 4}
+        return instance.received
+    return _sum1_hit(instance.received, instance.delta[0], a)
+
+
+def _sum1_hit(received, d: int, a: int) -> Strand:
+    """:func:`decode_sum1` once the symbol at cycle ``d`` is known lost.
+
+    Inserting at slot p keeps the prefix's even positions, puts the symbol at
+    p, and moves the suffix's odd positions (0-based even) onto even ones, so
+    each slot's sum takes two slice sums and only the returned word is built.
+    """
+    value = smod4(d)
+    found = [p for p in _insert_slot_positions(received, d)
+             if (sum(received[1:p - 1:2]) + (0 if p % 2 else value)
+                 + sum(received[p - 1 + (p - 1) % 2::2])) % 4 == a % 4]
     if len(found) != 1:
         raise DecodeFailure(f"{len(found)} insertions match the even-position sum")
-    return found.pop()
+    p = found[0]
+    return received[:p - 1] + (value,) + received[p - 1:]
 
 
 def algorithm1_recover(received, delta, sig) -> Strand:
@@ -232,6 +251,11 @@ def algorithm1_recover(received, delta, sig) -> Strand:
     Candidate slots per defect come from the cycle structure (at most four,
     consecutive); the monotonicity pattern recorded in the signature singles
     out one completion, which is verified against the inputs before returning.
+
+    This is the multi-cycle reference: it builds every reinsertion and checks
+    its whole signature and channel output.  The decoders take the one-cycle
+    case by the slot test of :func:`_recover_each` and the two-cycle case by
+    :func:`_pair_reinsertions`; the tests hold both against this function.
     """
     received = as_strand(received) if received else tuple(received)
     delta = tuple(sorted(set(delta)))
@@ -257,42 +281,71 @@ def _signature_window(first: int, last: int, sig_len: int):
     return lo, hi - lo + 1
 
 
-def _recover_each(received, cycles, sig) -> set[Strand]:
-    """Algorithm 1 once per candidate cycle; a cycle it cannot reinstate
-    under ``sig`` drops out."""
+def _recover_each(received, own, sig, cycle_slots) -> set[Strand]:
+    """Algorithm 1's one-cycle case, once per (cycle, insertion slots) pair
+    of ``cycle_slots``, where ``own`` is the signature of ``received``: a
+    cycle's word is kept exactly when one of its slots gives the signature
+    ``sig`` (:func:`matching_slots`).
+
+    Distinct slots give distinct words, and the one symbol a single-cycle
+    reinsertion puts at that cycle is the inserted one, so Algorithm 1's
+    channel re-check holds by construction."""
     found = set()
-    for d in cycles:
-        try:
-            found.add(algorithm1_recover(received, (d,), sig))
-        except DecodeFailure:
-            pass
+    for d, slots in cycle_slots:
+        value = smod4(d)
+        hits = matching_slots(received, value, sig, own, slots)
+        if len(hits) == 1:
+            p = hits[0]
+            found.add(received[:p - 1] + (value,) + received[p - 1:])
     return found
 
 
 def svt1_candidates(received, cycles, params: SvtParams) -> set[Strand]:
     """One known defect at one of ``cycles``: the shifted VT code recovers the
     signature over the window of every cycle's insertion slots, and
-    Algorithm 1 reinstates each cycle under it."""
-    slots = [p for d in cycles for p in _insert_slot_positions(received, d)]
+    Algorithm 1's slot test reinstates each cycle under it."""
+    cycle_slots = [(d, _insert_slot_positions(received, d)) for d in cycles]
+    slots = [p for _, ps in cycle_slots for p in ps]
     if not slots:
         raise DecodeFailure("no cycle-consistent insertion for the defective cycle")
     start, width = _signature_window(min(slots), max(slots), len(received))
     if width > params.window:
         raise DecodeFailure("defect window wider than the shifted-VT code tolerates")
-    sig = svt_decode(signature(received), start, params)
-    return _recover_each(received, cycles, sig)
+    own = signature(received)
+    return _recover_each(received, own, svt_decode(own, start, params), cycle_slots)
 
 
 def decode_svt1(instance: KnownDefectInstance, a: int, b: int) -> Strand:
     """Single known defect via the signature: the defect confines the missing
     signature bit to a five-wide window, which the shifted VT code corrects."""
-    received = instance.received
     if _shortfall(instance, "svt1", 1) == 0:
-        return received
-    found = svt1_candidates(received, instance.delta, SvtParams(a=a, b=b, window=5))
+        return instance.received
+    return _svt1_hit(instance.received, instance.delta, SvtParams(a=a, b=b, window=5))
+
+
+def _svt1_hit(received, delta, params: SvtParams) -> Strand:
+    """:func:`decode_svt1` once a symbol at a cycle of ``delta`` is known lost."""
+    found = svt1_candidates(received, delta, params)
     if len(found) != 1:
         raise DecodeFailure(f"{len(found)} insertions match the signature")
     return found.pop()
+
+
+def hit_decoder(spec: KdccSpec):
+    """The ``sum1`` or ``svt1`` decoder of a strand that lost its symbol at a
+    known cycle, as a function of (received, cycle) that returns the strand or
+    raises :class:`DecodeFailure`.
+
+    It skips the instance checks of :func:`decode`, which then takes the same
+    path, so ``received`` must be a strand over {1, 2, 3, 4} of length n - 1,
+    as a sweep over the codebook makes them."""
+    r = spec.residues
+    if spec.family == "sum1":
+        return lambda received, d: _sum1_hit(received, d, r["a"])
+    if spec.family == "svt1":
+        params = SvtParams(a=r["a"], b=r["b"], window=5)
+        return lambda received, d: _svt1_hit(received, (d,), params)
+    raise ParameterError(f"family {spec.family} corrects two defective cycles")
 
 
 def array1_candidates(received, d: int, params: ArrayCodeParams) -> set[Strand]:
@@ -303,11 +356,12 @@ def array1_candidates(received, d: int, params: ArrayCodeParams) -> set[Strand]:
     if not slots:
         return set()
     window = _signature_window(min(slots), max(slots), len(received))
+    own = signature(received)
     try:
-        sig = array_single_bounded_decode(signature(received), window, params)
+        sig = array_single_bounded_decode(own, window, params)
     except DecodeFailure:
         return set()
-    return _recover_each(received, (d,), sig)
+    return _recover_each(received, own, sig, [(d, slots)])
 
 
 def _slot_table(received, d1: int, d2: int) -> dict[int, tuple[Strand, list[int]]]:
@@ -398,9 +452,9 @@ def decode_array2(instance: KnownDefectInstance, params: ArrayCodeParams) -> Str
     one as the only hit; the code property guarantees a unique outcome.
     """
     k = _shortfall(instance, "array2", 2)
+    received = instance.received
     if k == 0:
-        return instance.received
-    received = as_strand(instance.received)
+        return received
     delta = tuple(sorted(instance.delta))
     if k == 1:
         found = {y for d in delta for y in array1_candidates(received, d, params)}

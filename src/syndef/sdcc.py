@@ -39,6 +39,7 @@ from .core import (
     default_regular_window,
     deleted_positions,
     is_regular,
+    matching_slots,
     pair_alignment,
     pair_slots,
     run_sequence,
@@ -247,30 +248,12 @@ def sdcc1_params_of(codeword: SdccCodeword, regular_window: int | None = None) -
                        window=window, regular_window=regular_window)
 
 
-def _matching_slots(word, value: int, sig, own) -> list[int]:
-    """1-based slots at which inserting ``value`` into ``word`` (whose own
-    signature is ``own``) gives a word whose signature is exactly ``sig``.
-
-    An insertion at slot p rewrites only signature bits p-1 and p (1-based):
-    the bits before them are the word's own and the bits after them the word's
-    moved one place right.  So slot p needs the common prefix of the word's
-    signature and ``sig`` to reach p-2, their common suffix to reach back to
-    p+1, and two bit comparisons.
-    """
-    n = len(word)
-    if len(sig) != n:
-        return []
-    return [p for p in range(n - common_suffix(own, sig), common_prefix(own, sig) + 3)
-            if (p == 1 or (value >= word[p - 2]) == sig[p - 2])
-            and (p == n + 1 or (word[p - 1] >= value) == sig[p - 1])]
-
-
 def _insert_matching_signature(word, value: int, sig) -> set[Strand]:
     """Words obtained by inserting ``value`` into ``word`` whose signature is
     exactly ``sig``."""
     own = () if len(word) == 1 else signature(word)
     return {word[:p - 1] + (value,) + word[p - 1:]
-            for p in _matching_slots(word, value, sig, own)}
+            for p in matching_slots(word, value, sig, own)}
 
 
 def _received_strands(received, count: int) -> tuple[Strand, ...]:

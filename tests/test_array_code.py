@@ -284,6 +284,14 @@ class TestBoundedDecode:
         with pytest.raises(ParameterError):
             array_bounded_decode((0,) * 5, [(1, 2), (4, 2)], p)
 
+    @pytest.mark.parametrize("intervals", [[(1, 1), (1, 1)], [(3, 1), (3, 1)]])
+    def test_two_deletions_at_one_position_rejected(self, intervals):
+        # the merged block has one position for two deletions; the fault is
+        # the intervals, not the received word's length
+        p = array_syndromes((0, 0, 0, 1), 1)
+        with pytest.raises(ParameterError, match=re.escape(str(intervals))):
+            array_bounded_decode((0, 1), intervals, p)
+
     def test_best_residue_redundancy(self):
         # the largest syndrome class at n=12, P=2 meets the pigeonhole bound
         import math

@@ -107,6 +107,59 @@ class TestVtDecode:
             vt_decode(b("111"), 0, 4, modulus=modulus)
 
 
+class TestDirectDecodersAgainstInsertions:
+    """The direct VT and shifted-VT decoders against building every insertion,
+    failure text included, for every received word whose codewords have
+    length at most 10."""
+
+    @staticmethod
+    def check(decode_once, matches, message):
+        if len(matches) == 1:
+            assert decode_once() == matches[0]
+        else:
+            with pytest.raises(DecodeFailure) as err:
+                decode_once()
+            assert str(err.value) == message
+
+    def test_vt_every_residue(self):
+        # from n+1 on each residue has at most one candidate; moduli 1 and 2
+        # leave several
+        for length in range(10):
+            n = length + 1
+            for received in all_words(length):
+                words = insertions(received)
+                for m in (1, 2, n + 1, n + 2, n + 5):
+                    by_residue = {}
+                    for w in words:
+                        by_residue.setdefault(vt_syndrome(w) % m, []).append(w)
+                    for a in range(m):
+                        matches = by_residue.get(a, [])
+                        self.check(lambda: vt_decode(received, a, n, modulus=m), matches,
+                                   f"{len(matches)} candidates consistent with VT residue "
+                                   f"{a} mod {m}")
+
+    @pytest.mark.parametrize("window, longest", [(1, 9), (2, 9), (5, 9), (6, 7), (9, 6)])
+    def test_svt_every_residue_parity_and_start(self, window, longest):
+        for length in range(longest + 1):
+            for received in all_words(length):
+                # starts off both ends: windows that miss the word, or meet
+                # only its first or last slot
+                for start in range(1 - window - 1, length + 3):
+                    lo, hi = max(1, start), min(length + 1, start + window - 1)
+                    by_key = {}
+                    for w in insertions(received, range(lo, hi + 1)):
+                        by_key.setdefault((vt_syndrome(w) % window, sum(w) % 2), []).append(w)
+                    for a in range(window):
+                        for parity in (0, 1):
+                            matches = by_key.get((a, parity), [])
+                            message = (f"{len(matches)} shifted-VT candidates in window "
+                                       f"[{lo}, {hi}]" if lo <= hi else
+                                       "deletion window does not meet the received word")
+                            params = SvtParams(a, parity, window)
+                            self.check(lambda: svt_decode(received, start, params),
+                                       matches, message)
+
+
 class TestSvt:
     @pytest.mark.parametrize("a, b, window", [(0, 0, 1.5), (0, 0, 5.0), (0, 0, 0),
                                               (5, 0, 5), (0, 2, 5)])

@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from syndef import cli
 from syndef.cli import main
@@ -81,10 +83,10 @@ class TestExitCodes:
         assert run_cli(argv) == 2
         assert "no sampled mode" in capsys.readouterr().err
 
-    def test_unknown_task_exits_two(self):
-        with pytest.raises(SystemExit) as err:
-            run_cli(["frobnicate", "--n", "4"])
-        assert err.value.code == 2
+    def test_unknown_task_exits_two(self, capsys):
+        # argparse's own usage errors come back as the return value too
+        assert run_cli(["frobnicate", "--n", "4"]) == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_known_flaw_reported_as_failure(self, tmp_path):
         # two interacting defects are sometimes ambiguous for the
@@ -98,6 +100,44 @@ class TestExitCodes:
             assert code == 1 and not data["passed"]
         else:
             assert code == 0
+
+
+# A small argv grammar: every task, and each option valid or malformed.  Valid
+# lengths stay at most 4, so that every exhaustive sweep is quick.
+LENGTHS = ["1", "2", "3", "4", "0", "-2", "x", "1.5", ""]
+OPTION_VALUES = {
+    "--m": ["1", "3", "8", "0", "-1", "x"],
+    "--t": ["1", "2", "3", "0", "x"],
+    "--mode": ["exhaustive", "sampled:3", "sampled:0", "sampled:x", "sampled:", "bogus"],
+    "--params": ["best", '{"a": 1}', '{"a": 1, "b": 0}', "{}", "[1, 2]", "{", '{"a": 9}',
+                 "null", "3", '{"a": [0, 1, 2, 0, 1, 2, 0, 1, 2], "b": 0}'],
+    "--family": ["sum1", "svt1", "array2", "bogus", ""],
+    "--seed": ["0", "7", "-1", "x"],
+}
+
+
+@st.composite
+def cli_argv(draw):
+    argv = [draw(st.sampled_from(sorted(cli.TASKS) + ["bogus"]))]
+    if draw(st.integers(0, 4)):  # --n is required; leave it out now and then
+        argv += ["--n", draw(st.sampled_from(LENGTHS))]
+    for option in draw(st.lists(st.sampled_from(sorted(OPTION_VALUES)), unique=True)):
+        argv += [option, draw(st.sampled_from(OPTION_VALUES[option]))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=cli_argv())
+def test_fuzzed_argv_exits_with_a_code(argv, tmp_path, capsys):
+    """Whatever the grammar draws, ``main`` returns 0, 1 or 2 and lets no
+    exception out; a usage error says so on stderr."""
+    code = run_cli(argv + ["--out", str(tmp_path / "report.json")])
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        err = capsys.readouterr().err
+        assert "usage error" in err or "usage:" in err, argv
+    capsys.readouterr()
 
 
 class TestArray2Modes:

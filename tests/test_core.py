@@ -106,6 +106,14 @@ class TestApplyDefects:
         assert apply_defects_tuple(c, {10}) == c
         assert apply_defects_tuple(c, set()) == c
 
+    def test_one_own_cycle_drops_its_one_symbol(self):
+        # a schedule is strictly increasing, so each cycle holds one symbol;
+        # the verify-kdcc sweep builds its single-cycle outputs this way
+        for n in range(7):
+            for x in all_strands(n):
+                for i, d in enumerate(cycles(x)):
+                    assert x[:i] + x[i + 1:] == apply_defects(x, {d}), (x, d)
+
 
 class TestConfusableBall:
     def test_four_insertions(self):

@@ -27,6 +27,7 @@ from syndef.kdcc import (
     decode_svt1,
     enumerate_codebook,
     even_position_sum,
+    hit_decoder,
     membership,
     spec_for_strand,
     syndrome_key,
@@ -243,6 +244,33 @@ class TestDecodeArray2:
         assert decode_array2(inst, array2_params(spec)) == x
 
 
+class TestHitDecoder:
+    """The sweep's decoder without the instance checks agrees with
+    :func:`decode`, failure text included."""
+
+    @staticmethod
+    def outcome(f):
+        try:
+            return f()
+        except DecodeFailure as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("family", ["sum1", "svt1"])
+    def test_agrees_with_decode(self, family):
+        for x in all_strands(4):
+            for spec in (spec_for_strand(family, x), spec_for_strand(family, x[::-1])):
+                recover = hit_decoder(spec)
+                for i, d in enumerate(cycles(x)):
+                    y = x[:i] + x[i + 1:]
+                    inst = KnownDefectInstance(y, (d,), 4)
+                    assert self.outcome(lambda: recover(y, d)) == \
+                        self.outcome(lambda: decode(spec, inst)), (x, d)
+
+    def test_two_defect_family_rejected(self):
+        with pytest.raises(ParameterError):
+            hit_decoder(spec_for_strand("array2", s("1234")))
+
+
 class TestInstanceValidation:
     """Malformed defective cycles or lengths are rejected when the instance is
     built, before any decoder sees them."""
@@ -263,6 +291,35 @@ class TestInstanceValidation:
     def test_malformed_length_rejected(self, n):
         with pytest.raises(ParameterError, match="positive integer"):
             KnownDefectInstance((1, 2, 3), (2, 3), n)
+
+    @pytest.mark.parametrize("received", [
+        (5, 1, 2),        # once decoded under sum1 to (3, 5, 1, 2)
+        ("a", "b", "c"),  # once a TypeError traceback
+        (1.5, 2, 3),      # once decoded under svt1
+        (0, 1, 2),
+        ([1], 2, 3),
+        "123",
+        None,
+    ])
+    def test_malformed_received_rejected(self, received):
+        with pytest.raises(ParameterError, match="symbols of"):
+            KnownDefectInstance(received, (3,), 4)
+
+    def test_received_normalised_to_a_tuple(self):
+        # a list once raised TypeError under sum1
+        x = s("2123")
+        d = cycles(x)[1]
+        inst = KnownDefectInstance(list(apply_defects(x, {d})), (d,), 4)
+        assert inst.received == apply_defects(x, {d})
+        assert decode_sum1(inst, spec_for_strand("sum1", x).residues["a"]) == x
+        assert decode_svt1(inst, **spec_for_strand("svt1", x).residues) == x
+
+    def test_empty_strand_when_every_symbol_can_be_lost(self):
+        # n = 1 and one defective cycle: the empty strand is a valid output
+        assert KnownDefectInstance((), (3,), 1).received == ()
+        assert decode_sum1(KnownDefectInstance((), (3,), 1), 0) == (3,)
+        with pytest.raises(ParameterError, match="shorter"):
+            KnownDefectInstance((), (3,), 2)
 
 
 class TestAgainstConfusableBall:
@@ -295,6 +352,14 @@ class TestAgainstConfusableBall:
             for d in sched:
                 inst = KnownDefectInstance(apply_defects(x, {d}), (d,), n)
                 self.expect(lambda: decode_svt1(inst, r["a"], r["b"]), x, "svt1", (d,))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_sum1_every_strand(self, n):
+        for x in all_strands(n):
+            a = spec_for_strand("sum1", x).residues["a"]
+            for d in cycles(x):
+                inst = KnownDefectInstance(apply_defects(x, {d}), (d,), n)
+                self.expect(lambda: decode_sum1(inst, a), x, "sum1", (d,))
 
 
 class TestResidueValidation:

@@ -19,14 +19,15 @@ from syndef.core import (
     cycles,
     deleted_positions,
     diff,
+    matching_slots,
     reinsertions,
     shift_symbols,
     signature,
     smod4,
     unshift_symbols,
 )
-from syndef.core import ParameterError
-from syndef.sdcc import _matching_slots, position_sums, symbol_counts_mod3
+from syndef.core import DecodeFailure, ParameterError
+from syndef.sdcc import position_sums, symbol_counts_mod3
 from syndef.sketch import EParams, from_bits, moment, moment_vector, to_bits, xi_value
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -82,7 +83,7 @@ class TestBenchmarkBindings:
         for name in ("core.insert_slot_positions", "core.apply_defects_shifted",
                      "kdcc.decode_array2", "array_code.array_bounded_decode",
                      "sdcc.channel", "sdcc.c2d_decode", "sketch.completions",
-                     "kdcc.decode_svt1", "sdcc.sdcc1_decode", "kdcc.algorithm1_recover",
+                     "kdcc.decode_svt1", "sdcc.sdcc1_decode",
                      "binary.svt_decode", "array_code.array_single_bounded_decode"):
             assert calls[f"{name}.calls"] > 0, name
 
@@ -234,9 +235,15 @@ class TestMatchingSlots:
                            for sig in (sigs[0], sigs[-1]) for i in range(len(sig))}
                 own = signature(w) if len(w) > 1 else ()
                 for sig in targets | set(got):
-                    assert _matching_slots(w, value, sig, own) == got.get(sig, []), \
+                    assert matching_slots(w, value, sig, own) == got.get(sig, []), \
                         (w, value, sig)
-                assert _matching_slots(w, value, (1,) * (len(w) + 1), own) == []
+                    # restricted to a run of slots, as Algorithm 1's one-cycle
+                    # case asks about one cycle's slots
+                    for lo in range(1, len(w) + 2 if len(w) <= 5 else 1):
+                        slots = range(lo, lo + 4)
+                        assert matching_slots(w, value, sig, own, slots) == [
+                            p for p in got.get(sig, []) if p in slots], (w, value, sig)
+                assert matching_slots(w, value, (1,) * (len(w) + 1), own) == []
 
 
 class TestDeletedPositions:
@@ -323,6 +330,41 @@ class TestPairReinsertions:
         assert kdcc._pair_reinsertions(r, signature(r), 2, 3, kdcc._slot_table(r, 2, 3),
                                        [signature(y)]) == {y}
         self.check(r, 2, 3, [signature(y), signature((2, 3, 4, 1, 1, 4, 3))])
+
+
+class TestOneCycleRecovery:
+    """Algorithm 1's one-cycle case by the slot test, against
+    ``algorithm1_recover`` once per cycle: every strand of length 3-6 under
+    each of its own cycles, with lists of one to four cycles around the true
+    one, under the true signature and one with a bit flipped."""
+
+    @staticmethod
+    def oracle(r, d, sig):
+        try:
+            return {kdcc.algorithm1_recover(r, (d,), sig)}
+        except DecodeFailure:
+            return set()
+
+    def test_every_strand_of_length_3_to_6(self):
+        for n in range(3, 7):
+            for x in all_strands(n):
+                sched = cycles(x)
+                sig = signature(x)
+                for i, d0 in enumerate(sched):
+                    r = x[:i] + x[i + 1:]
+                    own = signature(r)
+                    # the run's cycles four apart, as sdcc1 lists them, and the
+                    # next cycle, which carries another symbol
+                    near = [d for d in (d0 - 4, d0, d0 + 1, d0 + 4) if d >= 1]
+                    lists = [(d,) for d in near] + [
+                        tuple(d for d in (d0 - 4, d0, d0 + 4) if d >= 1), tuple(near)]
+                    j = min(i, n - 2)  # a bit next to the lost symbol
+                    slots = {d: _insert_slot_positions(r, d) for d in near}
+                    for target in (sig, sig[:j] + (1 - sig[j],) + sig[j + 1:]):
+                        want = {d: self.oracle(r, d, target) for d in near}
+                        for ds in lists:
+                            got = kdcc._recover_each(r, own, target, [(d, slots[d]) for d in ds])
+                            assert got == set().union(*(want[d] for d in ds)), (r, ds, target)
 
 
 class TestSyndromes:
