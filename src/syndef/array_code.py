@@ -21,7 +21,7 @@ from functools import cache, cached_property, lru_cache
 from itertools import compress, product
 
 from .binary import as_bits
-from .core import Bits, DecodeFailure, ParameterError, is_subsequence
+from .core import Bits, DecodeFailure, ParameterError, as_spans, is_subsequence
 
 Interval = tuple[int, int]  # (start, length), 1-based start
 
@@ -126,10 +126,10 @@ def _normalize_windows(bursts, rows: int, padded: int) -> list[Interval]:
     return [(t, P), (t + P, P)]
 
 
-def _solve_rows(word: list, bursts, params: ArrayCodeParams) -> Bits:
+def _solve_rows(word: list, bursts, params: ArrayCodeParams) -> list:
     """Fill the erasure bursts (``None``) of a length-``params.length`` list
     of bits: widen them into two disjoint length-P windows, pad the word with
-    zeros and solve each row."""
+    zeros and solve each row.  Returns the padded word."""
     P = params.rows
     windows = _normalize_windows(bursts, P, params.padded)
     word = word + [0] * (params.padded - params.length)
@@ -160,7 +160,7 @@ def _solve_rows(word: list, bursts, params: ArrayCodeParams) -> Bits:
             f"{len(matches)} row assignments consistent with the weighted VT residue")
     for c, (p_k, p_l) in zip(matches[0], ambiguous):
         word[p_k], word[p_l] = (1, 0) if c == 0 else (0, 1)
-    return tuple(word[:params.length])
+    return word
 
 
 def _subset_sums(deltas) -> list[int]:
@@ -194,17 +194,6 @@ def _assignments_matching(deltas, target: int, modulus: int):
             for j in left.get((target - s) % modulus, ())]
 
 
-def _spans(spans, what: str) -> list[Interval]:
-    """``spans`` checked to be (start, length) pairs of integers."""
-    out = []
-    for span in spans:
-        if not (isinstance(span, (tuple, list)) and len(span) == 2
-                and type(span[0]) is type(span[1]) is int):
-            raise ParameterError(f"{what} must be a (start, length) pair of integers, got {span!r}")
-        out.append(tuple(span))
-    return out
-
-
 def array_erasure_decode(received, burst_positions, params: ArrayCodeParams) -> Bits:
     """Recover a codeword from two bursts of erasures.
 
@@ -217,7 +206,7 @@ def array_erasure_decode(received, burst_positions, params: ArrayCodeParams) -> 
         raise ParameterError("received word has the wrong length")
     if not set(received) <= _KNOWN:
         raise ParameterError("known symbols must be bits")
-    burst_positions = _spans(burst_positions, "a burst")
+    burst_positions = as_spans(burst_positions, "a burst")
     declared = set()
     for s, l in burst_positions:
         declared.update(range(s, s + l))
@@ -226,7 +215,7 @@ def array_erasure_decode(received, burst_positions, params: ArrayCodeParams) -> 
         raise ParameterError("erasure outside the declared bursts")
     if not nones:
         return tuple(int(b) for b in received)
-    return _solve_rows(received, burst_positions, params)
+    return tuple(_solve_rows(received, burst_positions, params)[:params.length])
 
 
 @lru_cache(maxsize=64, typed=True)
@@ -246,18 +235,11 @@ def _column_word(params: ArrayCodeParams) -> Bits:
     return word
 
 
-def _single_column_word(received: Bits, params: ArrayCodeParams) -> Bits:
-    """The one-column word of ``params``; it must still contain ``received``."""
-    word = _column_word(params)
-    if not is_subsequence(received, word):
-        raise DecodeFailure("recovered word cannot reproduce the received bits")
-    return word
-
-
 def _deletions_to_erasures(received: Bits, intervals, params: ArrayCodeParams):
     """Re-express ``k`` deletions at known intervals as ``k`` bursts of
-    erasures: bits outside the intervals return to their true positions, the
-    intervals themselves are treated as unknown."""
+    erasures, one deletion each: bits outside the bursts return to their true
+    positions, the bursts themselves are treated as unknown.  Overlapping
+    intervals make one block, split into two halves."""
     n = params.length
     intervals = sorted(intervals)
     for s, l in intervals:
@@ -270,53 +252,30 @@ def _deletions_to_erasures(received: Bits, intervals, params: ArrayCodeParams):
         raise ParameterError(f"expected length {n - k}, got {len(received)}")
 
     if k == 2 and intervals[1][0] <= intervals[0][0] + intervals[0][1] - 1:
-        # Overlapping intervals collapse to one unknown block.
         (s1, l1), (s2, l2) = intervals
         hi = max(s1 + l1 - 1, s2 + l2 - 1)
         if hi == s1:
             raise ParameterError(
                 f"two deletions cannot share the one position of intervals {intervals}")
-        blocks = [(s1, hi - s1 + 1)]
-        drops = [hi - s1 + 1 - 2]
-    else:
-        blocks = intervals
-        drops = [l - 1 for s, l in intervals]
+        half = (hi - s1 + 2) // 2
+        intervals = [(s1, half), (s1 + half, hi - s1 + 1 - half)]
 
     word: list[int | None] = [None] * n
     cursor = 0
     pos = 1
-    shifted = list(received)
-    for (s, l), drop in zip(blocks, drops):
+    for s, l in intervals:
         take = s - pos
-        word[pos - 1:pos - 1 + take] = shifted[cursor:cursor + take]
-        cursor += take + drop
+        word[pos - 1:pos - 1 + take] = received[cursor:cursor + take]
+        cursor += take + l - 1
         pos = s + l
-    word[pos - 1:] = shifted[cursor:]
-    return word, blocks
+    word[pos - 1:] = received[cursor:]
+    return word, intervals
 
 
 def array_bounded_decode(received, intervals, params: ArrayCodeParams) -> Bits:
     """Recover a codeword from two deletions, each confined to a declared
     interval of length at most ``params.rows``."""
-    received = as_bits(received)
-    if len(received) != params.length - 2:
-        raise ParameterError(f"expected length {params.length - 2}, got {len(received)}")
-    intervals = _spans(intervals, "an interval")
-    if params.padded == params.rows:
-        return _single_column_word(received, params)
-    word, blocks = _deletions_to_erasures(received, intervals, params)
-    if len(blocks) == 1:
-        s, l = blocks[0]
-        half = (l + 1) // 2
-        bursts = [(s, half), (s + half, l - half)]
-    else:
-        bursts = blocks
-    decoded = _solve_rows(word, bursts, params)
-    lo = min(s for s, l in blocks)
-    hi = max(s + l - 1 for s, l in blocks)
-    if not is_subsequence(received[lo - 1:hi - 1 - 1], decoded[lo - 1:hi]):
-        raise DecodeFailure("recovered word cannot reproduce the received bits")
-    return decoded
+    return _bounded_decode(received, intervals, params, 2)
 
 
 def array_single_bounded_decode(received, interval: Interval, params: ArrayCodeParams) -> Bits:
@@ -325,27 +284,60 @@ def array_single_bounded_decode(received, interval: Interval, params: ArrayCodeP
     Each array row loses at most one bit, so the row sums determine every
     missing bit outright; the weighted VT residue is checked as a guard.
     """
+    return _bounded_decode(received, [interval], params, 1)
+
+
+def _bounded_decode(received, intervals, params: ArrayCodeParams, k: int) -> Bits:
+    """Recover a codeword from ``k`` (one or two) deletions confined to the
+    declared intervals.  Widening them into row windows also erases known
+    bits, pads included, so a word is returned only if its pads are 0 and it
+    loses ``k`` bits inside the intervals to give ``received``."""
     received = as_bits(received)
-    if len(received) != params.length - 1:
-        raise ParameterError(f"expected length {params.length - 1}, got {len(received)}")
-    intervals = _spans([interval], "an interval")
+    if len(received) != params.length - k:
+        raise ParameterError(f"expected length {params.length - k}, got {len(received)}")
+    word, blocks = _deletions_to_erasures(received, as_spans(intervals, "an interval"), params)
     if params.padded == params.rows:
-        return _single_column_word(received, params)
-    word, blocks = _deletions_to_erasures(received, intervals, params)
-    (s, l) = blocks[0]
+        filled = _column_word(params)
+    elif k == 1:
+        filled = _fill_single(word, blocks[0], params)
+    else:
+        filled = _solve_rows(word, blocks, params)
+    decoded = tuple(filled[:params.length])
+    # One deletion per block, or both deletions inside one block.
+    if any(filled[params.length:]) or not (
+            _fits(decoded, received, blocks, 1)
+            or k == 2 and any(_fits(decoded, received, [b], 2) for b in blocks if b[1] > 1)):
+        raise DecodeFailure("recovered word cannot reproduce the received bits")
+    return decoded
+
+
+def _fits(word: Bits, received: Bits, blocks, lost: int) -> bool:
+    """Does ``word`` give ``received`` when each of ``blocks`` loses ``lost``
+    of its bits and every other bit stays?"""
+    pos = cursor = 0
+    for s, l in blocks:
+        end = cursor + s - 1 - pos
+        if word[pos:s - 1] != received[cursor:end] or not is_subsequence(
+                received[end:end + l - lost], word[s - 1:s - 1 + l]):
+            return False
+        cursor, pos = end + l - lost, s - 1 + l
+    return word[pos:] == received[cursor:]
+
+
+def _fill_single(word: list, block: Interval, params: ArrayCodeParams) -> list:
+    """Fill the erasure ``block`` of a length-``params.length`` list of bits
+    from the row sums; returns the padded word."""
+    (s, l) = block
     P, N = params.rows, params.padded
     # One length-P window around the block holds one position of every row.
-    a = max(1, min(s + l - 1, N) - P + 1) - 1
-    out = word + [0] * (N - params.length)
-    out[a:a + P] = [None] * P
+    a = max(1, s + l - P) - 1
+    word = word + [0] * (N - params.length)
+    word[a:a + P] = [None] * P
     for i, row_sum in enumerate(params.row_sums):
-        d = (row_sum - out[i::P].count(1)) % 3
+        d = (row_sum - word[i::P].count(1)) % 3
         if d == 2:
             raise DecodeFailure("row sum inconsistent with a single missing bit")
-        out[a + (i - a) % P] = d
-    candidate = tuple(out[:params.length])
-    if not is_member(candidate, params):
+        word[a + (i - a) % P] = d
+    if _weighted(word, P) % params.modulus != params.weighted_vt:
         raise DecodeFailure("weighted VT residue mismatch after single-deletion fill")
-    if not is_subsequence(received[s - 1:s + l - 2], candidate[s - 1:s + l - 1]):
-        raise DecodeFailure("recovered word cannot reproduce the received bits")
-    return candidate
+    return word

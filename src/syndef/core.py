@@ -38,14 +38,29 @@ def smod4(value: int) -> int:
 
 
 def as_strand(symbols) -> Strand:
-    """Validate and normalise a quaternary word."""
-    word = tuple(map(int, symbols))
+    """Validate and normalise a quaternary word: a non-empty sequence of the
+    ints 1 to 4, where a float, a string or a bool is no symbol."""
+    word = tuple(symbols)
     if not word:
         raise ParameterError("empty strand")
-    if not set(word) <= _SYMBOLS:
-        bad = next(s for s in word if s not in _SYMBOLS)
+    if set(map(type, word)) != {int} or not _SYMBOLS.issuperset(word):
+        bad = next(s for s in word if type(s) is not int or s not in _SYMBOLS)
         raise ParameterError(f"symbol {bad!r} outside alphabet {{1,2,3,4}}")
     return word
+
+
+def as_spans(spans, what: str) -> list[tuple[int, int]]:
+    """``spans`` checked to be (start, length) pairs of integers (not bools);
+    ``what`` names one pair in the error."""
+    try:
+        spans = list(spans)
+    except TypeError:
+        raise ParameterError(f"(start, length) pairs expected, got {spans!r}") from None
+    for span in spans:
+        if not (isinstance(span, (tuple, list)) and len(span) == 2
+                and type(span[0]) is type(span[1]) is int):
+            raise ParameterError(f"{what} must be a (start, length) pair of integers, got {span!r}")
+    return [tuple(span) for span in spans]
 
 
 def all_strands(n: int):
@@ -191,6 +206,13 @@ def matching_slots(word: Strand, value: int, sig: Bits, own: Bits, slots=None) -
             if lo <= p <= hi
             and (p == 1 or (value >= word[p - 2]) == sig[p - 2])
             and (p == n + 1 or (word[p - 1] >= value) == sig[p - 1])]
+
+
+def matching_insertions(word: Strand, value: int, sig: Bits, own: Bits, slots=None) -> set[Strand]:
+    """Every distinct word whose signature is ``sig`` that inserting ``value``
+    into ``word`` gives, at the slots of :func:`matching_slots`."""
+    return {word[:p - 1] + (value,) + word[p - 1:]
+            for p in matching_slots(word, value, sig, own, slots)}
 
 
 def pair_alignment(own: Bits, sig: Bits) -> tuple[int, int, list[int]]:

@@ -9,8 +9,8 @@ signature into the 9-row array code and corrects two defects.
 This module owns known-cycle strand recovery: the signature window an
 insertion slot confines, the windowed shifted-VT and array decodes, and
 Algorithm 1's reinsertion.  The tuple codes in :mod:`syndef.sdcc` decode their
-remaining strands through :func:`svt1_candidates`, :func:`array1_candidates`
-and :func:`array2_candidates` once the cover strands localise the defect.
+remaining strands through :func:`svt1_candidates` and :func:`array_candidates`
+once the cover strands localise the defect.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .core import (
     all_strands,
     apply_defects,
     as_strand,
-    matching_slots,
+    matching_insertions,
     pair_alignment,
     pair_slots,
     reinsertions,
@@ -47,7 +47,6 @@ FAMILIES = ("sum1", "svt1", "array2")
 ARRAY2_ROWS = 9
 # _STEP_BITS[last - 1]: the signature bit that each next symbol adds after ``last``.
 _STEP_BITS = tuple(tuple(int(v >= last) for v in ALPHABET) for last in ALPHABET)
-_SYMBOL = {v: v for v in ALPHABET}
 
 
 def _below(value, bound: int) -> bool:
@@ -99,7 +98,11 @@ class KdccSpec:
 
     @staticmethod
     def from_json(data) -> "KdccSpec":
-        return KdccSpec(family=data["family"], n=data["n"], residues=data["residues"])
+        try:
+            family, n, residues = data["family"], data["n"], data["residues"]
+        except (KeyError, TypeError):
+            raise ParameterError("malformed codebook spec") from None
+        return KdccSpec(family=family, n=n, residues=residues)
 
 
 @dataclass(frozen=True)
@@ -119,8 +122,9 @@ class KnownDefectInstance:
             raise ParameterError(
                 f"defective cycles must be distinct positive integers, got {self.delta!r}")
         try:
-            received = tuple(map(_SYMBOL.__getitem__, self.received))
-        except (KeyError, TypeError):  # a symbol outside the alphabet, or no strand
+            received = tuple(self.received)
+            received = as_strand(received) if received else ()
+        except (ParameterError, TypeError):  # a symbol outside the alphabet, or no strand
             raise ParameterError("received strand must hold symbols of {1,2,3,4}, "
                                  f"got {self.received!r}") from None
         object.__setattr__(self, "received", received)
@@ -285,18 +289,16 @@ def _recover_each(received, own, sig, cycle_slots) -> set[Strand]:
     """Algorithm 1's one-cycle case, once per (cycle, insertion slots) pair
     of ``cycle_slots``, where ``own`` is the signature of ``received``: a
     cycle's word is kept exactly when one of its slots gives the signature
-    ``sig`` (:func:`matching_slots`).
+    ``sig`` (:func:`matching_insertions`).
 
     Distinct slots give distinct words, and the one symbol a single-cycle
     reinsertion puts at that cycle is the inserted one, so Algorithm 1's
     channel re-check holds by construction."""
     found = set()
     for d, slots in cycle_slots:
-        value = smod4(d)
-        hits = matching_slots(received, value, sig, own, slots)
-        if len(hits) == 1:
-            p = hits[0]
-            found.add(received[:p - 1] + (value,) + received[p - 1:])
+        words = matching_insertions(received, smod4(d), sig, own, slots)
+        if len(words) == 1:
+            found.update(words)
     return found
 
 
@@ -346,22 +348,6 @@ def hit_decoder(spec: KdccSpec):
         params = SvtParams(a=r["a"], b=r["b"], window=5)
         return lambda received, d: _svt1_hit(received, (d,), params)
     raise ParameterError(f"family {spec.family} corrects two defective cycles")
-
-
-def array1_candidates(received, d: int, params: ArrayCodeParams) -> set[Strand]:
-    """One known defect that hit at cycle ``d``: the reinsertions of
-    ``received`` whose signature the array code recovers from the insertion
-    window; none when there is no slot or the decode fails."""
-    slots = _insert_slot_positions(received, d)
-    if not slots:
-        return set()
-    window = _signature_window(min(slots), max(slots), len(received))
-    own = signature(received)
-    try:
-        sig = array_single_bounded_decode(own, window, params)
-    except DecodeFailure:
-        return set()
-    return _recover_each(received, own, sig, [(d, slots)])
 
 
 def _slot_table(received, d1: int, d2: int) -> dict[int, tuple[Strand, list[int]]]:
@@ -444,6 +430,27 @@ def array2_candidates(received, delta, params: ArrayCodeParams) -> set[Strand]:
     return _pair_reinsertions(received, own, d1, d2, table, sigs)
 
 
+def array_candidates(received, delta, lost: int, params: ArrayCodeParams) -> set[Strand]:
+    """The reinsertions of ``received`` whose signature the array code
+    recovers once it ``lost`` symbols to the cycles of ``delta``: two, one per
+    cycle, as in :func:`array2_candidates`, or one at any cycle, where a cycle
+    without slots or whose insertion window does not decode gives none."""
+    if lost == 2:
+        return array2_candidates(received, delta, params)
+    own = signature(received)
+    found = set()
+    for d in delta:
+        slots = _insert_slot_positions(received, d)
+        if slots:
+            window = _signature_window(min(slots), max(slots), len(received))
+            try:
+                sig = array_single_bounded_decode(own, window, params)
+            except DecodeFailure:
+                continue
+            found |= _recover_each(received, own, sig, [(d, slots)])
+    return found
+
+
 def decode_array2(instance: KnownDefectInstance, params: ArrayCodeParams) -> Strand:
     """Two known defects: signature windows of widths 5 and 9 feed the array
     code, and the cycle structure reinstates the symbols.
@@ -456,11 +463,8 @@ def decode_array2(instance: KnownDefectInstance, params: ArrayCodeParams) -> Str
     if k == 0:
         return received
     delta = tuple(sorted(instance.delta))
-    if k == 1:
-        found = {y for d in delta for y in array1_candidates(received, d, params)}
-    else:
-        found = array2_candidates(received, delta, params)
-    found = {y for y in found if apply_defects(y, delta) == received}
+    found = {y for y in array_candidates(received, delta, k, params)
+             if apply_defects(y, delta) == received}
     if len(found) != 1:
         hits = "one hit" if k == 1 else "two hits"
         raise DecodeFailure(f"{len(found)} strands consistent with {hits}")

@@ -39,7 +39,7 @@ from .core import (
     default_regular_window,
     deleted_positions,
     is_regular,
-    matching_slots,
+    matching_insertions,
     pair_alignment,
     pair_slots,
     run_sequence,
@@ -48,7 +48,7 @@ from .core import (
     smod4,
     unshift_symbols,
 )
-from .kdcc import array1_candidates, array2_candidates, svt1_candidates
+from .kdcc import array_candidates, svt1_candidates
 from .rng import SplitMix
 from .sketch import _completions, moment_vector
 
@@ -112,7 +112,7 @@ def _shift_range(sched, n: int) -> tuple[int, int]:
     return 1 - sched[0], 4 * n - sched[-1]
 
 
-def select_cover_shifts(strands, n: int | None = None) -> CoverPlan:
+def select_cover_shifts(strands) -> CoverPlan:
     """Greedy shift selection: each of the four template blocks is covered by
     its own group of strands, every step claiming at least a quarter of the
     still-uncovered cycles of the block window.
@@ -122,10 +122,9 @@ def select_cover_shifts(strands, n: int | None = None) -> CoverPlan:
     which is what the quarter-per-step pigeonhole needs.
     """
     strands = [tuple(s) for s in strands]
-    if n is None:
-        n = len(strands[0])
-    if len(strands) % 4 != 0:
+    if not strands or len(strands) % 4 != 0:
         raise ParameterError("cover strands must split into four block groups")
+    n = len(strands[0])
     group = len(strands) // 4
     shifts: list[int] = []
     for block in range(4):
@@ -190,12 +189,16 @@ class SdccCodeword:
 
     @staticmethod
     def from_json(data) -> "SdccCodeword":
-        cw = SdccCodeword(strands=tuple(as_strand(s) for s in data["strands"]),
-                          shifts=tuple(data["shifts"]))
+        try:
+            n, m, cover_count = data["n"], data["m"], data["cover_count"]
+            cw = SdccCodeword(strands=tuple(map(as_strand, data["strands"])),
+                              shifts=tuple(data["shifts"]))
+        except (KeyError, TypeError):
+            raise ParameterError("malformed tuple codeword") from None
         if not cw.strands:
             raise ParameterError("a tuple needs at least one strand")
-        if len(cw.strands) != data["m"] or cw.cover_count != data["cover_count"] \
-                or any(len(s) != data["n"] for s in cw.strands):
+        if len(cw.strands) != m or cw.cover_count != cover_count \
+                or any(len(s) != n for s in cw.strands):
             raise ParameterError("tuple JSON header disagrees with payload")
         if cw.cover_count > len(cw.strands):
             raise ParameterError("more shifts than strands")
@@ -225,19 +228,17 @@ class Sdcc1Params:
     d: tuple[int, ...]
     e: tuple[int, ...]
     window: int
-    regular_window: int
 
 
-def sdcc1_params_of(codeword: SdccCodeword, regular_window: int | None = None) -> Sdcc1Params:
+def sdcc1_params_of(codeword: SdccCodeword) -> Sdcc1Params:
     """Read the residues off a tuple, making it a member of its own class."""
     n = codeword.n
     window = min(localization_window(n), n - 2)
-    regular_window = regular_window or default_regular_window(n)
     s, b, d, e = [], [], [], []
     for x in codeword.bases():
         s.append(sum(x) % 4)
         sig = signature(x)
-        if not is_regular(sig, regular_window):
+        if not is_regular(sig, default_regular_window(n)):
             raise ParameterError("cover signature is not regular at this window")
         b.append(vt_syndrome(sig) % (n + 1))
     for strand in codeword.strands[codeword.cover_count:]:
@@ -245,15 +246,7 @@ def sdcc1_params_of(codeword: SdccCodeword, regular_window: int | None = None) -
         d.append(vt_syndrome(sig) % (window + 1))
         e.append(weight(sig) % 2)
     return Sdcc1Params(n=n, s=tuple(s), b=tuple(b), d=tuple(d), e=tuple(e),
-                       window=window, regular_window=regular_window)
-
-
-def _insert_matching_signature(word, value: int, sig) -> set[Strand]:
-    """Words obtained by inserting ``value`` into ``word`` whose signature is
-    exactly ``sig``."""
-    own = () if len(word) == 1 else signature(word)
-    return {word[:p - 1] + (value,) + word[p - 1:]
-            for p in matching_slots(word, value, sig, own)}
+                       window=window)
 
 
 def _received_strands(received, count: int) -> tuple[Strand, ...]:
@@ -287,9 +280,10 @@ def sdcc1_decode(received, plan: CoverPlan, params: Sdcc1Params):
     for i in [i for i in shortened if i < cover_count]:
         a = plan.shifts[i]
         x_short = unshift_symbols(received[i], a)
-        sig = vt_decode(signature(x_short), params.b[i], n - 1, modulus=n + 1)
+        own = signature(x_short)
+        sig = vt_decode(own, params.b[i], n - 1, modulus=n + 1)
         value = smod4(params.s[i] - sum(x_short))
-        words = _insert_matching_signature(x_short, value, sig)
+        words = matching_insertions(x_short, value, sig, own)
         if len(words) != 1:
             raise DecodeFailure("cover strand reconstruction is not unique")
         x = words.pop()
@@ -423,8 +417,8 @@ def c2d_decode(received, params: C2dParams) -> Strand:
     for sig in sig_candidates:
         if not is_regular(sig, params.regular_window):
             continue
-        words = (_insert_matching_signature(received, values[0], sig) if k == 1
-                 else _double_insertions_matching(received, values, sig))
+        words = (matching_insertions(received, values[0], sig, sig_short) if k == 1
+                 else _double_insertions_matching(received, values, sig, sig_short))
         if words:
             runs = run_sequence(sig)
             survivors.update(y for y in words if _strand_checks(y, runs, params))
@@ -433,14 +427,14 @@ def c2d_decode(received, params: C2dParams) -> Strand:
     return survivors.pop()
 
 
-def _double_insertions_matching(received, values, sig) -> set[Strand]:
+def _double_insertions_matching(received, values, sig, own) -> set[Strand]:
     """Words reached by inserting the two values (in either order) whose
-    signature equals ``sig``: the received signature is aligned against the
-    target once, and :func:`pair_slots` tests each slot pair."""
+    signature equals ``sig``, where ``own`` is the signature of ``received``
+    (empty below two symbols): :func:`pair_slots` tests each slot pair."""
     m = len(received)
     if len(sig) != m + 1:
         return set()
-    alignment = pair_alignment(signature(received) if m >= 2 else (), sig)
+    alignment = pair_alignment(own, sig)
     out: set[Strand] = set()
     for v1, v2 in {(values[0], values[1]), (values[1], values[0])}:
         for p, q in pair_slots(received, v1, v2, sig, alignment, range(1, m + 2)):
@@ -464,20 +458,18 @@ class Sdcc2Params:
     sig_arrays: tuple[ArrayCodeParams, ...]
     position_sums: tuple[tuple[int, ...], ...]
     pos_modulus: int
-    sig_rows: int
 
 
-def sdcc2_params_of(codeword: SdccCodeword, regular_window: int | None = None,
-                    sig_rows: int | None = None) -> Sdcc2Params:
+def sdcc2_params_of(codeword: SdccCodeword) -> Sdcc2Params:
     n = codeword.n
-    rows = sig_rows or min(localization_window(n), n - 1)
+    rows = min(localization_window(n), n - 1)
     m = position_sum_modulus(n)
-    cover = tuple(c2d_params_of(x, regular_window) for x in codeword.bases())
+    cover = tuple(c2d_params_of(x) for x in codeword.bases())
     rest = codeword.strands[codeword.cover_count:]
     arrays = tuple(array_syndromes(signature(s), rows) for s in rest)
     sums = tuple(position_sums(s, m) for s in rest)
     return Sdcc2Params(n=n, cover=cover, sig_arrays=arrays,
-                       position_sums=sums, pos_modulus=m, sig_rows=rows)
+                       position_sums=sums, pos_modulus=m)
 
 
 def _cover_delta_options(x: Strand, short: Strand, sched) -> set[frozenset]:
@@ -505,19 +497,12 @@ def _cover_delta_options(x: Strand, short: Strand, sched) -> set[frozenset]:
 
 
 def _remaining_strand_decode(r, delta, arr: ArrayCodeParams, sums, m, n):
-    """Decode one remaining strand under a fixed defective-cycle hypothesis."""
-    k = n - len(r)
-    if k == 0:
-        return {r}
-    if k == 1:
-        words = {y for d in delta for y in array1_candidates(r, d, arr)}
-    elif len(delta) != 2:
+    """Decode one hit remaining strand under a fixed defective-cycle hypothesis."""
+    lost = n - len(r)
+    try:
+        words = array_candidates(r, delta, lost, arr) if lost <= len(delta) else set()
+    except DecodeFailure:
         return set()
-    else:
-        try:
-            words = array2_candidates(r, delta, arr)
-        except DecodeFailure:
-            return set()
     return {y for y in words if position_sums(y, m) == sums}
 
 
@@ -617,29 +602,24 @@ def template_strand(n: int, start: int) -> Strand:
     return tuple(smod4(start + i) for i in range(n))
 
 
-def random_member_1sdcc(n: int, m: int, seed: int = 0,
-                        regular_window: int | None = None):
+def random_member_1sdcc(n: int, m: int, seed: int = 0):
     """A deterministic member tuple with four template cover strands (one per
     block) and seeded random remaining strands, together with its plan and
     derived residues."""
     codeword, plan = _seeded_member(n, m, seed, 4)
-    return codeword, plan, sdcc1_params_of(codeword, regular_window)
+    return codeword, plan, sdcc1_params_of(codeword)
 
 
-def random_member_2sdcc(n: int, m: int, seed: int = 0, cover_count: int = 8,
-                        regular_window: int | None = None,
-                        sig_rows: int | None = None):
-    """As above for the double-defect code, with ``cover_count / 4`` cover
-    strands per block: one template strand, the rest seeded random."""
-    codeword, plan = _seeded_member(n, m, seed, cover_count)
-    return codeword, plan, sdcc2_params_of(codeword, regular_window, sig_rows)
+def random_member_2sdcc(n: int, m: int, seed: int = 0):
+    """As above for the double-defect code, with eight cover strands, two per
+    block: one template strand and one seeded random."""
+    codeword, plan = _seeded_member(n, m, seed, 8)
+    return codeword, plan, sdcc2_params_of(codeword)
 
 
 def _seeded_member(n: int, m: int, seed: int, cover_count: int):
     """(codeword, plan) of a seeded tuple: per block one template strand and
     cover_count / 4 - 1 random ones, then m - cover_count random strands."""
-    if cover_count % 4 != 0:
-        raise ParameterError("cover count must split into four blocks")
     if m < cover_count:
         raise ParameterError(f"m={m} is below the cover count {cover_count}")
     rng = SplitMix(seed)
@@ -650,6 +630,6 @@ def _seeded_member(n: int, m: int, seed: int, cover_count: int):
         for _ in range(per_block - 1):
             covers.append(rng.strand(n))
     rest = [rng.strand(n) for _ in range(m - cover_count)]
-    plan = select_cover_shifts(covers, n)
+    plan = select_cover_shifts(covers)
     strands = tuple(shift_symbols(x, a) for x, a in zip(covers, plan.shifts))
     return SdccCodeword(strands=strands + tuple(rest), shifts=plan.shifts), plan

@@ -27,7 +27,8 @@ from itertools import accumulate, combinations, compress, product
 from math import comb
 
 from .binary import as_bits, insertions, vt_decode, weight
-from .core import Bits, ConstructionError, DecodeFailure, ParameterError, deleted_positions
+from .core import (Bits, ConstructionError, DecodeFailure, ParameterError, as_spans,
+                   deleted_positions)
 
 MOMENT_ORDERS = (1, 2, 3, 4)
 
@@ -167,7 +168,7 @@ def _reinsert_in_intervals(word: Bits, intervals, length: int) -> set[Bits]:
 def _checked_intervals(intervals, length: int, P: int) -> list[tuple[int, int]]:
     """The two declared deletion intervals, sorted; each must lie inside
     [1, ``length``] and span at most ``P`` positions."""
-    intervals = sorted((s, l) for s, l in intervals)
+    intervals = sorted(as_spans(intervals, "an interval"))
     for s, l in intervals:
         if l < 1 or s < 1 or s + l - 1 > length:
             raise ParameterError("malformed deletion interval")

@@ -362,7 +362,7 @@ def test_criterion_09_cover_selection():
         for trial in range(sets):
             rng = SplitMix(n * 100000 + trial)
             strands = [rng.strand(n) for _ in range(count)]
-            plan = select_cover_shifts(strands, n)  # asserts quarter-claims
+            plan = select_cover_shifts(strands)  # asserts quarter-claims
             assert plan_covers(strands, plan)
             total += 1
     announce(9, True,

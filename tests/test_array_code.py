@@ -3,7 +3,7 @@
 import random
 import re
 from dataclasses import FrozenInstanceError, replace
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -11,7 +11,6 @@ from syndef.array_code import (
     ArrayCodeParams,
     _assignments_matching,
     _column_word,
-    _single_column_word,
     array_bounded_decode,
     array_erasure_decode,
     array_single_bounded_decode,
@@ -225,6 +224,11 @@ class TestIntegerChecks:
         with pytest.raises(ParameterError, match="a burst must be a"):
             array_erasure_decode(erase(self.x, [(1, 2), (6, 2)]), [span, (6, 2)], p)
 
+    def test_bursts_not_a_sequence(self):
+        p = array_syndromes(self.x, 2)
+        with pytest.raises(ParameterError, match="pairs expected"):
+            array_erasure_decode(erase(self.x, [(1, 2), (6, 2)]), 7, p)
+
 
 class TestAssignmentsMatching:
     @staticmethod
@@ -333,7 +337,7 @@ class TestSingleColumnWord:
     def test_word_recovered(self):
         p = array_syndromes(self.x, 9)
         for _ in range(2):
-            assert _single_column_word(b("11010"), p) == self.x
+            assert array_bounded_decode(b("11010"), [(6, 1), (7, 1)], p) == self.x
 
     @pytest.mark.parametrize("case, message", [
         ("row sum 2", "single-column row sums are not bits"),
@@ -354,4 +358,60 @@ class TestSingleColumnWord:
             received = b("00000")
         for _ in range(2):
             with pytest.raises(DecodeFailure, match=f"^{message}$"):
-                _single_column_word(received, p)
+                array_bounded_decode(received, [(6, 1), (7, 1)], p)
+
+
+class TestBoundedDecodeFailsClosed:
+    """A bounded decode returns a word only if deleting one of its bits per
+    deletion, inside the union of the intervals, gives the received word.
+    Widening the intervals into row windows erases known bits too, and the
+    single-column shortcut ignores the intervals; neither may let a
+    contradicting word through."""
+
+    @staticmethod
+    def reproduces(word, received, intervals, k):
+        union = sorted({p for s, l in intervals for p in range(s, s + l)})
+        return any(tuple(v for i, v in enumerate(word, start=1) if i not in drop) == received
+                   for drop in combinations(union, k))
+
+    @pytest.mark.parametrize("decode, received, intervals, x, rows", [
+        (array_single_bounded_decode, "110", (4, 1), "1111", 2),
+        (array_bounded_decode, "11", [(1, 1), (2, 1)], "1110", 2),
+        (array_single_bounded_decode, "100", (3, 1), "0100", 4),  # one column
+    ])
+    def test_witnesses(self, decode, received, intervals, x, rows):
+        message = "^recovered word cannot reproduce the received bits$"
+        with pytest.raises(DecodeFailure, match=message):
+            decode(b(received), intervals, array_syndromes(b(x), rows))
+
+    def test_every_class_received_word_and_interval(self):
+        # n 3-5 at rows 2 and 4; rows 4 at n up to 4 is the one-column case
+        returned = raised = 0
+        for k, decode in ((1, array_single_bounded_decode), (2, array_bounded_decode)):
+            for n, rows in product(range(2 + k, 6), (2, 4)):
+                spans = [(s, l) for l in range(1, rows + 1) for s in range(1, n - l + 2)]
+                choices = spans if k == 1 else list(combinations(spans, 2))
+                for p in {array_syndromes(x, rows) for x in all_words(n)}:
+                    for received in all_words(n - k):
+                        for intervals in choices:
+                            try:
+                                word = decode(received, intervals, p)
+                            except DecodeFailure:
+                                raised += 1
+                                continue
+                            except ParameterError:  # two deletions at one position
+                                continue
+                            returned += 1
+                            ivs = [intervals] if k == 1 else intervals
+                            assert self.reproduces(word, received, ivs, k), \
+                                (p, received, intervals, word)
+        # both counts pinned: a guard that ruled out both deletions inside one
+        # interval would return fewer words
+        assert (returned, raised) == (11670, 39370)
+
+    def test_pad_bit_stays_zero(self):
+        # the only fill that gives the received bits back sets the pad bit
+        # to 1, so it is no word of the class
+        p = ArrayCodeParams(rows=2, length=5, row_sums=(0, 1), weighted_vt=9)
+        with pytest.raises(DecodeFailure, match="cannot reproduce"):
+            array_bounded_decode(b("000"), [(3, 1), (4, 1)], p)

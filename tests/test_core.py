@@ -9,6 +9,8 @@ from syndef.core import (
     apply_defects,
     apply_defects_shifted,
     apply_defects_tuple,
+    as_spans,
+    as_strand,
     confusable_ball,
     cycles,
     defect_ball,
@@ -213,6 +215,27 @@ class TestSymbolPositions:
 
     def test_absent_symbol(self):
         assert symbol_positions(s("1111"), 2) == (0, ())
+
+
+class TestAsStrand:
+    def test_symbols_kept(self):
+        assert as_strand([4, 1, 3]) == (4, 1, 3)
+
+    @pytest.mark.parametrize("symbol", [1.5, 1.0, "1", True, False, 0, 5])
+    def test_inexact_symbol_rejected(self, symbol):
+        # int(1.9) and int("1") once turned these into symbols
+        with pytest.raises(ParameterError, match="alphabet"):
+            as_strand((2, symbol, 3))
+
+
+class TestAsSpans:
+    def test_pairs_kept(self):
+        assert as_spans([[2, 3], (7, 1)], "an interval") == [(2, 3), (7, 1)]
+
+    @pytest.mark.parametrize("spans", [5, None, [(2, True)], [(2.0, 3)], [(2, 3, 1)], [5]])
+    def test_malformed_rejected(self, spans):
+        with pytest.raises(ParameterError):
+            as_spans(spans, "an interval")
 
 
 class TestShift:

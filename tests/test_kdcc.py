@@ -402,6 +402,26 @@ class TestSpecJson:
             assert data == {"family": family, "n": n, "residues": spec.residues}
             assert KdccSpec.from_json(data) == spec
 
+    @pytest.mark.parametrize("data", [
+        {"family": "sum1", "residues": {"a": 0}},
+        {"n": 5, "residues": {"a": 0}},
+        {"family": "sum1", "n": 5},
+        [1, 2],
+        "sum1",
+        None,
+    ])
+    def test_malformed_rejected(self, data):
+        with pytest.raises(ParameterError, match="malformed"):
+            KdccSpec.from_json(data)
+
+    @pytest.mark.parametrize("symbol", [1.5, "1", True])
+    def test_inexact_symbol_rejected(self, symbol):
+        for family in ("sum1", "svt1", "array2"):
+            with pytest.raises(ParameterError, match="alphabet"):
+                spec_for_strand(family, (2, symbol, 3, 4))
+            with pytest.raises(ParameterError, match="alphabet"):
+                membership(spec_for_strand(family, (2, 1, 3, 4)), (2, symbol, 3, 4))
+
 
 class TestBestResidues:
     def test_sum1_partition(self):

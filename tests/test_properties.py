@@ -1,6 +1,8 @@
 """Round-trip properties, encode -> channel -> decode, on inputs drawn by
 Hypothesis beyond the fixed grids of the other tests."""
 
+from itertools import combinations
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +16,9 @@ from syndef.kdcc import (
     decode_svt1,
     spec_for_strand,
 )
+from syndef.rng import SplitMix
 from syndef.sdcc import (
+    SdccCodeword,
     c2d_decode,
     c2d_params_of,
     random_member_1sdcc,
@@ -66,6 +70,38 @@ def test_sdcc2_corrects_any_two_cycles(n, seed, data):
     codeword, plan, params = random_member_2sdcc(n, 10, seed=seed)
     delta = data.draw(st.sets(st.integers(1, 4 * n), max_size=2), label="defects")
     assert sdcc2_decode(codeword.channel(delta), plan, params) == codeword.strands
+
+
+def test_tuple_decoders_fail_closed_without_a_shared_defect():
+    # Every strand of a member loses up to t positions of its own, so no set
+    # of defective cycles need explain the received tuple.  A decode must
+    # then raise, or return a tuple that some set of at most t cycles maps to
+    # the received one.
+    rng = SplitMix(19)
+    returned = 0
+    for t, member, decode, m in ((1, random_member_1sdcc, sdcc1_decode, 8),
+                                 (2, random_member_2sdcc, sdcc2_decode, 10)):
+        for n in (8, 10, 12):
+            codeword, plan, params = member(n, m, seed=n)
+            for _ in range(400):
+                received = []
+                for x in codeword.strands:
+                    lost = set()
+                    for _ in range(rng.randrange(0, t + 1)):
+                        lost.add(rng.randrange(1, n + 1))
+                    received.append(tuple(v for i, v in enumerate(x, start=1)
+                                          if i not in lost))
+                received = tuple(received)
+                try:
+                    out = decode(received, plan, params)
+                except DecodeFailure:
+                    continue
+                returned += 1
+                sent = SdccCodeword(out[0] if t == 1 else out, plan.shifts)
+                span = range(1, 4 * n + 1)
+                assert any(sent.channel(delta) == received
+                           for size in range(t + 1) for delta in combinations(span, size))
+    assert returned
 
 
 @settings(max_examples=300, deadline=None)

@@ -25,6 +25,7 @@ from syndef.sdcc import (
     SdccCodeword,
     _cover_delta_options,
     _double_insertions_matching,
+    _seeded_member,
     c2d_decode,
     c2d_membership,
     c2d_params_of,
@@ -47,18 +48,23 @@ def delete(word, *positions):
     return tuple(x for i, x in enumerate(word, start=1) if i not in drop)
 
 
+def own(word):
+    """The signature of ``word`` as the decoder holds it: empty below two symbols."""
+    return signature(word) if len(word) >= 2 else ()
+
+
 class TestCoverSelection:
     def test_template_strands_cover_with_four(self):
         n = 16
         covers = [template_strand(n, c) for c in (1, 2, 3, 4)]
-        plan = select_cover_shifts(covers, n)
+        plan = select_cover_shifts(covers)
         assert plan_covers(covers, plan)
 
     def test_random_strands_default_count(self):
         n = 16
         rng = SplitMix(3)
         strands = [rng.strand(n) for _ in range(default_cover_count(n))]
-        plan = select_cover_shifts(strands, n)
+        plan = select_cover_shifts(strands)
         assert plan_covers(strands, plan)
         feasible = []
         for s, a in zip(strands, plan.shifts):
@@ -92,7 +98,7 @@ class TestCoverSelection:
     def test_wrong_multiple_rejected(self):
         from syndef.core import ParameterError
         with pytest.raises(ParameterError):
-            select_cover_shifts([template_strand(8, 1)] * 3, 8)
+            select_cover_shifts([template_strand(8, 1)] * 3)
 
 
 class TestSdcc1:
@@ -253,7 +259,8 @@ class TestDoubleInsertionSearch:
             for received in all_strands(m):
                 for values in combinations_with_replacement(ALPHABET, 2):
                     for sig in product((0, 1), repeat=m + 1):
-                        assert _double_insertions_matching(received, values, sig) == \
+                        assert _double_insertions_matching(
+                            received, values, sig, own(received)) == \
                             self.brute(received, values, sig)
 
     def test_every_deletion_pair_up_to_six(self):
@@ -269,7 +276,8 @@ class TestDoubleInsertionSearch:
                     targets = set(groups).union(
                         sig[:i] + (1 - sig[i],) + sig[i + 1:] for sig in groups)
                     for target in targets:
-                        assert _double_insertions_matching(received, values, target) \
+                        assert _double_insertions_matching(
+                            received, values, target, own(received)) \
                             == groups.get(target, set()), (received, values, target)
 
     def test_matches_brute_force(self):
@@ -282,7 +290,7 @@ class TestDoubleInsertionSearch:
                 continue
             received = delete(x, d1, d2)
             values = [x[min(d1, d2) - 1], x[max(d1, d2) - 1]]
-            got = _double_insertions_matching(received, values, signature(x))
+            got = _double_insertions_matching(received, values, signature(x), own(received))
             assert got == self.brute(received, values, signature(x))
             assert x in got
 
@@ -299,7 +307,7 @@ class TestDoubleInsertionSearch:
                 sig = signature(x)
                 i = rng.randrange(0, n - 1)
                 for target in (sig, sig[:i] + (1 - sig[i],) + sig[i + 1:]):
-                    assert _double_insertions_matching(received, values, target) \
+                    assert _double_insertions_matching(received, values, target, own(received)) \
                         == groups.get(target, set()), (x, d1, d2, target)
 
 
@@ -368,7 +376,7 @@ class TestMemberSizes:
         with pytest.raises(ParameterError):
             random_member_2sdcc(16, 7)
         with pytest.raises(ParameterError):
-            random_member_2sdcc(16, 11, cover_count=12)
+            _seeded_member(16, 11, 0, 12)
 
 
 class TestMalformedReceived:
@@ -448,6 +456,28 @@ class TestCodewordJson:
         data = self._cover_json(self.X, 0)
         data["shifts"] = [shift]
         with pytest.raises(ParameterError, match="not an integer"):
+            SdccCodeword.from_json(data)
+
+    @pytest.mark.parametrize("symbol", [1.5, "1", True])
+    def test_inexact_symbol_rejected(self, symbol):
+        # a remaining strand, so no shift range catches it
+        data = random_member_2sdcc(16, 10, seed=1)[0].to_json()
+        data["strands"][9][3] = symbol
+        with pytest.raises(ParameterError, match="alphabet"):
+            SdccCodeword.from_json(data)
+
+    @pytest.mark.parametrize("fault", ["n", "m", "cover_count", "shifts", "strands",
+                                       "shifts not a list", "strands not a list",
+                                       "a list", "null"])
+    def test_malformed_rejected(self, fault):
+        data = self._cover_json(self.X, 0)
+        if fault in data:
+            del data[fault]
+        elif fault.endswith("not a list"):
+            data[fault.split()[0]] = 5
+        else:
+            data = [1, 2] if fault == "a list" else None
+        with pytest.raises(ParameterError, match="malformed"):
             SdccCodeword.from_json(data)
 
 

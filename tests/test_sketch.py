@@ -9,6 +9,7 @@ from math import comb
 
 import pytest
 
+from syndef.array_code import array_bounded_decode, array_single_bounded_decode, array_syndromes
 from syndef.core import ConstructionError, DecodeFailure, ParameterError
 from syndef.sketch import (
     EParams,
@@ -627,6 +628,32 @@ class TestMalformedIntervals:
         x = b("110100101011")
         with pytest.raises(ParameterError):
             e1_decode(delete(x, 3, 4), [(3, 0), (4, 2)], e1_sketch(x, 2, 2), 12, 2, 2)
+
+    @pytest.mark.parametrize("intervals", [[(2.0, 3), (7, 3)], [(2, 3, 1), (7, 3)],
+                                           [(2, True), (7, 3)], 5])
+    @pytest.mark.parametrize("decoder", ["decode_E", "e1_decode", "e2_decode",
+                                         "prefix_decode_two", "array_bounded_decode",
+                                         "array_single_bounded_decode"])
+    def test_not_integer_pairs(self, decoder, intervals):
+        # the sketch and array decoders share one check: these once ended in
+        # a TypeError or ValueError, or (2, True) was read as (2, 1)
+        x = b("110100101011")
+        calls = {
+            "decode_E": lambda: decode_E(delete(encode_E(x, 3, 3), 3, 8), intervals, 12, 3, 3),
+            "e1_decode": lambda: e1_decode(delete(x, 3, 8), intervals, e1_sketch(x, 3, 3),
+                                           12, 3, 3),
+            "e2_decode": lambda: e2_decode(delete(x, 3, 8), intervals, e2_sketch(x, 3, 3),
+                                           12, 3, 3),
+            "prefix_decode_two": lambda: prefix_decode_two(
+                delete(prefix_encode(x, 3, 3), 3, 8), intervals, 12, 3, 3),
+            "array_bounded_decode": lambda: array_bounded_decode(
+                delete(x, 3, 8), intervals, array_syndromes(x, 3)),
+            "array_single_bounded_decode": lambda: array_single_bounded_decode(
+                delete(x, 3), intervals if intervals == 5 else intervals[0],
+                array_syndromes(x, 3)),
+        }
+        with pytest.raises(ParameterError):
+            calls[decoder]()
 
 
 class TestMalformedSketchParameters:
