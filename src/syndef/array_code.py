@@ -126,12 +126,12 @@ def _normalize_windows(bursts, rows: int, padded: int) -> list[Interval]:
     return [(t, P), (t + P, P)]
 
 
-def _solve_rows(word: list, bursts, params: ArrayCodeParams) -> list:
-    """Fill the erasure bursts (``None``) of a length-``params.length`` list
-    of bits: widen them into two disjoint length-P windows, pad the word with
-    zeros and solve each row.  Returns the padded word."""
+def _solve_rows(word: list, windows, params: ArrayCodeParams) -> list:
+    """Fill a length-``params.length`` list of bits with erasures (``None``)
+    inside ``windows``, two disjoint length-P windows from
+    :func:`_normalize_windows`: pad the word with zeros, erase the windows
+    and solve each row.  Returns the padded word."""
     P = params.rows
-    windows = _normalize_windows(bursts, P, params.padded)
     word = word + [0] * (params.padded - params.length)
     for s, l in windows:
         word[s - 1:s - 1 + l] = [None] * l
@@ -199,7 +199,8 @@ def array_erasure_decode(received, burst_positions, params: ArrayCodeParams) -> 
 
     ``received`` has length ``params.length``, bits at known positions and
     ``None`` at erased ones; every ``None`` must lie inside one of the
-    declared bursts.
+    declared bursts.  Widening them into row windows also erases the known
+    bits and pads there, so a word is returned only if it keeps them.
     """
     received = list(received)
     if len(received) != params.length:
@@ -215,7 +216,15 @@ def array_erasure_decode(received, burst_positions, params: ArrayCodeParams) -> 
         raise ParameterError("erasure outside the declared bursts")
     if not nones:
         return tuple(int(b) for b in received)
-    return tuple(_solve_rows(received, burst_positions, params)[:params.length])
+    windows = _normalize_windows(burst_positions, params.rows, params.padded)
+    filled = _solve_rows(received, windows, params)
+    # The windows also erase known bits and pads; each must come back.
+    n = params.length
+    for s, l in windows:
+        for i in range(s - 1, s - 1 + l):
+            if (received[i] if i < n else 0) not in (None, filled[i]):
+                raise DecodeFailure("recovered word cannot reproduce the received bits")
+    return tuple(filled[:n])
 
 
 @lru_cache(maxsize=64, typed=True)
@@ -301,7 +310,8 @@ def _bounded_decode(received, intervals, params: ArrayCodeParams, k: int) -> Bit
     elif k == 1:
         filled = _fill_single(word, blocks[0], params)
     else:
-        filled = _solve_rows(word, blocks, params)
+        filled = _solve_rows(word, _normalize_windows(blocks, params.rows, params.padded),
+                             params)
     decoded = tuple(filled[:params.length])
     # One deletion per block, or both deletions inside one block.
     if any(filled[params.length:]) or not (

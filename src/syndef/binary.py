@@ -95,7 +95,8 @@ class SvtParams:
     window: int
 
     def __post_init__(self):
-        if type(self.window) is not int or not 0 <= self.a < self.window or self.b not in (0, 1):
+        if not (type(self.a) is type(self.b) is type(self.window) is int
+                and 0 <= self.a < self.window and self.b in (0, 1)):
             raise ParameterError("invalid shifted-VT parameters")
 
 

@@ -90,14 +90,29 @@ def common_suffix(u, v) -> int:
     return k
 
 
-def deleted_positions(full, short) -> list[int]:
-    """All 1-based positions whose deletion from ``full`` yields ``short``:
-    the positions p with ``full[:p-1]`` inside the words' common prefix and
-    ``full[p:]`` inside their common suffix."""
-    if len(short) != len(full) - 1:
+def deletion_positions(full, short) -> list[tuple[int, ...]]:
+    """Every ascending tuple of 1-based positions whose deletion from ``full``
+    yields ``short``, in lexicographic order, for a ``short`` 0 to 2 symbols
+    shorter (any other length gives none).  Deleting p < q leaves
+    ``full[:p-1]`` inside the words' common prefix, ``full[q:]`` inside their
+    common suffix and the middle equal to ``short`` one place left, so q stops
+    at the first position past p where the two differ under that shift."""
+    n, k = len(full), len(full) - len(short)
+    prefix, q_min = common_prefix(full, short), n - common_suffix(full, short)
+    if k == 0:
+        return [()] if prefix == n else []
+    if k == 1:
+        return [(p,) for p in range(q_min, prefix + 2)]
+    if k != 2:
         return []
-    return list(range(len(full) - common_suffix(full, short),
-                      common_prefix(full, short) + 2))
+    out = []
+    for p in range(1, min(prefix + 1, n - 1) + 1):
+        for q in range(p + 1, n + 1):
+            if q > p + 1 and full[q - 2] != short[q - 3]:
+                break
+            if q >= q_min:
+                out.append((p, q))
+    return out
 
 
 def diff(strand: Strand) -> Strand:

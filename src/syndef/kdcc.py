@@ -479,29 +479,14 @@ def decode(spec: KdccSpec, instance: KnownDefectInstance) -> Strand:
     return decode_array2(instance, array2_params(spec))
 
 
-def best_residues(family: str, n: int, sample=None, seed: int = 0):
-    """Residues maximising the codebook size, and that size.
-
-    Exhaustive over Sigma^n by default, counting the keys of
-    :func:`_sweep_keys`; with ``sample`` (a positive int) given, scans that
-    many seeded random strands through :func:`syndrome_key` instead and
-    reports the best observed class size.  Ties go to the larger key string.
-    """
+def best_residues(family: str, n: int):
+    """Residues maximising the codebook size, and that size: exhaustive over
+    Sigma^n, counting the keys of :func:`_sweep_keys`.  Ties go to the larger
+    key string."""
     if family not in FAMILIES:
         raise ParameterError(f"unknown family {family!r}")
     _check_length(family, n)
-    if sample is None:
-        counts = Counter(_sweep_keys(family, n))
-    else:
-        if type(sample) is not int or sample < 1:
-            raise ParameterError(f"sample must be a positive integer, got {sample!r}")
-        from .rng import SplitMix
-        counts = {}
-        rng = SplitMix(seed)
-        for i in range(sample):
-            x = tuple(rng.randrange(1, 5) for _ in range(n))
-            key = syndrome_key(family, x)
-            counts[key] = counts.get(key, 0) + 1
+    counts = Counter(_sweep_keys(family, n))
     key, size = max(counts.items(), key=lambda kv: (kv[1], str(kv[0])))
     return KdccSpec(family, n, _residues_of(family, key)), size
 

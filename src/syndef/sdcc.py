@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 from .array_code import ArrayCodeParams, array_syndromes
 from .binary import SvtParams, vt_decode, vt_syndrome, weight
@@ -33,11 +34,9 @@ from .core import (
     Strand,
     apply_defects_shifted,
     as_strand,
-    common_prefix,
-    common_suffix,
     cycles,
     default_regular_window,
-    deleted_positions,
+    deletion_positions,
     is_regular,
     matching_insertions,
     pair_alignment,
@@ -121,10 +120,12 @@ def select_cover_shifts(strands) -> CoverPlan:
     four candidate shifts above the base jointly cover the whole block window,
     which is what the quarter-per-step pigeonhole needs.
     """
-    strands = [tuple(s) for s in strands]
+    strands = [as_strand(s) for s in strands]
     if not strands or len(strands) % 4 != 0:
         raise ParameterError("cover strands must split into four block groups")
     n = len(strands[0])
+    if any(len(s) != n for s in strands):
+        raise ParameterError("cover strands must all have one length")
     group = len(strands) // 4
     shifts: list[int] = []
     for block in range(4):
@@ -288,7 +289,7 @@ def sdcc1_decode(received, plan: CoverPlan, params: Sdcc1Params):
             raise DecodeFailure("cover strand reconstruction is not unique")
         x = words.pop()
         sched = cycles(x)
-        cands = {sched[p - 1] + a for p in deleted_positions(x, x_short)}
+        cands = {sched[p - 1] + a for p, in deletion_positions(x, x_short)}
         delta_candidates = cands if delta_candidates is None else delta_candidates & cands
         out[i] = shift_symbols(x, a)
     if not delta_candidates:
@@ -472,30 +473,6 @@ def sdcc2_params_of(codeword: SdccCodeword) -> Sdcc2Params:
                        position_sums=sums, pos_modulus=m)
 
 
-def _cover_delta_options(x: Strand, short: Strand, sched) -> set[frozenset]:
-    """Every set of cycles of ``sched`` (the cover's re-timed schedule) whose
-    loss turns ``x`` into ``short``."""
-    k = len(x) - len(short)
-    if k == 0:
-        return {frozenset()}
-    if k == 1:
-        return {frozenset({sched[p - 1]}) for p in deleted_positions(x, short)}
-    # Deleting positions p < q leaves x[:p-1] + x[p:q-1] + x[q:]: the first
-    # part inside the common prefix, the last inside the common suffix and
-    # the middle equal to ``short`` one place left, so q stops at the first
-    # position past p where x and ``short`` differ under that shift.
-    n = len(x)
-    q_min = n - common_suffix(x, short)
-    options = set()
-    for p in range(1, min(common_prefix(x, short) + 1, n - 1) + 1):
-        for q in range(p + 1, n + 1):
-            if q > p + 1 and x[q - 2] != short[q - 3]:
-                break
-            if q >= q_min:
-                options.add(frozenset({sched[p - 1], sched[q - 1]}))
-    return options
-
-
 def _remaining_strand_decode(r, delta, arr: ArrayCodeParams, sums, m, n):
     """Decode one hit remaining strand under a fixed defective-cycle hypothesis."""
     lost = n - len(r)
@@ -536,29 +513,14 @@ def sdcc2_decode(received, plan: CoverPlan, params: Sdcc2Params) -> tuple[Strand
         transmitted.append(shift_symbols(x, a))
         sched = cycles(transmitted[i], a)
         schedules.append(frozenset(sched))
-        per_cover_options.append(_cover_delta_options(x, short, sched))
+        per_cover_options.append({frozenset(sched[p - 1] for p in pos)
+                                  for pos in deletion_positions(x, short)})
 
-    # Assemble global hypotheses for the defective-cycle set.
-    singles = set()
-    pair_sets = None
-    for options in per_cover_options:
-        if any(len(o) == 2 for o in options):
-            pair_sets = options if pair_sets is None else pair_sets
-        for o in options:
-            singles.update(o)
-    hypotheses: set[frozenset] = set()
-    if pair_sets is not None:
-        hypotheses.update(pair_sets)
-    else:
-        hypotheses.update(frozenset({d}) for d in singles)
-        sorted_singles = sorted(singles)
-        hypotheses.update(frozenset({u, v})
-                          for ui, u in enumerate(sorted_singles)
-                          for v in sorted_singles[ui + 1:])
-
-    # A hypothesis explains a cover exactly when the cycles it shares with the
-    # cover's schedule are one of the cover's options.
-    hypotheses = [h for h in hypotheses
+    # A set of one or two cycles the hit covers could have lost is a
+    # hypothesis exactly when the cycles it shares with each cover's schedule
+    # are one of that cover's options.
+    pool = set().union(*(o for options in per_cover_options for o in options))
+    hypotheses = [h for k in (1, 2) for h in map(frozenset, combinations(pool, k))
                   if all(h & sched in options
                          for sched, options in zip(schedules, per_cover_options))]
     if not hypotheses:

@@ -28,7 +28,7 @@ from math import comb
 
 from .binary import as_bits, insertions, vt_decode, weight
 from .core import (Bits, ConstructionError, DecodeFailure, ParameterError, as_spans,
-                   deleted_positions)
+                   is_subsequence)
 
 MOMENT_ORDERS = (1, 2, 3, 4)
 
@@ -344,6 +344,8 @@ def verify_sketch_injectivity(length: int) -> bool:
 def e1_windows(n: int, rho: int) -> list[tuple[int, int]]:
     """Overlapping windows of width 2*rho tiling [1, n] with overlap rho; the
     last window is clipped at n.  Degenerates to one full window for n <= 2*rho."""
+    if type(rho) is not int or rho < 1:
+        raise ParameterError(f"window overlap rho must be a positive int, got {rho!r}")
     count = -(-n // rho) - 1
     if count < 1:
         return [(1, n)]
@@ -731,5 +733,5 @@ def prefix_decode_one(received, k: int, P1: int, P2: int) -> Bits:
         except DecodeFailure:
             pass
     verified = {z for z in candidates
-                if deleted_positions(z + (0, 1) + _redundancy(z, params), received)}
+                if is_subsequence(received, z + (0, 1) + _redundancy(z, params))}
     return _unique(verified, "payloads consistent with one deletion")

@@ -3,7 +3,7 @@
 import random
 import re
 from dataclasses import FrozenInstanceError, replace
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -11,6 +11,7 @@ from syndef.array_code import (
     ArrayCodeParams,
     _assignments_matching,
     _column_word,
+    _normalize_windows,
     array_bounded_decode,
     array_erasure_decode,
     array_single_bounded_decode,
@@ -87,7 +88,6 @@ class TestErasureDecode:
     def test_unique_ambiguous_assignment(self):
         # whenever rows are ambiguous, exactly one assignment matches the
         # weighted residue: every wrong assignment has a nonzero discriminant
-        from syndef.array_code import _normalize_windows
         P, n = 2, 8
         checked = 0
         for x in all_words(n):
@@ -105,6 +105,52 @@ class TestErasureDecode:
                     checked += 1
             if checked > 400:
                 break
+
+    def test_widened_windows_keep_the_known_bits(self):
+        # (1, 1) and (4, 1) widen to the windows [1, 2] and [3, 4], which
+        # erase the known 0 at position 3; the row solve made it a 1
+        p = ArrayCodeParams(rows=2, length=7, row_sums=(0, 0), weighted_vt=6)
+        with pytest.raises(DecodeFailure, match="cannot reproduce the received bits"):
+            array_erasure_decode([None, 0, 0, None, 1, 0, 0], [(1, 1), (4, 1)], p)
+
+    def test_every_returned_word_keeps_the_known_bits(self):
+        # The row solve fills only the two widened windows and meets every
+        # syndrome of the padded word, so a class can return a word only if
+        # it holds a word that agrees with the received bits and zero pads
+        # outside the windows.  Each received word is decoded under every
+        # such class; under any other the solve finds no fill (the returned
+        # count is the one a decode under every class of n <= 6 gives).
+        P, returned = 2, 0
+        for n in range(3, 7):
+            padded = -(-n // P) * P
+            spans = [(s, l) for l in (1, 2) for s in range(1, n - l + 2)]
+            for bursts in combinations_with_replacement(spans, 2):
+                erased = erase((0,) * n, bursts)
+                free = [i for s, l in _normalize_windows(bursts, P, padded)
+                        for i in range(s - 1, s - 1 + l)]
+                inside = [i for i in free if i < n and erased[i] is not None]
+                outside = [i for i in range(n) if i not in free]
+                for bits in product((0, 1), repeat=len(outside)):
+                    z = [0] * padded
+                    for i, v in zip(outside, bits):
+                        z[i] = v
+                    classes = set()
+                    for fill in product((0, 1), repeat=len(free)):
+                        for i, v in zip(free, fill):
+                            z[i] = v
+                        classes.add(replace(array_syndromes(z, P), length=n))
+                    for kept in product((0, 1), repeat=len(inside)):
+                        received = list(erased)
+                        for i, v in zip(outside + inside, bits + kept):
+                            received[i] = v
+                        for p in classes:
+                            try:
+                                y = array_erasure_decode(received, bursts, p)
+                            except DecodeFailure:
+                                continue
+                            returned += 1
+                            assert all(v in (None, w) for v, w in zip(received, y))
+        assert returned == 6232
 
     def test_short_bursts_widened(self):
         x = b("110101001011")

@@ -162,9 +162,10 @@ class TestDirectDecodersAgainstInsertions:
 
 class TestSvt:
     @pytest.mark.parametrize("a, b, window", [(0, 0, 1.5), (0, 0, 5.0), (0, 0, 0),
-                                              (5, 0, 5), (0, 2, 5)])
+                                              (5, 0, 5), (0, 2, 5),
+                                              (1.5, 0, 5), (1, True, 5), (True, 0, 5)])
     def test_malformed_params_rejected(self, a, b, window):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="invalid shifted-VT parameters"):
             SvtParams(a, b, window)
 
     def test_all_zero(self):

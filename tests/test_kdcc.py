@@ -441,16 +441,6 @@ class TestBestResidues:
         spec, size = best_residues("sum1", 3)
         assert size >= 16
 
-    def test_sampled_mode_deterministic(self):
-        a = best_residues("svt1", 8, sample=300, seed=9)
-        b = best_residues("svt1", 8, sample=300, seed=9)
-        assert a == b
-
-    @pytest.mark.parametrize("sample", [0, -3, 2.5, True])
-    def test_bad_sample_rejected(self, sample):
-        with pytest.raises(ParameterError):
-            best_residues("svt1", 6, sample=sample)
-
     @pytest.mark.parametrize("n", [0, -1])
     def test_bad_length_rejected(self, n):
         with pytest.raises(ParameterError):

@@ -17,7 +17,7 @@ from syndef.core import (
     apply_defects,
     apply_defects_shifted,
     cycles,
-    deleted_positions,
+    deletion_positions,
     diff,
     matching_slots,
     reinsertions,
@@ -108,13 +108,12 @@ class TestModuleBoundaries:
                                   if alias.name.startswith("_") and alias.name not in bound]
         assert crossings == []
 
-    def test_every_private_name_is_used(self):
-        """Every module-level private function, class or constant of the
-        package is loaded somewhere in the package."""
-        trees = [(path.name, ast.parse(path.read_text()))
-                 for path in sorted((ROOT / "src" / "syndef").glob("*.py"))]
+    @staticmethod
+    def loaded_names(trees) -> set[str]:
+        """Every name the modules of ``trees`` load, read as an attribute or
+        import."""
         loaded = set()
-        for _, tree in trees:
+        for tree in trees:
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     loaded.add(node.id)
@@ -122,6 +121,14 @@ class TestModuleBoundaries:
                     loaded.add(node.attr)
                 elif isinstance(node, ast.ImportFrom):
                     loaded.update(alias.name for alias in node.names)
+        return loaded
+
+    def test_every_private_name_is_used(self):
+        """Every module-level private function, class or constant of the
+        package is loaded somewhere in the package."""
+        trees = [(path.name, ast.parse(path.read_text()))
+                 for path in sorted((ROOT / "src" / "syndef").glob("*.py"))]
+        loaded = self.loaded_names(tree for _, tree in trees)
         unused = []
         for name, tree in trees:
             for node in tree.body:
@@ -134,6 +141,23 @@ class TestModuleBoundaries:
                     continue
                 unused += [f"{name}: {d}" for d in defined
                            if d.startswith("_") and not d.startswith("__") and d not in loaded]
+        assert unused == []
+
+    def test_every_public_name_is_used(self):
+        """Every module-level public function or class of the package is
+        loaded somewhere in the package, its tests or the benchmark, where
+        the tracer's dotted paths count as uses: a removed kernel leaves no
+        public orphan behind."""
+        sources = [ROOT / "src", ROOT / "tests", ROOT / "perfbench"]
+        loaded = self.loaded_names(ast.parse(path.read_text())
+                                   for root in sources for path in sorted(root.rglob("*.py")))
+        for _, _, path, _ in load_tracer().LAYER_FUNCTIONS:
+            loaded.update(path.split("."))
+        unused = [f"{path.name}: {node.name}"
+                  for path in sorted((ROOT / "src" / "syndef").glob("*.py"))
+                  for node in ast.parse(path.read_text()).body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_") and node.name not in loaded]
         assert unused == []
 
 
@@ -254,8 +278,10 @@ class TestDeletedPositions:
                           for s in list(shorts) for i in range(len(s)))
             shorts.update({full, full[:-2]})
             for short in shorts:
-                assert deleted_positions(full, short) == [
-                    p for p in range(1, len(full) + 1) if full[:p - 1] + full[p:] == short]
+                k = len(full) - len(short)
+                assert deletion_positions(full, short) == [
+                    pos for pos in combinations(range(1, len(full) + 1), k)
+                    if tuple(v for i, v in enumerate(full, 1) if i not in pos) == short]
 
 
 class TestSlotKernel:

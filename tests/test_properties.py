@@ -73,35 +73,52 @@ def test_sdcc2_corrects_any_two_cycles(n, seed, data):
 
 
 def test_tuple_decoders_fail_closed_without_a_shared_defect():
-    # Every strand of a member loses up to t positions of its own, so no set
-    # of defective cycles need explain the received tuple.  A decode must
-    # then raise, or return a tuple that some set of at most t cycles maps to
-    # the received one.
-    rng = SplitMix(19)
-    returned = 0
-    for t, member, decode, m in ((1, random_member_1sdcc, sdcc1_decode, 8),
-                                 (2, random_member_2sdcc, sdcc2_decode, 10)):
+    # Two kinds of input that no set of at most t defective cycles need
+    # explain: every strand of a member loses up to t positions of its own;
+    # or (t = 2) the channel of one or two cycles runs, then one strand that
+    # lost fewer than two symbols loses one more.  A decode must then raise,
+    # or return a tuple that some set of at most t cycles maps to the
+    # received one.
+    own_rng, near_rng = SplitMix(19), SplitMix(23)
+
+    def own_losses(codeword, n, t):
+        received = []
+        for x in codeword.strands:
+            lost = {own_rng.randrange(1, n + 1) for _ in range(own_rng.randrange(0, t + 1))}
+            received.append(tuple(v for i, v in enumerate(x, start=1) if i not in lost))
+        return tuple(received)
+
+    def near_miss(codeword, n, t):
+        delta = {near_rng.randrange(1, 4 * n + 1) for _ in range(near_rng.randrange(1, 3))}
+        received = list(codeword.channel(delta))
+        spare = [j for j, r in enumerate(received) if len(r) > n - 2]
+        j = spare[near_rng.randrange(0, len(spare))]
+        p = near_rng.randrange(0, len(received[j]))
+        received[j] = received[j][:p] + received[j][p + 1:]
+        return tuple(received)
+
+    returned = {}
+    for t, member, decode, m, draw in ((1, random_member_1sdcc, sdcc1_decode, 8, own_losses),
+                                       (2, random_member_2sdcc, sdcc2_decode, 10, own_losses),
+                                       (2, random_member_2sdcc, sdcc2_decode, 10, near_miss)):
         for n in (8, 10, 12):
             codeword, plan, params = member(n, m, seed=n)
             for _ in range(400):
-                received = []
-                for x in codeword.strands:
-                    lost = set()
-                    for _ in range(rng.randrange(0, t + 1)):
-                        lost.add(rng.randrange(1, n + 1))
-                    received.append(tuple(v for i, v in enumerate(x, start=1)
-                                          if i not in lost))
-                received = tuple(received)
+                received = draw(codeword, n, t)
                 try:
                     out = decode(received, plan, params)
                 except DecodeFailure:
                     continue
-                returned += 1
+                returned[draw] = returned.get(draw, 0) + 1
                 sent = SdccCodeword(out[0] if t == 1 else out, plan.shifts)
-                span = range(1, 4 * n + 1)
+                # Dropping every cycle that no shortened strand occupies from a
+                # consistent set leaves one, so the search runs over theirs.
+                shifts = plan.shifts + (0,) * (len(received) - len(plan.shifts))
+                span = set().union(*(cycles(x, a) for x, a, r in
+                                     zip(sent.strands, shifts, received) if len(r) < n))
                 assert any(sent.channel(delta) == received
                            for size in range(t + 1) for delta in combinations(span, size))
-    assert returned
+    assert returned[own_losses] and returned[near_miss]
 
 
 @settings(max_examples=300, deadline=None)

@@ -14,6 +14,7 @@ from syndef.core import (
     all_strands,
     apply_defects,
     cycles,
+    deletion_positions,
     longest_run,
     shift_symbols,
     signature,
@@ -23,7 +24,6 @@ from syndef.sdcc import (
     C2dParams,
     CoverPlan,
     SdccCodeword,
-    _cover_delta_options,
     _double_insertions_matching,
     _seeded_member,
     c2d_decode,
@@ -99,6 +99,12 @@ class TestCoverSelection:
         from syndef.core import ParameterError
         with pytest.raises(ParameterError):
             select_cover_shifts([template_strand(8, 1)] * 3)
+
+    @pytest.mark.parametrize("strands", [[(1, 2, 9, 4)] * 4,
+                                         [(1, 2, 3, 4)] * 3 + [(1, 2, 3)]])
+    def test_malformed_strands_rejected(self, strands):
+        with pytest.raises(ParameterError):
+            select_cover_shifts(strands)
 
 
 class TestSdcc1:
@@ -209,23 +215,22 @@ class TestC2d:
 
 
 class TestCoverDeltaOptions:
-    """Every cycle set whose loss turns a cover into a shorter copy, against
-    deleting every position set of the same size."""
+    """Every position set whose loss turns a cover into a shorter copy (the
+    tuple decoders map each through the cover's schedule to a cycle set),
+    against deleting every position set of the same size."""
 
     def test_matches_brute_force(self):
         for n in range(2, 7):
             for x in all_strands(n):
-                sched = cycles(x)
                 expect: dict = {}
                 for k in (0, 1, 2):
                     for pos in combinations(range(1, n + 1), k):
-                        expect.setdefault(delete(x, *pos), set()).add(
-                            frozenset(sched[p - 1] for p in pos))
+                        expect.setdefault(delete(x, *pos), []).append(pos)
                 shorts = set(expect)
                 if n <= 5:  # words that are no subsequence of x give no option
                     shorts.update(all_strands(n - 2))
                 for short in shorts:
-                    assert _cover_delta_options(x, short, sched) == expect.get(short, set())
+                    assert deletion_positions(x, short) == expect.get(short, [])
 
 
 class TestDoubleInsertionSearch:

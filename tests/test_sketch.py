@@ -260,6 +260,11 @@ class TestE1:
     def test_degenerate_single_window(self):
         assert e1_windows(4, 4) == [(1, 4)]
 
+    @pytest.mark.parametrize("rho", [0, -2, 1.5, True])
+    def test_bad_overlap_rejected(self, rho):
+        with pytest.raises(ParameterError):
+            e1_windows(10, rho)
+
     def test_deterministic(self):
         x = b("110100101011")
         assert e1_sketch(x, 2, 2) == e1_sketch(x, 2, 2)
