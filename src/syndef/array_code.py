@@ -116,13 +116,11 @@ def _normalize_windows(bursts, rows: int, padded: int) -> list[Interval]:
     w2 = (max(1, e2 - P + 1), P)
     if w1[0] + P <= w2[0]:
         return [w1, w2]
-    # Collision: cover both bursts with one aligned block of 2P positions.
+    # Collision: cover both bursts with one aligned block of 2P positions.  Both
+    # end by s1 + 2P - 2, and the block starts at s1 or ends at padded.
     if 2 * P > padded:
         raise ParameterError("word too short to normalise overlapping bursts")
-    t = max(1, min(s1, padded - 2 * P + 1))
-    hi = max(e1, e2)
-    if t + 2 * P - 1 < hi:
-        raise ParameterError("bursts span more than two row-length windows")
+    t = min(s1, padded - 2 * P + 1)
     return [(t, P), (t + P, P)]
 
 

@@ -78,9 +78,8 @@ def cover_size(n: int) -> tuple[int, Fraction]:
 
 
 def _confusable(u: Strand, v: Strand) -> bool:
-    """Adjacency in the confusability graph, computed on demand."""
-    if u == v:
-        return True
+    """Adjacency in the confusability graph, computed on demand; a strand is
+    confusable with itself under its first cycle."""
     for d in set(cycles(u)) | set(cycles(v)):
         if apply_defects(u, {d}) == apply_defects(v, {d}):
             return True

@@ -120,7 +120,11 @@ def select_cover_shifts(strands) -> CoverPlan:
     four candidate shifts above the base jointly cover the whole block window,
     which is what the quarter-per-step pigeonhole needs.
     """
-    strands = [as_strand(s) for s in strands]
+    try:
+        strands = [as_strand(s) for s in strands]
+    except TypeError:  # no sequence of strands, or a strand that is no sequence
+        raise ParameterError(
+            f"cover strands must be a sequence of strands, got {strands!r}") from None
     if not strands or len(strands) % 4 != 0:
         raise ParameterError("cover strands must split into four block groups")
     n = len(strands[0])
@@ -149,10 +153,8 @@ def select_cover_shifts(strands) -> CoverPlan:
             uncovered.difference_update(x + best_a for x in sched)
         if uncovered:
             raise ConstructionError(f"block [{t}, {t + n - 1}] left uncovered")
-    plan = CoverPlan(n=n, shifts=tuple(shifts))
-    if not plan_covers(strands, plan):
-        raise ConstructionError("selected shifts do not cover all cycles")
-    return plan
+    # The four block windows tile [1, 4n], so the plan covers every cycle.
+    return CoverPlan(n=n, shifts=tuple(shifts))
 
 
 @dataclass(frozen=True)
@@ -327,7 +329,6 @@ class C2dParams:
     counts: tuple[int, ...]
     position_sums: tuple[int, ...]
     pos_modulus: int
-    regular_window: int
 
 
 def run_weighted_sum(strand) -> int:
@@ -340,14 +341,13 @@ def _run_weighted(strand, runs) -> int:
     return sum(v * r for v, r in zip(strand, runs)) % (4 * len(strand))
 
 
-def c2d_params_of(strand, regular_window: int | None = None) -> C2dParams:
+def c2d_params_of(strand) -> C2dParams:
     strand = tuple(strand)
     n = len(strand)
     if n < 3:
         raise ParameterError("two-deletion coding needs n >= 3")
     sig = signature(strand)
-    regular_window = regular_window or default_regular_window(n)
-    if not is_regular(sig, regular_window):
+    if not is_regular(sig, default_regular_window(n)):
         raise ParameterError("signature is not regular at this window")
     m = position_sum_modulus(n)
     return C2dParams(
@@ -357,7 +357,6 @@ def c2d_params_of(strand, regular_window: int | None = None) -> C2dParams:
         counts=symbol_counts_mod3(strand),
         position_sums=position_sums(strand, m),
         pos_modulus=m,
-        regular_window=regular_window,
     )
 
 
@@ -366,7 +365,7 @@ def c2d_membership(strand, params: C2dParams) -> bool:
     if len(strand) != params.n:
         return False
     sig = signature(strand)
-    if not is_regular(sig, params.regular_window):
+    if not is_regular(sig, default_regular_window(params.n)):
         return False
     if moment_vector(sig) != params.sketch:
         return False
@@ -414,9 +413,10 @@ def c2d_decode(received, params: C2dParams) -> Strand:
     if len(values) != k:
         raise DecodeFailure("symbol counts disagree with the received length")
 
+    window = default_regular_window(n)
     survivors: set[Strand] = set()
     for sig in sig_candidates:
-        if not is_regular(sig, params.regular_window):
+        if not is_regular(sig, window):
             continue
         words = (matching_insertions(received, values[0], sig, sig_short) if k == 1
                  else _double_insertions_matching(received, values, sig, sig_short))
@@ -430,11 +430,10 @@ def c2d_decode(received, params: C2dParams) -> Strand:
 
 def _double_insertions_matching(received, values, sig, own) -> set[Strand]:
     """Words reached by inserting the two values (in either order) whose
-    signature equals ``sig``, where ``own`` is the signature of ``received``
-    (empty below two symbols): :func:`pair_slots` tests each slot pair."""
+    signature equals ``sig``, of ``len(received) + 1`` bits, where ``own`` is
+    the signature of ``received`` (empty below two symbols): :func:`pair_slots`
+    tests each slot pair."""
     m = len(received)
-    if len(sig) != m + 1:
-        return set()
     alignment = pair_alignment(own, sig)
     out: set[Strand] = set()
     for v1, v2 in {(values[0], values[1]), (values[1], values[0])}:

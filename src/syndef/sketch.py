@@ -114,10 +114,9 @@ def from_bits(bits) -> int:
 
 
 def _pack(values, widths) -> int:
+    """``values`` packed one after another at ``widths``; each fits its width."""
     out = 0
     for v, w in zip(values, widths):
-        if v >> w:
-            raise ParameterError("field overflows its width")
         out = (out << w) | v
     return out
 
@@ -344,6 +343,8 @@ def verify_sketch_injectivity(length: int) -> bool:
 def e1_windows(n: int, rho: int) -> list[tuple[int, int]]:
     """Overlapping windows of width 2*rho tiling [1, n] with overlap rho; the
     last window is clipped at n.  Degenerates to one full window for n <= 2*rho."""
+    if type(n) is not int or n < 1:
+        raise ParameterError(f"word length n must be a positive int, got {n!r}")
     if type(rho) is not int or rho < 1:
         raise ParameterError(f"window overlap rho must be a positive int, got {rho!r}")
     count = -(-n // rho) - 1
@@ -390,10 +391,8 @@ def e1_decode(received, intervals, sketch: tuple[int, int], n: int, P1: int, P2:
     lo, hi = s1, max(s1 + l1 - 1, s2 + l2 - 1)
     if hi - lo + 1 > rho:
         raise DecodeFailure("interval union wider than one sketch window")
-    try:
-        j = next(i for i, (ws, we) in enumerate(windows, start=1) if ws <= lo and hi <= we)
-    except StopIteration:
-        raise DecodeFailure("no sketch window contains both deletion intervals") from None
+    # [lo, hi] in [1, n] spans at most rho: window ceil(lo / rho) or the last holds it.
+    j = next(i for i, (ws, we) in enumerate(windows, start=1) if ws <= lo and hi <= we)
     ws, we = windows[j - 1]
 
     total_other = 0
@@ -728,10 +727,8 @@ def prefix_decode_one(received, k: int, P1: int, P2: int) -> Bits:
     candidates = {received[:k]}
     if received[k] == 1:
         _, (_, f1_residue, _) = _parse_tail(received[k + 1:], params)
-        try:
-            candidates.add(vt_decode(received[:k - 1], f1_residue, k, modulus=k + 1))
-        except DecodeFailure:
-            pass
+        # VT codes are perfect: each residue mod k + 1 has one insertion (Levenshtein).
+        candidates.add(vt_decode(received[:k - 1], f1_residue, k, modulus=k + 1))
     verified = {z for z in candidates
                 if is_subsequence(received, z + (0, 1) + _redundancy(z, params))}
     return _unique(verified, "payloads consistent with one deletion")

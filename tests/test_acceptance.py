@@ -438,7 +438,7 @@ def test_criterion_12_double_defect_tuples():
                 == codeword.strands
             cases += 1
 
-    from syndef.core import ParameterError
+    from syndef.core import is_regular
     n_toy = 8
     rng = SplitMix(31)
     strands, seen = [], set()
@@ -446,10 +446,9 @@ def test_criterion_12_double_defect_tuples():
     while len(strands) < 12 and tries < 6000:
         tries += 1
         x = rng.strand(n_toy)
-        try:
-            px = c2d_params_of(x, regular_window=5)
-        except ParameterError:
+        if not is_regular(signature(x), 5):
             continue
+        px = c2d_params_of(x)
         if px not in seen:
             seen.add(px)
             strands.append(x)

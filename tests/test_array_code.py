@@ -461,3 +461,34 @@ class TestBoundedDecodeFailsClosed:
         p = ArrayCodeParams(rows=2, length=5, row_sums=(0, 1), weighted_vt=9)
         with pytest.raises(DecodeFailure, match="cannot reproduce"):
             array_bounded_decode(b("000"), [(3, 1), (4, 1)], p)
+
+
+ROWS2 = ArrayCodeParams(rows=2, length=4, row_sums=(0, 0), weighted_vt=0)
+ROWS3 = ArrayCodeParams(rows=3, length=3, row_sums=(0, 0, 0), weighted_vt=0)
+
+
+class TestParameterErrors:
+    """One malformed input for each input check, with the text it raises."""
+
+    @pytest.mark.parametrize("call, text", [
+        (lambda: array_syndromes((0, 1), 0), "row count must be positive"),
+        (lambda: array_erasure_decode([None, 0, 0, 0], [(1, 1)], ROWS2),
+         "exactly two nonempty erasure bursts expected"),
+        (lambda: array_erasure_decode([None, 0, 0, 0], [(1, 3), (4, 1)], ROWS2),
+         "burst longer than the row count"),
+        (lambda: array_erasure_decode([None, 0, 0, 0], [(0, 2), (3, 1)], ROWS2),
+         "burst outside the padded word"),
+        # one column: the two bursts collide and the word holds no 2P block
+        (lambda: array_erasure_decode([None, None, 0], [(1, 1), (2, 1)], ROWS3),
+         "word too short to normalise overlapping bursts"),
+        (lambda: array_erasure_decode([0, 0, 0], [(1, 1), (2, 1)], ROWS2),
+         "received word has the wrong length"),
+        (lambda: array_bounded_decode((0, 0), [(1, 3), (4, 1)], ROWS2),
+         "interval length must be in [1, rows]"),
+        # two deletions declared by one interval
+        (lambda: array_bounded_decode((0, 0), [(1, 1)], ROWS2), "expected length 3, got 2"),
+    ], ids=["rows", "one burst", "long burst", "burst at 0", "short word",
+            "erasure length", "long interval", "one interval"])
+    def test_rejected(self, call, text):
+        with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
+            call()

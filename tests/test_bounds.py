@@ -1,5 +1,6 @@
 """Clique-cover bound tests."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -123,3 +124,15 @@ class TestSizeBounds:
                     "redundancy_bits_lower_bound"):
             assert key in report
         assert report["redundancy_bits_lower_bound"] > 0
+
+
+class TestParameterErrors:
+    """One input past each size cap, with the text it raises."""
+
+    @pytest.mark.parametrize("call, text", [
+        (lambda: verify_cover(8), "exhaustive cover verification is capped at n = 7"),
+        (lambda: kdcc_size_bounds(11), "exact lower bound is capped at n = 10"),
+    ], ids=["verify_cover", "kdcc_size_bounds"])
+    def test_rejected(self, call, text):
+        with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
+            call()

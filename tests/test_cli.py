@@ -83,6 +83,15 @@ class TestExitCodes:
         assert run_cli(argv) == 2
         assert "no sampled mode" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, text", [
+        (["verify-kdcc", "--family", "sum2", "--n", "3"], "unknown family 'sum2'"),
+        (["verify-kdcc", "--family", "array2", "--n", "4", "--mode", "every"],
+         "unknown mode 'every'"),
+    ])
+    def test_parameter_error_exits_two(self, argv, text, capsys):
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == f"usage error: {text}\n"
+
     def test_unknown_task_exits_two(self, capsys):
         # argparse's own usage errors come back as the return value too
         assert run_cli(["frobnicate", "--n", "4"]) == 2

@@ -1,5 +1,7 @@
 """Channel-model tests: frozen examples plus brute-force oracles at desk scale."""
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +15,7 @@ from syndef.core import (
     as_strand,
     confusable_ball,
     cycles,
+    default_regular_window,
     defect_ball,
     diff,
     inverse_diff,
@@ -356,3 +359,19 @@ class TestIsSubsequence:
             assert is_subsequence(short, long) == want
             assert is_subsequence(list(short), iter(long)) == want
             assert is_subsequence(iter(short), list(long)) == want
+
+
+class TestParameterErrors:
+    """One malformed input for each input check, with the text it raises."""
+
+    @pytest.mark.parametrize("call, text", [
+        (lambda: as_strand(()), "empty strand"),
+        (lambda: defect_ball(((1, 2),), 3), "defect radius exceeds strand length"),
+        (lambda: run_sequence(()), "empty word has no run sequence"),
+        (lambda: symbol_positions((1, 2), 5), "symbol 5 outside alphabet"),
+        (lambda: default_regular_window(1), "window undefined for n < 2"),
+    ], ids=["as_strand", "defect_ball", "run_sequence", "symbol_positions",
+            "default_regular_window"])
+    def test_rejected(self, call, text):
+        with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
+            call()

@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import re
 from itertools import combinations
 
 import pytest
 
+from syndef.binary import SvtParams
 from syndef.core import (
     DecodeFailure,
     ParameterError,
@@ -30,6 +32,7 @@ from syndef.kdcc import (
     hit_decoder,
     membership,
     spec_for_strand,
+    svt1_candidates,
     syndrome_key,
 )
 from syndef.rng import SplitMix
@@ -141,6 +144,13 @@ class TestDecodeSvt1:
     def test_code_size_bound(self):
         spec, size = best_residues("svt1", 6)
         assert size >= 4 ** 6 / 10
+
+    def test_candidate_cycles_wider_than_the_window_rejected(self):
+        # slots at cycles 3 and 20 of 1234... span 18 signature bits, past
+        # the shifted-VT window of 5
+        with pytest.raises(DecodeFailure,
+                           match="^defect window wider than the shifted-VT code tolerates$"):
+            svt1_candidates((1, 2, 3, 4) * 6, [3, 20], SvtParams(0, 0, 5))
 
 
 def two_defect_twins(x, delta):
@@ -492,3 +502,20 @@ class TestCodeProperty:
             for d in cycles(x):
                 inst = KnownDefectInstance(apply_defects(x, {d}), (d,), n)
                 assert decode(spec, inst) == x
+
+
+class TestParameterErrors:
+    """One malformed input for each input check, with the text it raises."""
+
+    @pytest.mark.parametrize("call, text", [
+        (lambda: KdccSpec("sum2", 4, {"a": 0}), "unknown family 'sum2'"),
+        (lambda: decode_sum1(KnownDefectInstance((1, 2, 3), (1, 2), 4), 0),
+         "sum1 corrects exactly 1 defective cycle(s)"),
+        (lambda: decode_svt1(KnownDefectInstance((1,), (1,), 2), 0, 0), "svt1 needs n >= 3"),
+        (lambda: decode_sum1(KnownDefectInstance((1, 2, 3, 4, 1), (1,), 4), 0),
+         "received length incompatible with 1 defect(s)"),
+        (lambda: best_residues("sum2", 4), "unknown family 'sum2'"),
+    ], ids=["spec family", "cycle count", "svt1 length", "longer received", "best family"])
+    def test_rejected(self, call, text):
+        with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
+            call()

@@ -160,6 +160,76 @@ class TestModuleBoundaries:
                   and not node.name.startswith("_") and node.name not in loaded]
         assert unused == []
 
+    @staticmethod
+    def decode_failure_sites(paths) -> list[tuple[str, str, str]]:
+        """(module, enclosing function, message) of every ``raise
+        DecodeFailure(...)`` in ``paths``, in source order; an f-string
+        message reads as its template, each field in braces as written."""
+        def text(node):
+            if isinstance(node, ast.Constant):
+                return node.value
+            return "".join(v.value if isinstance(v, ast.Constant)
+                           else "{" + ast.unparse(v.value) + "}" for v in node.values)
+
+        def walk(node, module, function):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.FunctionDef):
+                    yield from walk(child, module, child.name)
+                    continue
+                if (isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call)
+                        and getattr(child.exc.func, "id", None) == "DecodeFailure"):
+                    yield module, function, text(child.exc.args[0])
+                yield from walk(child, module, function)
+
+        return [site for path in paths
+                for site in walk(ast.parse(path.read_text()), path.stem, None)]
+
+    def test_decode_failure_inventory(self):
+        """Every guard that raises DecodeFailure, listed: one added, deleted
+        or reworded shows in this test's diff."""
+        paths = sorted((ROOT / "src" / "syndef").glob("*.py"))
+        assert self.decode_failure_sites(paths) == DECODE_FAILURES
+
+
+# (module, function, message) of each ``raise DecodeFailure(...)`` in the package.
+DECODE_FAILURES = [
+    ("array_code", "_solve_rows",
+     "{len(matches)} row assignments consistent with the weighted VT residue"),
+    ("array_code", "array_erasure_decode", "recovered word cannot reproduce the received bits"),
+    ("array_code", "_column_word", "single-column row sums are not bits"),
+    ("array_code", "_column_word", "single-column word contradicts the weighted residue"),
+    ("array_code", "_bounded_decode", "recovered word cannot reproduce the received bits"),
+    ("array_code", "_fill_single", "row sum inconsistent with a single missing bit"),
+    ("array_code", "_fill_single", "weighted VT residue mismatch after single-deletion fill"),
+    ("binary", "vt_decode", "{len(matches)} candidates consistent with VT residue {a} mod {m}"),
+    ("binary", "svt_decode", "deletion window does not meet the received word"),
+    ("binary", "svt_decode", "{len(matches)} shifted-VT candidates in window [{lo}, {hi}]"),
+    ("kdcc", "_sum1_hit", "{len(found)} insertions match the even-position sum"),
+    ("kdcc", "algorithm1_recover", "no signature-consistent reinsertion exists"),
+    ("kdcc", "algorithm1_recover", "signature does not single out one reinsertion"),
+    ("kdcc", "svt1_candidates", "no cycle-consistent insertion for the defective cycle"),
+    ("kdcc", "svt1_candidates", "defect window wider than the shifted-VT code tolerates"),
+    ("kdcc", "_svt1_hit", "{len(found)} insertions match the signature"),
+    ("kdcc", "decode_array2", "{len(found)} strands consistent with {hits}"),
+    ("sdcc", "sdcc1_decode", "a defect missed every cover strand; coverage is broken"),
+    ("sdcc", "sdcc1_decode", "cover strand reconstruction is not unique"),
+    ("sdcc", "sdcc1_decode", "cover strands disagree on the defective cycle"),
+    ("sdcc", "sdcc1_decode", "remaining strand reconstruction is not unique"),
+    ("sdcc", "sdcc1_decode", "no candidate cycle reproduces the received tuple"),
+    ("sdcc", "_deleted_values", "symbol counts inconsistent with two deletions"),
+    ("sdcc", "c2d_decode", "symbol counts disagree with the received length"),
+    ("sdcc", "c2d_decode", "{len(survivors)} strands consistent with all syndromes"),
+    ("sdcc", "sdcc2_decode", "defects missed every cover strand; coverage is broken"),
+    ("sdcc", "sdcc2_decode", "no defective-cycle set explains all cover strands"),
+    ("sdcc", "sdcc2_decode", "{len(outcomes)} tuples consistent with the channel"),
+    ("sketch", "_unique", "{len(found)} {what}"),
+    ("sketch", "e1_decode", "interval union wider than one sketch window"),
+    ("sketch", "e2_decode", "intervals are not separated"),
+    ("sketch", "decode_E", "full-length word is not a valid composition"),
+    ("sketch", "prefix_decode_two", "marker bits not found where the intervals imply"),
+    ("sketch", "prefix_decode_one", "full-length word is not a marker codeword"),
+]
+
 
 # Unbounded ``functools.cache`` is kept to these, each with why its keys
 # stay few.
@@ -282,6 +352,12 @@ class TestDeletedPositions:
                 assert deletion_positions(full, short) == [
                     pos for pos in combinations(range(1, len(full) + 1), k)
                     if tuple(v for i, v in enumerate(full, 1) if i not in pos) == short]
+
+    def test_other_lengths_give_none(self):
+        for full in words_up_to(5):
+            for short in (full + (1,), full[3:]):
+                if len(full) - len(short) not in (0, 1, 2):
+                    assert deletion_positions(full, short) == [], (full, short)
 
 
 class TestSlotKernel:

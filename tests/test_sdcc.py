@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 from itertools import combinations, combinations_with_replacement, product
 
 import pytest
@@ -13,6 +14,7 @@ from syndef.core import (
     ParameterError,
     all_strands,
     apply_defects,
+    apply_defects_shifted,
     cycles,
     deletion_positions,
     longest_run,
@@ -183,7 +185,7 @@ class TestC2d:
 
     def test_minimal_length(self):
         x = (2, 1, 3)
-        params = c2d_params_of(x, regular_window=4)
+        params = c2d_params_of(x)
         assert c2d_decode(delete(x, 2), params) == x
 
     def test_full_length_identity(self):
@@ -374,6 +376,52 @@ class TestSdcc2:
             "6e77191ccfb72d9463acbf14faa530f859e8231f6bf9201348fcf1848641cd1a"
 
 
+class TestDecodeFailureReasons:
+    """An input for each guard of the tuple decoders that names why a decode
+    fails, matched on its exact text.  Without a coverage guard or the
+    disagreement guard, a later check rejects the same input for another
+    reason; without the uniqueness guard, ``sdcc1_decode`` fails with a
+    KeyError."""
+
+    @staticmethod
+    def reject(decode, received, plan, params, text):
+        with pytest.raises(DecodeFailure, match=f"^{re.escape(text)}$"):
+            decode(received, plan, params)
+
+    def test_sdcc1_defect_missed_every_cover(self):
+        codeword, plan, params = random_member_1sdcc(16, 8, seed=0)
+        received = list(codeword.strands)
+        received[5] = received[5][1:]  # only a remaining strand is short
+        self.reject(sdcc1_decode, received, plan, params,
+                    "a defect missed every cover strand; coverage is broken")
+
+    def test_sdcc1_cover_reconstruction_not_unique(self):
+        # cover 3 lost its symbol at cycle 50 and has one symbol rewritten:
+        # no insertion gives the signature its syndrome decodes to
+        codeword, plan, params = random_member_1sdcc(16, 8, seed=0)
+        received = list(codeword.channel({50}))
+        hit = received[3]
+        received[3] = hit[:13] + (hit[13] % 4 + 1,) + hit[14:]
+        self.reject(sdcc1_decode, received, plan, params,
+                    "cover strand reconstruction is not unique")
+
+    def test_sdcc1_covers_disagree(self):
+        # covers 0 and 1 lost symbols at cycles 1 and 17, which share no run
+        codeword, plan, params = random_member_1sdcc(16, 8, seed=0)
+        received = list(codeword.strands)
+        for i, d in ((0, 1), (1, 17)):
+            received[i] = apply_defects_shifted(codeword.strands[i], plan.shifts[i], {d})
+        self.reject(sdcc1_decode, received, plan, params,
+                    "cover strands disagree on the defective cycle")
+
+    def test_sdcc2_defects_missed_every_cover(self):
+        codeword, plan, params = random_member_2sdcc(16, 10, seed=0)
+        received = list(codeword.strands)
+        received[9] = received[9][1:]  # only a remaining strand is short
+        self.reject(sdcc2_decode, received, plan, params,
+                    "defects missed every cover strand; coverage is broken")
+
+
 class TestMemberSizes:
     def test_fewer_strands_than_covers_rejected(self):
         with pytest.raises(ParameterError):
@@ -490,7 +538,7 @@ class TestSdcc2ToyDisjointness:
     def test_pairwise_disjoint_double_balls_n8(self):
         # tuples whose strands differ in their two-deletion syndromes must
         # have disjoint radius-2 defect balls; verified by direct intersection
-        from syndef.core import ParameterError, defect_ball
+        from syndef.core import defect_ball, is_regular
         n = 8
         rng = SplitMix(31)
         strands, seen = [], set()
@@ -498,10 +546,9 @@ class TestSdcc2ToyDisjointness:
         while len(strands) < 12 and tries < 4000:
             tries += 1
             x = rng.strand(n)
-            try:
-                px = c2d_params_of(x, regular_window=5)
-            except ParameterError:
+            if not is_regular(signature(x), 5):
                 continue
+            px = c2d_params_of(x)
             if px in seen:
                 continue
             seen.add(px)
@@ -534,3 +581,45 @@ class TestWindowSoundness:
                                     s for i, s in enumerate(z, 1) if i != q):
                             d2 = cycles(z)[q - 1]
                             assert abs(d2 - d) <= 4 * P + 4
+
+
+def irregular_cover_codeword():
+    """One cover strand of 48 equal symbols, whose signature holds no 00, and
+    one remaining strand."""
+    return SdccCodeword(strands=((1,) * 48, (1, 2) * 24), shifts=(0,))
+
+
+def shortened(member, i, k):
+    """(received, plan, params) of a member whose strand ``i`` alone lost its
+    first ``k`` symbols."""
+    codeword, plan, params = member
+    received = list(codeword.strands)
+    received[i] = received[i][k:]
+    return received, plan, params
+
+
+class TestParameterErrors:
+    """One malformed input for each input check, with the text it raises."""
+
+    @pytest.mark.parametrize("call, text", [
+        (lambda: select_cover_shifts(None),
+         "cover strands must be a sequence of strands, got None"),
+        (lambda: select_cover_shifts(5), "cover strands must be a sequence of strands, got 5"),
+        (lambda: SdccCodeword.from_json(
+            dict(random_member_1sdcc(16, 8, seed=1)[0].to_json(), n=17)),
+         "tuple JSON header disagrees with payload"),
+        (lambda: sdcc1_params_of(irregular_cover_codeword()),
+         "cover signature is not regular at this window"),
+        (lambda: sdcc1_decode(*shortened(random_member_1sdcc(16, 8, seed=1), 0, 2)),
+         "received lengths incompatible with one defect"),
+        (lambda: c2d_params_of((1, 2)), "two-deletion coding needs n >= 3"),
+        (lambda: c2d_params_of((1,) * 48), "signature is not regular at this window"),
+        (lambda: c2d_decode((2, 1, 3), c2d_params_of((2, 1, 3, 4, 2, 1))),
+         "received length incompatible with two deletions"),
+        (lambda: sdcc2_decode(*shortened(random_member_2sdcc(16, 10, seed=1), 0, 3)),
+         "received lengths incompatible with two defects"),
+    ], ids=["cover None", "cover int", "json header", "irregular cover", "sdcc1 lengths",
+            "c2d length", "c2d irregular", "c2d received", "sdcc2 lengths"])
+    def test_rejected(self, call, text):
+        with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
+            call()

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 from collections import Counter
 from itertools import combinations, product
 from math import comb
@@ -45,6 +46,7 @@ from syndef.sketch import (
     xi_budget,
     xi_decode,
     xi_field_widths,
+    xi_value,
 )
 
 
@@ -248,6 +250,9 @@ class TestCompletions:
             _completions((0, 1), 1, moment_vector((0,)))
 
 
+WITNESS = b("0110100111001010")
+
+
 class TestE1:
     def test_windows_tile_with_overlap(self):
         for n in (9, 12, 17, 24):
@@ -287,6 +292,13 @@ class TestE1:
         sk = e1_sketch(x, 2, 2)
         with pytest.raises(DecodeFailure):
             e1_decode(delete(x, 1, 9), [(1, 2), (8, 2)], sk, 12, 2, 2)
+
+    def test_union_wider_than_a_window_rejected(self):
+        # deletions at 3 and 13 declared in [3, 4] and [12, 13]: the union
+        # spans 11 positions, past the window overlap rho = 4
+        x = WITNESS
+        with pytest.raises(DecodeFailure, match="^interval union wider than one sketch window$"):
+            e1_decode(delete(x, 3, 13), [(3, 2), (12, 2)], e1_sketch(x, 2, 2), 16, 2, 2)
 
 
 class TestE2:
@@ -329,6 +341,12 @@ class TestE2:
         sk = e2_sketch(x, 3, 3)
         with pytest.raises(DecodeFailure):
             e2_decode(delete(x, 4, 5), [(3, 3), (4, 3)], sk, 12, 3, 3)
+
+    def test_touching_intervals_rejected(self):
+        # [2, 3] and [4, 5] leave no position between them
+        x = WITNESS
+        with pytest.raises(DecodeFailure, match="^intervals are not separated$"):
+            e2_decode(delete(x, 3, 13), [(2, 2), (4, 2)], e2_sketch(x, 2, 2), 16, 2, 2)
 
     @staticmethod
     def placement_search(received, intervals, sketch, n, P):
@@ -886,3 +904,39 @@ class TestEncodeOutputsPinned:
         assert count == 6552
         assert digest.hexdigest() == \
             "70bd7f64d82c00666370e486a26540badfd68bb5952d5b58592b082f53dcd48f"
+
+
+BUNDLE = sketch_bundle(b("1011010010"), 2, 3).to_json()
+COMPOSED_LENGTH = EParams(8, 2, 2).total
+PREFIX_LENGTH = prefix_codeword_length(8, 2, 2)
+
+
+class TestParameterErrors:
+    """One malformed input for each input check, with the text it raises."""
+
+    @pytest.mark.parametrize("call, text", [
+        (lambda: xi_value((1, 0, 1), 2), "word longer than its packing length"),
+        (lambda: xi_decode((0,) * 5, (), 8),
+         "received length incompatible with one or two deletions"),
+        (lambda: e1_decode((0,) * 10, [(3, 2), (4, 2)], (0, 0), 16, 2, 2),
+         "expected length 14, got 10"),
+        (lambda: e2_decode((0,) * 10, [(3, 2), (8, 2)], (0, 0, 0), 16, 2, 2),
+         "expected length 14, got 10"),
+        (lambda: EParams(n=2, P1=2, P2=2), "composition requires P1, P2 >= 2 and n >= 3"),
+        (lambda: SketchBundle.from_json({}), "malformed sketch bundle"),
+        (lambda: SketchBundle.from_json(dict(BUNDLE, params=dict(BUNDLE["params"], P1="2"))),
+         "sketch bundle fields must be integers"),
+        (lambda: decode_E((0,) * (COMPOSED_LENGTH - 3), [(1, 1), (2, 1)], 8, 2, 2),
+         f"received length {COMPOSED_LENGTH - 3} incompatible with <= 2 deletions"),
+        (lambda: prefix_decode_two((0,) * 5, [(1, 1), (3, 1)], 8, 2, 2),
+         f"expected length {PREFIX_LENGTH - 2}, got 5"),
+        (lambda: prefix_decode_one((0,) * 5, 8, 2, 2),
+         f"expected length {PREFIX_LENGTH} or {PREFIX_LENGTH - 1}, got 5"),
+    ] + [(lambda n=n: e1_windows(n, 2), f"word length n must be a positive int, got {n!r}")
+         for n in (0, -3, True, 2.5)],
+        ids=["xi_value", "xi_decode", "e1_decode", "e2_decode", "EParams", "bundle keys",
+             "bundle ints", "decode_E", "prefix_decode_two", "prefix_decode_one",
+             "windows 0", "windows -3", "windows True", "windows 2.5"])
+    def test_rejected(self, call, text):
+        with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
+            call()
