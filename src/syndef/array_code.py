@@ -12,13 +12,20 @@ Every decode works on the padded word as a list with ``None`` at erasures.
 counts of 1 over stride-P slices, and their weighted VT sum adds up a cached
 table of position weights 3^row * column over the positions holding a 1.  The
 solve then touches only the 2P erased positions.
+
+The ambiguous rows are ordered by digits, not by trying their 2^k orders.
+Row i's erased positions lie in the two disjoint windows, e_i >= 1 columns
+apart, so putting its 1 second adds 3^i * e_i.  Those additions total at most
+(cols - 1)(3^P - 1)/2 < 3^P * padded, the modulus, so the residue is their
+exact sum, whose base-3 digits from row 0 up fix each row.  A row keeps both
+orders only when 3 divides e_i: the match count a failure reports is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
-from itertools import compress, product
+from itertools import compress
 
 from .binary import as_bits
 from .core import Bits, DecodeFailure, ParameterError, as_spans, is_subsequence
@@ -127,69 +134,48 @@ def _normalize_windows(bursts, rows: int, padded: int) -> list[Interval]:
 def _solve_rows(word: list, windows, params: ArrayCodeParams) -> list:
     """Fill a length-``params.length`` list of bits with erasures (``None``)
     inside ``windows``, two disjoint length-P windows from
-    :func:`_normalize_windows`: pad the word with zeros, erase the windows
-    and solve each row.  Returns the padded word."""
+    :func:`_normalize_windows`, the first before the second: pad the word
+    with zeros, clear the windows to 0 (a row short of no 1 is then solved),
+    fill each row short of two 1s and order the rest by digits.  Returns the
+    padded word."""
     P = params.rows
     word = word + [0] * (params.padded - params.length)
     for s, l in windows:
-        word[s - 1:s - 1 + l] = [None] * l
+        word[s - 1:s - 1 + l] = [0] * l
     weights = _weights(P, params.cols)
     base = _weighted(word, P)  # weighted VT of all determined bits
-    ambiguous = []    # (p_k, p_l) with one 1 and one 0 in unknown order
-    deltas = []       # weighted contribution of either placement
+    ambiguous = []  # (p_k, p_l, row) with one 1 and one 0 in unknown order
     a1, a2 = (s - 1 for s, _ in windows)
     for i, row_sum in enumerate(params.row_sums):
         d = (row_sum - word[i::P].count(1)) % 3
-        # Each window holds one position of every row.
-        p_k, p_l = a1 + (i - a1) % P, a2 + (i - a2) % P
-        if d == 0:
-            word[p_k] = word[p_l] = 0
-        elif d == 2:
-            word[p_k] = word[p_l] = 1
-            base += weights[p_k] + weights[p_l]
-        else:
-            ambiguous.append((p_k, p_l))
-            deltas.append((weights[p_k], weights[p_l]))
+        if d:
+            # Each window holds one position of every row.
+            p_k, p_l = a1 + (i - a1) % P, a2 + (i - a2) % P
+            if d == 2:
+                word[p_k] = word[p_l] = 1
+                base += weights[p_k] + weights[p_l]
+            else:
+                ambiguous.append((p_k, p_l, i))
+                base += weights[p_k]
 
-    M = params.modulus
-    matches = _assignments_matching(deltas, (params.weighted_vt - base) % M, M)
+    # (what the second choices still have to add, choices so far)
+    fills = [((params.weighted_vt - base) % params.modulus, ())]
+    for p_k, p_l, i in ambiguous:
+        step, digit = weights[p_l] - weights[p_k], 3 ** (i + 1)
+        kept = []
+        for rest, choice in fills:
+            if rest % digit == 0:
+                kept.append((rest, choice + (0,)))
+            if (rest - step) % digit == 0:
+                kept.append((rest - step, choice + (1,)))
+        fills = kept
+    matches = [choice for rest, choice in fills if rest == 0]
     if len(matches) != 1:
         raise DecodeFailure(
             f"{len(matches)} row assignments consistent with the weighted VT residue")
-    for c, (p_k, p_l) in zip(matches[0], ambiguous):
+    for c, (p_k, p_l, _) in zip(matches[0], ambiguous):
         word[p_k], word[p_l] = (1, 0) if c == 0 else (0, 1)
     return word
-
-
-def _subset_sums(deltas) -> list[int]:
-    """Sum of every binary choice over ``deltas``, in the order of
-    :func:`_choices`."""
-    sums = [0]
-    for dk, dl in deltas:
-        sums = [v + d for v in sums for d in (dk, dl)]
-    return sums
-
-
-@cache
-def _choices(k: int) -> tuple[tuple[int, ...], ...]:
-    """Every binary choice tuple of length ``k``, indexed as in :func:`_subset_sums`."""
-    return tuple(product((0, 1), repeat=k))
-
-
-def _assignments_matching(deltas, target: int, modulus: int):
-    """Binary choices (one weighted contribution per ambiguous row) summing to
-    ``target`` mod ``modulus``; meet-in-the-middle beyond a few rows."""
-    k = len(deltas)
-    if k <= 6:
-        return [_choices(k)[i] for i, s in enumerate(_subset_sums(deltas))
-                if s % modulus == target]
-    half = k // 2
-    left: dict[int, list[int]] = {}
-    for i, s in enumerate(_subset_sums(deltas[:half])):
-        left.setdefault(s % modulus, []).append(i)
-    return [_choices(half)[j] + _choices(k - half)[i]
-            for i, s in enumerate(_subset_sums(deltas[half:]))
-            for j in left.get((target - s) % modulus, ())]
 
 
 def array_erasure_decode(received, burst_positions, params: ArrayCodeParams) -> Bits:

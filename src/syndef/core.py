@@ -40,7 +40,10 @@ def smod4(value: int) -> int:
 def as_strand(symbols) -> Strand:
     """Validate and normalise a quaternary word: a non-empty sequence of the
     ints 1 to 4, where a float, a string or a bool is no symbol."""
-    word = tuple(symbols)
+    try:
+        word = tuple(symbols)
+    except TypeError:
+        raise ParameterError(f"strand must be a sequence of symbols, got {symbols!r}") from None
     if not word:
         raise ParameterError("empty strand")
     if set(map(type, word)) != {int} or not _SYMBOLS.issuperset(word):
@@ -161,7 +164,7 @@ def apply_defects_tuple(strands, delta) -> tuple[Strand, ...]:
     return tuple(apply_defects(s, delta) for s in strands)
 
 
-def _insert_slot_positions(word: Strand, delta: int) -> list[int]:
+def _insert_slot_positions(word: Strand, delta: int, start: int = 1, c: int = 0) -> list[int]:
     """1-based positions at which a symbol inserted into ``word`` would be
     synthesised exactly at cycle ``delta``; at most four, and consecutive
     because landing cycles never decrease from slot to slot.
@@ -169,11 +172,12 @@ def _insert_slot_positions(word: Strand, delta: int) -> list[int]:
     A slot after a symbol at cycle c lands on the one cycle in [c + 1, c + 4]
     congruent to ``delta`` mod 4: exactly ``delta`` when c lies in
     [delta - 4, delta - 1], past it once c >= delta, so the scan runs the
-    recurrence of :func:`cycles` and stops there.
+    recurrence of :func:`cycles` and stops there.  It resumes at position
+    ``start`` when ``c`` is the cycle of symbol start - 1 and no slot lies
+    before ``start``.
     """
     out = []
-    c = 0
-    for pos, s in enumerate(word, start=1):
+    for pos, s in enumerate(word[start - 1:] if start > 1 else word, start):
         if c >= delta:
             return out
         if c >= delta - 4:
@@ -241,27 +245,34 @@ def pair_alignment(own: Bits, sig: Bits) -> tuple[int, int, list[int]]:
     return common_prefix(own, sig), common_suffix(own, sig), ahead
 
 
-def pair_slots(word: Strand, v1: int, v2: int, sig: Bits, alignment, firsts):
-    """Slot pairs (p, q), q > p, at which inserting ``v1`` into ``word`` at p,
-    then ``v2`` at q of the grown word, gives the signature ``sig``; p runs
-    over the ascending ``firsts`` and ``alignment`` is :func:`pair_alignment`.
+def pair_slots(word: Strand, v1: int, v2: int, sig: Bits, own: Bits, table=None):
+    """Slot pairs (p, q), q > p, at which inserting ``v1`` into ``word`` (whose
+    own signature is ``own``) at p, then ``v2`` at q of the grown word, gives
+    the signature ``sig``.
 
-    The bits before p-1 are the word's own, so p is at most two past the
-    common prefix; those from q on are its own two places right, so q lies in
-    the common suffix; those between are its own one place right, a run that
-    ``ahead`` caps.  The four bits around v1 and v2 take one comparison each.
+    The bits before p-1 are the word's own, those from q on are its own two
+    places right, and those between are its own one place right; the four
+    bits around v1 and v2 take one comparison each.  Given a slot ``table``
+    ({p: (grown word, second slots)}, p ascending), only its pairs are tried,
+    the three runs compared as slices.  Otherwise :func:`pair_alignment`
+    bounds every pair: p by the common prefix, q by the common suffix, and
+    the middle run by ``ahead``.
     """
-    prefix, suffix, ahead = alignment
     n = len(word) + 2
-    for p in firsts:
-        if p > prefix + 2:
+    if table is None:
+        prefix, suffix, ahead = pair_alignment(own, sig)
+    for p in range(1, n) if table is None else table:
+        if p > 2 and (p > prefix + 2 if table is None else own[:p - 2] != sig[:p - 2]):
             return
         if p > 1 and (v1 >= word[p - 2]) != sig[p - 2]:
             continue  # the rewritten bit before v1 already differs
-        last = p + 1
-        if p < n - 1 and (word[p - 1] >= v1) == sig[p - 1]:
-            last += 1 + ahead[p - 1]
-        for q in range(max(n - 1 - suffix, p + 1), last + 1):
+        # Past q = p + 1 the bit after v1 is rewritten against word[p - 1].
+        run = p < n - 1 and (word[p - 1] >= v1) == sig[p - 1]
+        for q in (range(max(n - 1 - suffix, p + 1), p + 2 + (1 + ahead[p - 1] if run else 0))
+                  if table is None else table[p][1]):
+            if table is not None and not (q > p and own[q - 2:] == sig[q:] and (
+                    q == p + 1 or run and own[p - 1:q - 3] == sig[p:q - 2])):
+                continue
             before = v1 if q == p + 1 else word[q - 3]
             if (v2 >= before) == sig[q - 2] and (q == n or (word[q - 2] >= v2) == sig[q - 1]):
                 yield p, q

@@ -36,7 +36,6 @@ from .core import (
     apply_defects,
     as_strand,
     matching_insertions,
-    pair_alignment,
     pair_slots,
     reinsertions,
     signature,
@@ -355,9 +354,15 @@ def _slot_table(received, d1: int, d2: int) -> dict[int, tuple[Strand, list[int]
     cycle ``d1``, with the once-grown word and that word's slots at ``d2``."""
     value = smod4(d1)
     table = {}
-    for p in _insert_slot_positions(received, d1):
+    firsts = _insert_slot_positions(received, d1)
+    # Symbols ahead of p0 - 1 sit below cycle d1 - 4 < d2 - 4, so each d2
+    # scan resumes at the first slot p0.  Symbol p0 - 1 sits in
+    # [d1 - 4, d1 - 1], on the one cycle there congruent to its value.
+    p0 = firsts[0] if firsts else 1
+    c0 = d1 - 4 + (received[p0 - 2] - d1) % 4 if p0 > 1 else 0
+    for p in firsts:
         grown = received[:p - 1] + (value,) + received[p - 1:]
-        table[p] = grown, _insert_slot_positions(grown, d2)
+        table[p] = grown, _insert_slot_positions(grown, d2, p0, c0)
     return table
 
 
@@ -395,11 +400,9 @@ def _pair_reinsertions(received, own, d1: int, d2: int, table, sigs) -> set[Stra
     v1, v2 = smod4(d1), smod4(d2)
     found = set()
     for sig in set(sigs):
-        alignment = pair_alignment(own, sig)
-        for p, q in pair_slots(received, v1, v2, sig, alignment, table):
-            grown, seconds = table[p]
-            if q in seconds:
-                found.add(grown[:q - 1] + (v2,) + grown[q - 1:])
+        for p, q in pair_slots(received, v1, v2, sig, own, table):
+            grown = table[p][0]
+            found.add(grown[:q - 1] + (v2,) + grown[q - 1:])
     for p, (grown, seconds) in table.items():
         for q in seconds:
             if q <= p:

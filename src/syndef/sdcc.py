@@ -39,7 +39,6 @@ from .core import (
     deletion_positions,
     is_regular,
     matching_insertions,
-    pair_alignment,
     pair_slots,
     run_sequence,
     shift_symbols,
@@ -122,7 +121,7 @@ def select_cover_shifts(strands) -> CoverPlan:
     """
     try:
         strands = [as_strand(s) for s in strands]
-    except TypeError:  # no sequence of strands, or a strand that is no sequence
+    except TypeError:  # no sequence of strands
         raise ParameterError(
             f"cover strands must be a sequence of strands, got {strands!r}") from None
     if not strands or len(strands) % 4 != 0:
@@ -139,9 +138,8 @@ def select_cover_shifts(strands) -> CoverPlan:
         for c in strands[block * group:(block + 1) * group]:
             sched = cycles(c)
             lo, hi = _shift_range(sched, n)
+            # Gaps of at most 4 give hi - lo >= 3: all four candidates stay in range.
             base = max(lo, min(t - sched[0], hi - 3))
-            if base + 3 > hi:
-                raise ConstructionError("no feasible shift candidates for a cover strand")
             best_a, best_cover = None, -1
             for a in range(base, base + 4):
                 got = len(uncovered.intersection(x + a for x in sched))
@@ -433,11 +431,9 @@ def _double_insertions_matching(received, values, sig, own) -> set[Strand]:
     signature equals ``sig``, of ``len(received) + 1`` bits, where ``own`` is
     the signature of ``received`` (empty below two symbols): :func:`pair_slots`
     tests each slot pair."""
-    m = len(received)
-    alignment = pair_alignment(own, sig)
     out: set[Strand] = set()
     for v1, v2 in {(values[0], values[1]), (values[1], values[0])}:
-        for p, q in pair_slots(received, v1, v2, sig, alignment, range(1, m + 2)):
+        for p, q in pair_slots(received, v1, v2, sig, own):
             w1 = received[:p - 1] + (v1,) + received[p - 1:]
             out.add(w1[:q - 1] + (v2,) + w1[q - 1:])
     return out

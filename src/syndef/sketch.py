@@ -413,7 +413,10 @@ def e1_decode(received, intervals, sketch: tuple[int, int], n: int, P1: int, P2:
 
 def e2_sketch(bits, P1: int, P2: int) -> tuple[int, int, int]:
     """(weight mod 3, f1 mod n+1, f2 mod P*n) with P = max(P1, P2)."""
-    return _e2_residues(_checked_inputs(bits, P1, P2)[0], max(P1, P2))
+    bits = _checked_inputs(bits, P1, P2)[0]
+    if not bits:
+        raise ParameterError("word length n must be a positive int, got 0")
+    return _e2_residues(bits, max(P1, P2))
 
 
 def _e2_residues(bits: Bits, P: int) -> tuple[int, int, int]:

@@ -9,9 +9,9 @@ import pytest
 
 from syndef.array_code import (
     ArrayCodeParams,
-    _assignments_matching,
     _column_word,
     _normalize_windows,
+    _solve_rows,
     array_bounded_decode,
     array_erasure_decode,
     array_single_bounded_decode,
@@ -276,39 +276,52 @@ class TestIntegerChecks:
             array_erasure_decode(erase(self.x, [(1, 2), (6, 2)]), 7, p)
 
 
-class TestAssignmentsMatching:
+class TestSolveRows:
+    """The base-3 digit solve against every fill of the erased positions."""
+
     @staticmethod
-    def reference(deltas, target, modulus):
-        """The enumeration over ``product`` that the list doubling replaced,
-        including its meet-in-the-middle order beyond six rows."""
-        def total(choice, part):
-            return sum(dl if c else dk for c, (dk, dl) in zip(choice, part)) % modulus
-        k = len(deltas)
-        if k <= 6:
-            return [c for c in product((0, 1), repeat=k) if total(c, deltas) == target]
-        half = k // 2
-        left = {}
-        for c in product((0, 1), repeat=half):
-            left.setdefault(total(c, deltas[:half]), []).append(c)
-        return [lc + c for c in product((0, 1), repeat=k - half)
-                for lc in left.get((target - total(c, deltas[half:])) % modulus, [])]
+    def fills(word, windows, params):
+        """Every fill of the erased window positions (pads included) whose
+        padded word has the syndromes of ``params``, by ``product``."""
+        P, N = params.rows, params.padded
+        padded = list(word) + [0] * (N - len(word))
+        erased = [i for s, l in windows for i in range(s - 1, s - 1 + l)]
+        out = []
+        for bits in product((0, 1), repeat=len(erased)):
+            for i, bit in zip(erased, bits):
+                padded[i] = bit
+            if (tuple(sum(padded[i::P]) % 3 for i in range(P)) == params.row_sums
+                    and sum(3 ** (i % P) * (i // P + 1) for i, bit in enumerate(padded) if bit)
+                    % params.modulus == params.weighted_vt):
+                out.append(list(padded))
+        return out
 
     def test_against_product_enumeration(self):
-        # small moduli give several matches, so their order is checked too
+        # cols >= 4 lets a row's positions lie 3 columns apart, where both
+        # orders pass the digit test and a later digit must decide.  No
+        # window pair lets two fills match: the gaps e_i differ by at most 1
+        # from row to row, and their sums over the subsets of rows are
+        # distinct (checked for P <= 9 and gaps up to 40 columns).
         rng = random.Random(6)
-        several = 0
-        for k in range(10):
-            for _ in range(30):
-                modulus = rng.choice((5, 12, 36, 3 ** 9 * 27))
-                deltas = [(rng.randrange(3 * modulus), rng.randrange(3 * modulus))
-                          for _ in range(k)]
-                target = rng.randrange(modulus)
-                if rng.random() < 0.5:
-                    target = sum(rng.choice(d) for d in deltas) % modulus
-                got = _assignments_matching(deltas, target, modulus)
-                assert got == self.reference(deltas, target, modulus)
-                several += len(got) > 1
-        assert several > 50
+        counts = set()
+        for P in range(1, 5):
+            for length in (4 * P, 5 * P - 1, 6 * P):
+                N = -(-length // P) * P
+                pairs = [((a1, P), (a2, P)) for a1 in range(1, N + 1)
+                         for a2 in range(a1 + P, N - P + 2)]
+                for windows in pairs:
+                    x = tuple(rng.randint(0, 1) for _ in range(length))
+                    true = array_syndromes(x, P)
+                    foreign = replace(true, weighted_vt=rng.randrange(true.modulus))
+                    for params in (true, foreign):
+                        want = self.fills(x, windows, params)
+                        counts.add(len(want))
+                        if len(want) == 1:
+                            assert _solve_rows(list(x), windows, params) == want[0]
+                        else:
+                            with pytest.raises(DecodeFailure, match=f"^{len(want)} row assign"):
+                                _solve_rows(list(x), windows, params)
+        assert counts == {0, 1}
 
 
 class TestBoundedDecode:

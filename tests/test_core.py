@@ -366,11 +366,12 @@ class TestParameterErrors:
 
     @pytest.mark.parametrize("call, text", [
         (lambda: as_strand(()), "empty strand"),
+        (lambda: as_strand(5), "strand must be a sequence of symbols, got 5"),
         (lambda: defect_ball(((1, 2),), 3), "defect radius exceeds strand length"),
         (lambda: run_sequence(()), "empty word has no run sequence"),
         (lambda: symbol_positions((1, 2), 5), "symbol 5 outside alphabet"),
         (lambda: default_regular_window(1), "window undefined for n < 2"),
-    ], ids=["as_strand", "defect_ball", "run_sequence", "symbol_positions",
+    ], ids=["as_strand", "as_strand int", "defect_ball", "run_sequence", "symbol_positions",
             "default_regular_window"])
     def test_rejected(self, call, text):
         with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):

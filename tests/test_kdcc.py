@@ -515,7 +515,11 @@ class TestParameterErrors:
         (lambda: decode_sum1(KnownDefectInstance((1, 2, 3, 4, 1), (1,), 4), 0),
          "received length incompatible with 1 defect(s)"),
         (lambda: best_residues("sum2", 4), "unknown family 'sum2'"),
-    ], ids=["spec family", "cycle count", "svt1 length", "longer received", "best family"])
+        (lambda: spec_for_strand("sum1", 5), "strand must be a sequence of symbols, got 5"),
+        (lambda: membership(spec_for_strand("sum1", (1, 2, 3)), 5),
+         "strand must be a sequence of symbols, got 5"),
+    ], ids=["spec family", "cycle count", "svt1 length", "longer received", "best family",
+            "spec strand int", "membership strand int"])
     def test_rejected(self, call, text):
         with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
             call()

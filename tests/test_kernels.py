@@ -16,10 +16,13 @@ from syndef.core import (
     all_strands,
     apply_defects,
     apply_defects_shifted,
+    common_prefix,
+    common_suffix,
     cycles,
     deletion_positions,
     diff,
     matching_slots,
+    pair_slots,
     reinsertions,
     shift_symbols,
     signature,
@@ -235,7 +238,6 @@ DECODE_FAILURES = [
 # stay few.
 UNBOUNDED_CACHES = {
     "array_code._weights": "keyed on (rows, cols) of params that were validated",
-    "array_code._choices": "keyed on a count of ambiguous rows, at most the row count",
 }
 
 
@@ -375,6 +377,42 @@ class TestSlotKernel:
             for delta in combinations(cycles(x), 2):
                 assert x in reinsertions(apply_defects(x, delta), delta)
 
+    def test_resumed_scan_against_a_scan_from_position_1(self):
+        # every resume point (start, cycle of symbol start - 1) before the
+        # first slot gives the slots of the scan from position 1
+        for w in words_up_to(5):
+            sched = (0,) + cycles(w)
+            for delta in range(1, 4 * len(w) + 9):
+                slots = _insert_slot_positions(w, delta)
+                for start in range(1, (slots[0] if slots else len(w) + 1) + 1):
+                    assert _insert_slot_positions(w, delta, start, sched[start - 1]) == slots
+
+    @staticmethod
+    def check_table(r, d1, d2):
+        """Each second scan of the slot table, resumed at the first slot,
+        against a scan of the grown word from position 1."""
+        table = kdcc._slot_table(r, d1, d2)
+        assert list(table) == _insert_slot_positions(r, d1)
+        for p, (grown, seconds) in table.items():
+            assert grown == insert(r, p, smod4(d1))
+            assert seconds == _insert_slot_positions(grown, d2), (r, d1, d2, p)
+
+    def test_slot_table_resumes_at_the_first_slot(self):
+        for w in words_up_to(4):
+            for d1, d2 in combinations(range(1, 4 * len(w) + 9), 2):
+                self.check_table(w, d1, d2)
+        for x in words_up_to(6):
+            for d1, d2 in combinations(cycles(x), 2):
+                self.check_table(apply_defects(x, (d1, d2)), d1, d2)
+        rng = random.Random(24)
+        for n in (24, 32):
+            for _ in range(300):
+                x = tuple(rng.randint(1, 4) for _ in range(n))
+                d1, d2 = sorted(rng.sample(cycles(x), 2))
+                self.check_table(apply_defects(x, (d1, d2)), d1, d2)
+                d2 = rng.randint(d1 + 1, 4 * n + 4)
+                self.check_table(apply_defects(x, (d1,)), d1, d2)
+
 
 class TestPairReinsertions:
     """The signature-guided pair kernel of the array2 decode against building
@@ -432,6 +470,71 @@ class TestPairReinsertions:
         assert kdcc._pair_reinsertions(r, signature(r), 2, 3, kdcc._slot_table(r, 2, 3),
                                        [signature(y)]) == {y}
         self.check(r, 2, 3, [signature(y), signature((2, 3, 4, 1, 1, 4, 3))])
+
+
+def alignment_pair_slots(word, v1, v2, sig, own, firsts):
+    """The pair kernel before slot tables: ``ahead`` filled over the whole
+    signature, then every second slot of each first slot searched."""
+    ahead = [0] * (len(own) + 2)
+    for j in range(len(own) - 1, -1, -1):
+        if own[j] == sig[j + 1]:
+            ahead[j] = ahead[j + 1] + 1
+    prefix, suffix = common_prefix(own, sig), common_suffix(own, sig)
+    n = len(word) + 2
+    for p in firsts:
+        if p > prefix + 2:
+            return
+        if p > 1 and (v1 >= word[p - 2]) != sig[p - 2]:
+            continue
+        last = p + 1
+        if p < n - 1 and (word[p - 1] >= v1) == sig[p - 1]:
+            last += 1 + ahead[p - 1]
+        for q in range(max(n - 1 - suffix, p + 1), last + 1):
+            before = v1 if q == p + 1 else word[q - 3]
+            if (v2 >= before) == sig[q - 2] and (q == n or (word[q - 2] >= v2) == sig[q - 1]):
+                yield p, q
+
+
+class TestPairSlots:
+    """``pair_slots`` over a slot table, and over every slot pair, against the
+    alignment kernel it replaced on the slot table's path."""
+
+    @staticmethod
+    def check(r, d1, d2, sigs):
+        v1, v2 = smod4(d1), smod4(d2)
+        own = signature(r) if len(r) >= 2 else ()
+        table = kdcc._slot_table(r, d1, d2)
+        for sig in sigs:
+            want = [(p, q) for p, q in alignment_pair_slots(r, v1, v2, sig, own, table)
+                    if q in table[p][1]]
+            assert list(pair_slots(r, v1, v2, sig, own, table)) == want, (r, d1, d2, sig)
+            assert list(pair_slots(r, v1, v2, sig, own)) == list(
+                alignment_pair_slots(r, v1, v2, sig, own, range(1, len(r) + 2)))
+
+    def test_every_strand_up_to_length_6(self):
+        # every target signature up to length 4; beyond, the true one and
+        # one with a bit flipped
+        for x in words_up_to(6):
+            sched = cycles(x)
+            for d1, d2 in combinations(sched, 2):
+                r = apply_defects(x, (d1, d2))
+                if len(x) <= 4:
+                    sigs = list(product((0, 1), repeat=len(x) - 1))
+                else:
+                    sig = signature(x)
+                    sigs = [sig, TestPairReinsertions.flipped(sig, d1 + d2)]
+                self.check(r, d1, d2, sigs)
+
+    def test_random_strands(self):
+        rng = random.Random(32)
+        for n in (24, 32):
+            for _ in range(500):
+                x = tuple(rng.randint(1, 4) for _ in range(n))
+                d1, d2 = sorted(rng.sample(cycles(x), 2))
+                sig = signature(x)
+                flips = [rng.randrange(len(sig)) for _ in range(3)]
+                self.check(apply_defects(x, (d1, d2)), d1, d2,
+                           [sig] + [TestPairReinsertions.flipped(sig, i) for i in flips])
 
 
 class TestOneCycleRecovery:

@@ -598,6 +598,13 @@ def shortened(member, i, k):
     return received, plan, params
 
 
+def with_int_strand(member):
+    """(received, plan, params) of a member whose last strand arrives as the
+    int 5."""
+    codeword, plan, params = member
+    return (*codeword.strands[:-1], 5), plan, params
+
+
 class TestParameterErrors:
     """One malformed input for each input check, with the text it raises."""
 
@@ -618,8 +625,13 @@ class TestParameterErrors:
          "received length incompatible with two deletions"),
         (lambda: sdcc2_decode(*shortened(random_member_2sdcc(16, 10, seed=1), 0, 3)),
          "received lengths incompatible with two defects"),
+        (lambda: sdcc1_decode(*with_int_strand(random_member_1sdcc(16, 8, seed=1))),
+         "strand must be a sequence of symbols, got 5"),
+        (lambda: sdcc2_decode(*with_int_strand(random_member_2sdcc(16, 10, seed=1))),
+         "strand must be a sequence of symbols, got 5"),
     ], ids=["cover None", "cover int", "json header", "irregular cover", "sdcc1 lengths",
-            "c2d length", "c2d irregular", "c2d received", "sdcc2 lengths"])
+            "c2d length", "c2d irregular", "c2d received", "sdcc2 lengths",
+            "sdcc1 int strand", "sdcc2 int strand"])
     def test_rejected(self, call, text):
         with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
             call()

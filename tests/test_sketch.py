@@ -932,11 +932,12 @@ class TestParameterErrors:
          f"expected length {PREFIX_LENGTH - 2}, got 5"),
         (lambda: prefix_decode_one((0,) * 5, 8, 2, 2),
          f"expected length {PREFIX_LENGTH} or {PREFIX_LENGTH - 1}, got 5"),
+        (lambda: e2_sketch((), 2, 2), "word length n must be a positive int, got 0"),
     ] + [(lambda n=n: e1_windows(n, 2), f"word length n must be a positive int, got {n!r}")
          for n in (0, -3, True, 2.5)],
         ids=["xi_value", "xi_decode", "e1_decode", "e2_decode", "EParams", "bundle keys",
              "bundle ints", "decode_E", "prefix_decode_two", "prefix_decode_one",
-             "windows 0", "windows -3", "windows True", "windows 2.5"])
+             "e2_sketch empty", "windows 0", "windows -3", "windows True", "windows 2.5"])
     def test_rejected(self, call, text):
         with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
             call()
