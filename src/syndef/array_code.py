@@ -1,17 +1,19 @@
 """Interleaved array code correcting two bursts of erasures, and through them
-two deletions confined to known intervals.
+one or two deletions confined to known intervals.
 
 A binary word of length n is laid out column-major into a P x (n/P) array
 (zero-padded when P does not divide n; pads sit at fixed tail positions and
 are never part of an error window).  Per-row sums mod 3 plus a single
-3-weighted VT sum resolve two erasures per row, including the ordering of the
-ambiguous (1, 0) rows.
+3-weighted VT sum resolve one or two erasures per row.  One solver,
+:func:`_solve_rows`, serves every decode: a row's sum fixes its one erased
+bit, or its two unless they hold one 1 and one 0, and then the weighted VT
+residue picks the order of these ambiguous rows.
 
 Every decode works on the padded word as a list with ``None`` at erasures.
 0-based position p sits in row p mod P, so the row sums of the known bits are
 counts of 1 over stride-P slices, and their weighted VT sum adds up a cached
 table of position weights 3^row * column over the positions holding a 1.  The
-solve then touches only the 2P erased positions.
+solve then touches only the P or 2P erased positions.
 
 The ambiguous rows are ordered by digits, not by trying their 2^k orders.
 Row i's erased positions lie in the two disjoint windows, e_i >= 1 columns
@@ -133,11 +135,12 @@ def _normalize_windows(bursts, rows: int, padded: int) -> list[Interval]:
 
 def _solve_rows(word: list, windows, params: ArrayCodeParams) -> list:
     """Fill a length-``params.length`` list of bits with erasures (``None``)
-    inside ``windows``, two disjoint length-P windows from
-    :func:`_normalize_windows`, the first before the second: pad the word
-    with zeros, clear the windows to 0 (a row short of no 1 is then solved),
-    fill each row short of two 1s and order the rest by digits.  Returns the
-    padded word."""
+    inside ``windows``: one length-P window, where each row has one erased
+    position, or two disjoint ones from :func:`_normalize_windows`, the first
+    before the second, where each row has two.  Pad the word with zeros,
+    clear the windows to 0 (a row short of no 1 is then solved), fill each
+    row short of as many 1s as it has erasures and order the rest by digits.
+    Returns the padded word."""
     P = params.rows
     word = word + [0] * (params.padded - params.length)
     for s, l in windows:
@@ -145,13 +148,19 @@ def _solve_rows(word: list, windows, params: ArrayCodeParams) -> list:
     weights = _weights(P, params.cols)
     base = _weighted(word, P)  # weighted VT of all determined bits
     ambiguous = []  # (p_k, p_l, row) with one 1 and one 0 in unknown order
-    a1, a2 = (s - 1 for s, _ in windows)
+    single = len(windows) == 1
+    a1, a2 = windows[0][0] - 1, windows[-1][0] - 1
     for i, row_sum in enumerate(params.row_sums):
         d = (row_sum - word[i::P].count(1)) % 3
         if d:
             # Each window holds one position of every row.
             p_k, p_l = a1 + (i - a1) % P, a2 + (i - a2) % P
-            if d == 2:
+            if single:
+                if d == 2:
+                    raise DecodeFailure("row sum inconsistent with a single missing bit")
+                word[p_k] = 1
+                base += weights[p_k]
+            elif d == 2:
                 word[p_k] = word[p_l] = 1
                 base += weights[p_k] + weights[p_l]
             else:
@@ -213,19 +222,11 @@ def array_erasure_decode(received, burst_positions, params: ArrayCodeParams) -> 
 
 @lru_cache(maxsize=64, typed=True)
 def _column_word(params: ArrayCodeParams) -> Bits:
-    """With one column the row sums are the bits themselves, so the syndromes
-    pin down the whole word.  A raise is not cached, so failing params raise
-    on every call; each entry keeps its params alive, and a tuple decode
-    reuses only its own few, so the cache stays small."""
-    word = params.row_sums[:params.length]
-    if any(b not in (0, 1) for b in word):
-        raise DecodeFailure("single-column row sums are not bits")
-    # Its padded form is the row sums, so it is a member exactly when the pad
-    # rows are 0 and the row sums carry the weighted residue.
-    if any(params.row_sums[params.length:]) \
-            or _weighted(params.row_sums, params.rows) % params.modulus != params.weighted_vt:
-        raise DecodeFailure("single-column word contradicts the weighted residue")
-    return word
+    """The padded word of a one-column array: its one window erases every
+    position, so the syndromes alone pin it down.  A raise is not cached, so
+    failing params raise on every call; each entry keeps its params alive,
+    and a tuple decode reuses only its own few, so the cache stays small."""
+    return tuple(_solve_rows([0] * params.length, [(1, params.rows)], params))
 
 
 def _deletions_to_erasures(received: Bits, intervals, params: ArrayCodeParams):
@@ -240,11 +241,7 @@ def _deletions_to_erasures(received: Bits, intervals, params: ArrayCodeParams):
             raise ParameterError("interval length must be in [1, rows]")
         if s < 1 or s + l - 1 > n:
             raise ParameterError("deletion interval outside the word")
-    k = len(intervals)
-    if len(received) != n - k:
-        raise ParameterError(f"expected length {n - k}, got {len(received)}")
-
-    if k == 2 and intervals[1][0] <= intervals[0][0] + intervals[0][1] - 1:
+    if len(intervals) == 2 and intervals[1][0] <= intervals[0][0] + intervals[0][1] - 1:
         (s1, l1), (s2, l2) = intervals
         hi = max(s1 + l1 - 1, s2 + l2 - 1)
         if hi == s1:
@@ -288,14 +285,19 @@ def _bounded_decode(received, intervals, params: ArrayCodeParams, k: int) -> Bit
     received = as_bits(received)
     if len(received) != params.length - k:
         raise ParameterError(f"expected length {params.length - k}, got {len(received)}")
-    word, blocks = _deletions_to_erasures(received, as_spans(intervals, "an interval"), params)
-    if params.padded == params.rows:
+    intervals = as_spans(intervals, "an interval")
+    if len(intervals) != k:
+        raise ParameterError(f"expected {k} deletion intervals, got {len(intervals)}")
+    word, blocks = _deletions_to_erasures(received, intervals, params)
+    P = params.rows
+    if params.padded == P:
         filled = _column_word(params)
     elif k == 1:
-        filled = _fill_single(word, blocks[0], params)
+        # One length-P window around the block holds one position of every row.
+        (s, l), = blocks
+        filled = _solve_rows(word, [(max(1, s + l - P), P)], params)
     else:
-        filled = _solve_rows(word, _normalize_windows(blocks, params.rows, params.padded),
-                             params)
+        filled = _solve_rows(word, _normalize_windows(blocks, P, params.padded), params)
     decoded = tuple(filled[:params.length])
     # One deletion per block, or both deletions inside one block.
     if any(filled[params.length:]) or not (
@@ -316,22 +318,3 @@ def _fits(word: Bits, received: Bits, blocks, lost: int) -> bool:
             return False
         cursor, pos = end + l - lost, s - 1 + l
     return word[pos:] == received[cursor:]
-
-
-def _fill_single(word: list, block: Interval, params: ArrayCodeParams) -> list:
-    """Fill the erasure ``block`` of a length-``params.length`` list of bits
-    from the row sums; returns the padded word."""
-    (s, l) = block
-    P, N = params.rows, params.padded
-    # One length-P window around the block holds one position of every row.
-    a = max(1, s + l - P) - 1
-    word = word + [0] * (N - params.length)
-    word[a:a + P] = [None] * P
-    for i, row_sum in enumerate(params.row_sums):
-        d = (row_sum - word[i::P].count(1)) % 3
-        if d == 2:
-            raise DecodeFailure("row sum inconsistent with a single missing bit")
-        word[a + (i - a) % P] = d
-    if _weighted(word, P) % params.modulus != params.weighted_vt:
-        raise DecodeFailure("weighted VT residue mismatch after single-deletion fill")
-    return word

@@ -375,21 +375,20 @@ def _signature_windows(table, sig_len: int):
     at i2 in the once-grown word and removes a bit in [i2-2, i2].  Over all
     first slots the windows are at most 5 and 9 wide unless the second slots
     move with the first (for example from 8-11 to 12-15); then each first
-    slot gets its own pair of windows.
+    slot gets its own pair of windows.  The first slots ascend, and so does
+    each list of second slots, so the ends of each list bound its window.
     """
-    def windows(first):
-        slots = [q for p in first for q in table[p][1]]
-        if not slots:
-            return None
-        return (_signature_window(min(first), max(first), sig_len),
-                _signature_window(min(slots) - 1, max(slots), sig_len))
-
-    union = windows(table)
-    if union is None:
+    seconds = [(p, qs) for p, (_, qs) in table.items() if qs]
+    if not seconds:
         return []
+    firsts = list(table)
+    union = (_signature_window(firsts[0], firsts[-1], sig_len),
+             _signature_window(min(qs[0] for _, qs in seconds) - 1,
+                               max(qs[-1] for _, qs in seconds), sig_len))
     if union[0][1] <= 5 and union[1][1] <= 9:
         return [union]
-    return [w for w in (windows([p]) for p in table) if w is not None]
+    return [(_signature_window(p, p, sig_len), _signature_window(qs[0] - 1, qs[-1], sig_len))
+            for p, qs in seconds]
 
 
 def _pair_reinsertions(received, own, d1: int, d2: int, table, sigs) -> set[Strand]:

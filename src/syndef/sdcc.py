@@ -113,11 +113,12 @@ def _shift_range(sched, n: int) -> tuple[int, int]:
 def select_cover_shifts(strands) -> CoverPlan:
     """Greedy shift selection: each of the four template blocks is covered by
     its own group of strands, every step claiming at least a quarter of the
-    still-uncovered cycles of the block window.
+    still-uncovered cycles of the block window [t, t + n - 1].
 
-    The alignment base is clamped into the strand's feasible shift range; the
-    four candidate shifts above the base jointly cover the whole block window,
-    which is what the quarter-per-step pigeonhole needs.
+    Cycles at most 4 apart put the shifts base .. base + 3, with base =
+    min(t - sched[0], hi - 3), in the feasible range [lo, hi] and make them
+    cover [sched[0] + base, sched[-1] + base + 3], which holds the window: the
+    best of them claims a quarter of the uncovered cycles.
     """
     try:
         strands = [as_strand(s) for s in strands]
@@ -133,20 +134,15 @@ def select_cover_shifts(strands) -> CoverPlan:
     shifts: list[int] = []
     for block in range(4):
         t = block * n + 1
-        window = set(range(t, t + n))
-        uncovered = set(window)
+        uncovered = set(range(t, t + n))
         for c in strands[block * group:(block + 1) * group]:
             sched = cycles(c)
-            lo, hi = _shift_range(sched, n)
-            # Gaps of at most 4 give hi - lo >= 3: all four candidates stay in range.
-            base = max(lo, min(t - sched[0], hi - 3))
+            base = min(t - sched[0], _shift_range(sched, n)[1] - 3)
             best_a, best_cover = None, -1
             for a in range(base, base + 4):
                 got = len(uncovered.intersection(x + a for x in sched))
                 if got > best_cover:
                     best_a, best_cover = a, got
-            if uncovered and best_cover < -(-len(uncovered) // 4):
-                raise ConstructionError("cover step claimed less than a quarter")
             shifts.append(best_a)
             uncovered.difference_update(x + best_a for x in sched)
         if uncovered:

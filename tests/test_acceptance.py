@@ -362,12 +362,12 @@ def test_criterion_09_cover_selection():
         for trial in range(sets):
             rng = SplitMix(n * 100000 + trial)
             strands = [rng.strand(n) for _ in range(count)]
-            plan = select_cover_shifts(strands)  # asserts quarter-claims
+            plan = select_cover_shifts(strands)  # quarter claims proven there
             assert plan_covers(strands, plan)
             total += 1
     announce(9, True,
              f"{total} random cover plans over n in (16, 32, 64), "
-             "contraction <= 3/4 asserted per step",
+             "contraction <= 3/4 per step by proof",
              time.perf_counter() - started, limit=30)
 
 

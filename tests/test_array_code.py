@@ -1,5 +1,6 @@
 """Array-code tests: syndromes, burst-erasure decoding, bounded deletions."""
 
+import hashlib
 import random
 import re
 from dataclasses import FrozenInstanceError, replace
@@ -241,7 +242,7 @@ class TestParamsCaching:
         _column_word(read)  # reads modulus
         hits = _column_word.cache_info().hits
         fresh = ArrayCodeParams(read.rows, read.length, read.row_sums, read.weighted_vt)
-        assert _column_word(fresh) == b("1101001")
+        assert _column_word(fresh) == b("1101001") + (0, 0)  # the padded word
         assert _column_word.cache_info().hits == hits + 1
 
 
@@ -386,10 +387,18 @@ class TestSingleBoundedDecode:
             # received from a different strand family; rows cannot balance
             array_single_bounded_decode(b("0000000"), (1, 2), p)
 
+    def test_row_short_of_two_ones(self):
+        # each row of 1111 sums to 2, and the window erases one bit per row
+        p = array_syndromes(b("1111"), 2)
+        with pytest.raises(DecodeFailure,
+                           match="^row sum inconsistent with a single missing bit$"):
+            array_single_bounded_decode(b("000"), (1, 2), p)
+
 
 class TestSingleColumnWord:
-    """With one column the syndromes are the word; the per-params part is
-    derived once, and a failure must not be remembered as a success."""
+    """With one column the syndromes are the word: the row solve of one
+    window over every position, derived once per params.  A failure must not
+    be remembered as a success."""
 
     x = b("1101001")
 
@@ -399,9 +408,10 @@ class TestSingleColumnWord:
             assert array_bounded_decode(b("11010"), [(6, 1), (7, 1)], p) == self.x
 
     @pytest.mark.parametrize("case, message", [
-        ("row sum 2", "single-column row sums are not bits"),
-        ("residue", "single-column word contradicts the weighted residue"),
-        ("pad row", "single-column word contradicts the weighted residue"),
+        ("row sum 2", "row sum inconsistent with a single missing bit"),
+        ("residue", "0 row assignments consistent with the weighted VT residue"),
+        # the pad row's 1 moves the residue too
+        ("pad row", "0 row assignments consistent with the weighted VT residue"),
         ("received", "recovered word cannot reproduce the received bits"),
     ])
     def test_failures_raise_on_every_call(self, case, message):
@@ -476,6 +486,31 @@ class TestBoundedDecodeFailsClosed:
             array_bounded_decode(b("000"), [(3, 1), (4, 1)], p)
 
 
+class TestBoundedOutcomesPinned:
+    """Every outcome of both bounded decoders over a small grid, hashed: the
+    returned word, or the class of the exception, so that a reworded
+    message leaves the digest alone."""
+
+    def test_outcomes_pinned(self):
+        digest, count = hashlib.sha256(), 0
+        for n, rows in product(range(2, 6), range(1, 5)):
+            classes = sorted({array_syndromes(x, rows) for x in all_words(n)},
+                             key=lambda p: (p.row_sums, p.weighted_vt))
+            spans = [(s, l) for l in range(1, rows + 1) for s in range(1, n - l + 2)]
+            for k, decode, choices in ((1, array_single_bounded_decode, spans),
+                                       (2, array_bounded_decode, list(combinations(spans, 2)))):
+                for p, received, intervals in product(classes, all_words(n - k), choices):
+                    try:
+                        out = "".join(map(str, decode(received, intervals, p)))
+                    except (DecodeFailure, ParameterError) as exc:
+                        out = type(exc).__name__
+                    digest.update(out.encode() + b"\n")
+                    count += 1
+        assert count == 83640
+        assert digest.hexdigest() == (
+            "2282269d0db28b0f58c1e1484293727e23b6808cd869ce044f601126ebb63adb")
+
+
 ROWS2 = ArrayCodeParams(rows=2, length=4, row_sums=(0, 0), weighted_vt=0)
 ROWS3 = ArrayCodeParams(rows=3, length=3, row_sums=(0, 0, 0), weighted_vt=0)
 
@@ -498,10 +533,15 @@ class TestParameterErrors:
          "received word has the wrong length"),
         (lambda: array_bounded_decode((0, 0), [(1, 3), (4, 1)], ROWS2),
          "interval length must be in [1, rows]"),
-        # two deletions declared by one interval
-        (lambda: array_bounded_decode((0, 0), [(1, 1)], ROWS2), "expected length 3, got 2"),
+        # two deletions declared by one, none or three intervals
+        (lambda: array_bounded_decode((0, 0), [(1, 1)], ROWS2),
+         "expected 2 deletion intervals, got 1"),
+        (lambda: array_bounded_decode((0, 0), [], ROWS2), "expected 2 deletion intervals, got 0"),
+        (lambda: array_bounded_decode((0, 0), [(1, 1), (2, 1), (3, 1)], ROWS2),
+         "expected 2 deletion intervals, got 3"),
     ], ids=["rows", "one burst", "long burst", "burst at 0", "short word",
-            "erasure length", "long interval", "one interval"])
+            "erasure length", "long interval", "one interval", "no interval",
+            "three intervals"])
     def test_rejected(self, call, text):
         with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
             call()

@@ -57,6 +57,12 @@ class TestCoverSize:
         exact, closed = cover_size(n)
         assert Fraction(exact) == closed
 
+    def test_construction_equals_closed_form_far_out(self):
+        # cover_size computes both sides independently; they agree by algebra
+        for n in range(5, 201):
+            exact, closed = cover_size(n)
+            assert closed.denominator == 1 and exact == closed
+
     def test_materialised_count_matches(self):
         for n in (5, 6, 7):
             assert build_clique_cover(n).size == cover_size(n)[0]

@@ -164,9 +164,9 @@ class TestModuleBoundaries:
         assert unused == []
 
     @staticmethod
-    def decode_failure_sites(paths) -> list[tuple[str, str, str]]:
-        """(module, enclosing function, message) of every ``raise
-        DecodeFailure(...)`` in ``paths``, in source order; an f-string
+    def raise_sites(paths, *exceptions) -> list[tuple[str, str, str]]:
+        """(module, enclosing function, message) of every ``raise E(...)`` in
+        ``paths`` with E one of ``exceptions``, in source order; an f-string
         message reads as its template, each field in braces as written."""
         def text(node):
             if isinstance(node, ast.Constant):
@@ -180,7 +180,7 @@ class TestModuleBoundaries:
                     yield from walk(child, module, child.name)
                     continue
                 if (isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call)
-                        and getattr(child.exc.func, "id", None) == "DecodeFailure"):
+                        and getattr(child.exc.func, "id", None) in exceptions):
                     yield module, function, text(child.exc.args[0])
                 yield from walk(child, module, function)
 
@@ -191,19 +191,23 @@ class TestModuleBoundaries:
         """Every guard that raises DecodeFailure, listed: one added, deleted
         or reworded shows in this test's diff."""
         paths = sorted((ROOT / "src" / "syndef").glob("*.py"))
-        assert self.decode_failure_sites(paths) == DECODE_FAILURES
+        assert self.raise_sites(paths, "DecodeFailure") == DECODE_FAILURES
+
+    def test_construction_check_inventory(self):
+        """Every self-check of a construction (ConstructionError or
+        ArithmeticError), listed in the same way."""
+        paths = sorted((ROOT / "src" / "syndef").glob("*.py"))
+        assert self.raise_sites(paths, "ConstructionError", "ArithmeticError") \
+            == CONSTRUCTION_CHECKS
 
 
 # (module, function, message) of each ``raise DecodeFailure(...)`` in the package.
 DECODE_FAILURES = [
+    ("array_code", "_solve_rows", "row sum inconsistent with a single missing bit"),
     ("array_code", "_solve_rows",
      "{len(matches)} row assignments consistent with the weighted VT residue"),
     ("array_code", "array_erasure_decode", "recovered word cannot reproduce the received bits"),
-    ("array_code", "_column_word", "single-column row sums are not bits"),
-    ("array_code", "_column_word", "single-column word contradicts the weighted residue"),
     ("array_code", "_bounded_decode", "recovered word cannot reproduce the received bits"),
-    ("array_code", "_fill_single", "row sum inconsistent with a single missing bit"),
-    ("array_code", "_fill_single", "weighted VT residue mismatch after single-deletion fill"),
     ("binary", "vt_decode", "{len(matches)} candidates consistent with VT residue {a} mod {m}"),
     ("binary", "svt_decode", "deletion window does not meet the received word"),
     ("binary", "svt_decode", "{len(matches)} shifted-VT candidates in window [{lo}, {hi}]"),
@@ -233,6 +237,15 @@ DECODE_FAILURES = [
     ("sketch", "prefix_decode_one", "full-length word is not a marker codeword"),
 ]
 
+
+# (module, function, message) of each ``raise ConstructionError(...)`` or
+# ``raise ArithmeticError(...)`` in the package: the checks no proof retires.
+CONSTRUCTION_CHECKS = [
+    ("bounds", "kdcc_size_bounds", "lower bound exceeded the clique-cover bound"),
+    ("sdcc", "select_cover_shifts", "block [{t}, {t + n - 1}] left uncovered"),
+    ("sketch", "e2_decode",
+     "second-moment spread exceeds its modulus across feasible placements"),
+]
 
 # Unbounded ``functools.cache`` is kept to these, each with why its keys
 # stay few.

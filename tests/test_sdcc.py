@@ -102,6 +102,11 @@ class TestCoverSelection:
         with pytest.raises(ParameterError):
             select_cover_shifts([template_strand(8, 1)] * 3)
 
+    def test_group_too_small_leaves_its_block_uncovered(self):
+        # one strand of eight 1s covers eight cycles spread over 29
+        with pytest.raises(ConstructionError, match=r"^block \[1, 8\] left uncovered$"):
+            select_cover_shifts([(1,) * 8] * 4)
+
     @pytest.mark.parametrize("strands", [[(1, 2, 9, 4)] * 4,
                                          [(1, 2, 3, 4)] * 3 + [(1, 2, 3)]])
     def test_malformed_strands_rejected(self, strands):
