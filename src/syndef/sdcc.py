@@ -21,7 +21,7 @@ the double-defect code is applied here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .array_code import ArrayCodeParams, array_syndromes
@@ -224,13 +224,20 @@ class Sdcc1Params:
     b: tuple[int, ...]
     d: tuple[int, ...]
     e: tuple[int, ...]
-    window: int
+
+    @property
+    def window(self) -> int:
+        return _svt_window(self.n)
+
+
+def _svt_window(n: int) -> int:
+    return min(localization_window(n), n - 2)
 
 
 def sdcc1_params_of(codeword: SdccCodeword) -> Sdcc1Params:
     """Read the residues off a tuple, making it a member of its own class."""
     n = codeword.n
-    window = min(localization_window(n), n - 2)
+    window = _svt_window(n)
     s, b, d, e = [], [], [], []
     for x in codeword.bases():
         s.append(sum(x) % 4)
@@ -242,8 +249,7 @@ def sdcc1_params_of(codeword: SdccCodeword) -> Sdcc1Params:
         sig = signature(strand)
         d.append(vt_syndrome(sig) % (window + 1))
         e.append(weight(sig) % 2)
-    return Sdcc1Params(n=n, s=tuple(s), b=tuple(b), d=tuple(d), e=tuple(e),
-                       window=window)
+    return Sdcc1Params(n=n, s=tuple(s), b=tuple(b), d=tuple(d), e=tuple(e))
 
 
 def _received_strands(received, count: int) -> tuple[Strand, ...]:
@@ -322,7 +328,10 @@ class C2dParams:
     run_weighted: int
     counts: tuple[int, ...]
     position_sums: tuple[int, ...]
-    pos_modulus: int
+    pos_modulus: int = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "pos_modulus", position_sum_modulus(self.n))
 
 
 def run_weighted_sum(strand) -> int:
@@ -343,14 +352,12 @@ def c2d_params_of(strand) -> C2dParams:
     sig = signature(strand)
     if not is_regular(sig, default_regular_window(n)):
         raise ParameterError("signature is not regular at this window")
-    m = position_sum_modulus(n)
     return C2dParams(
         n=n,
         sketch=moment_vector(sig),
         run_weighted=run_weighted_sum(strand),
         counts=symbol_counts_mod3(strand),
-        position_sums=position_sums(strand, m),
-        pos_modulus=m,
+        position_sums=position_sums(strand, position_sum_modulus(n)),
     )
 
 
@@ -449,7 +456,10 @@ class Sdcc2Params:
     cover: tuple[C2dParams, ...]
     sig_arrays: tuple[ArrayCodeParams, ...]
     position_sums: tuple[tuple[int, ...], ...]
-    pos_modulus: int
+    pos_modulus: int = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "pos_modulus", position_sum_modulus(self.n))
 
 
 def sdcc2_params_of(codeword: SdccCodeword) -> Sdcc2Params:
@@ -460,18 +470,17 @@ def sdcc2_params_of(codeword: SdccCodeword) -> Sdcc2Params:
     rest = codeword.strands[codeword.cover_count:]
     arrays = tuple(array_syndromes(signature(s), rows) for s in rest)
     sums = tuple(position_sums(s, m) for s in rest)
-    return Sdcc2Params(n=n, cover=cover, sig_arrays=arrays,
-                       position_sums=sums, pos_modulus=m)
+    return Sdcc2Params(n=n, cover=cover, sig_arrays=arrays, position_sums=sums)
 
 
-def _remaining_strand_decode(r, delta, arr: ArrayCodeParams, sums, m, n):
+def _remaining_strand_decode(r, delta, arr: ArrayCodeParams, sums, n):
     """Decode one hit remaining strand under a fixed defective-cycle hypothesis."""
     lost = n - len(r)
     try:
         words = array_candidates(r, delta, lost, arr) if lost <= len(delta) else set()
     except DecodeFailure:
         return set()
-    return {y for y in words if position_sums(y, m) == sums}
+    return {y for y in words if position_sums(y, position_sum_modulus(n)) == sums}
 
 
 def sdcc2_decode(received, plan: CoverPlan, params: Sdcc2Params) -> tuple[Strand, ...]:
@@ -517,29 +526,23 @@ def sdcc2_decode(received, plan: CoverPlan, params: Sdcc2Params) -> tuple[Strand
     if not hypotheses:
         raise DecodeFailure("no defective-cycle set explains all cover strands")
 
+    # An untouched remaining strand rules out a hypothesis that meets its
+    # schedule; a hit one decodes to preimages under the hypothesis.
+    rest = range(cover_count, len(received))
+    untouched = set().union(*(cycles(received[j]) for j in rest if not shortfalls[j]))
     outcomes: set[tuple[Strand, ...]] = set()
     for delta in hypotheses:
-        out = list(received)
-        for i in range(cover_count):
-            out[i] = transmitted[i]
-        ok = True
-        for j in range(cover_count, len(received)):
-            if shortfalls[j] == 0:
-                continue
-            idx = j - cover_count
+        if delta & untouched:
+            continue
+        out = transmitted + list(received[cover_count:])
+        for j in (j for j in rest if shortfalls[j]):
             words = _remaining_strand_decode(
-                received[j], delta, params.sig_arrays[idx],
-                params.position_sums[idx], params.pos_modulus, n)
+                received[j], delta, params.sig_arrays[j - cover_count],
+                params.position_sums[j - cover_count], n)
             if len(words) != 1:
-                ok = False
                 break
             out[j] = words.pop()
-        if not ok:
-            continue
-        # The cover filter has proven the covers; a remaining strand, hit or
-        # not, still rejects a hypothesis whose cycles it does not explain.
-        if all(apply_defects_shifted(out[j], 0, delta) == received[j]
-               for j in range(cover_count, len(received))):
+        else:
             outcomes.add(tuple(out))
     if len(outcomes) != 1:
         raise DecodeFailure(f"{len(outcomes)} tuples consistent with the channel")

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from syndef import kdcc, sdcc, sketch
+from syndef.array_code import array_syndromes
 from syndef.core import (
     _insert_slot_positions,
     all_strands,
@@ -391,24 +392,26 @@ class TestSlotKernel:
                 assert x in reinsertions(apply_defects(x, delta), delta)
 
     def test_resumed_scan_against_a_scan_from_position_1(self):
-        # every resume point (start, cycle of symbol start - 1) before the
-        # first slot gives the slots of the scan from position 1
+        # every resume point (start, cycle of symbol start - 1) gives the
+        # slots from start on of the scan from position 1
         for w in words_up_to(5):
             sched = (0,) + cycles(w)
             for delta in range(1, 4 * len(w) + 9):
                 slots = _insert_slot_positions(w, delta)
-                for start in range(1, (slots[0] if slots else len(w) + 1) + 1):
-                    assert _insert_slot_positions(w, delta, start, sched[start - 1]) == slots
+                for start in range(1, len(w) + 2):
+                    assert _insert_slot_positions(w, delta, start, sched[start - 1]) == \
+                        [q for q in slots if q >= start]
 
     @staticmethod
     def check_table(r, d1, d2):
-        """Each second scan of the slot table, resumed at the first slot,
-        against a scan of the grown word from position 1."""
+        """Each second scan of the slot table, resumed after its first slot,
+        against the slots past it of a scan of the grown word from position 1."""
         table = kdcc._slot_table(r, d1, d2)
         assert list(table) == _insert_slot_positions(r, d1)
         for p, (grown, seconds) in table.items():
             assert grown == insert(r, p, smod4(d1))
-            assert seconds == _insert_slot_positions(grown, d2), (r, d1, d2, p)
+            assert seconds == [q for q in _insert_slot_positions(grown, d2) if q > p], \
+                (r, d1, d2, p)
 
     def test_slot_table_resumes_at_the_first_slot(self):
         for w in words_up_to(4):
@@ -429,13 +432,15 @@ class TestSlotKernel:
 
 class TestPairReinsertions:
     """The signature-guided pair kernel of the array2 decode against building
-    every reinsertion at the two cycles and comparing its signature."""
+    every reinsertion at the two cycles, keeping those the channel maps back
+    onto the received word, and comparing their signatures."""
 
     @staticmethod
     def check(r, d1, d2, sigs):
         by_sig = {}
         for y in reinsertions(r, (d1, d2)):
-            by_sig.setdefault(signature(y), set()).add(y)
+            if apply_defects(y, (d1, d2)) == r:
+                by_sig.setdefault(signature(y), set()).add(y)
         table = kdcc._slot_table(r, d1, d2)
         own = signature(r) if len(r) >= 2 else ()
         for sig in sigs:
@@ -475,14 +480,63 @@ class TestPairReinsertions:
     def test_second_slot_at_the_first(self):
         # 2 reinstated at cycle 2 lands at slot 1 of 41143; 3 at cycle 3 then
         # fits at slot 1 or 2 of 241143.  At slot 1 it pushes the 2 to cycle 6,
-        # so that word has no symbol at cycle 2 and takes the exact check.
+        # so that word has no symbol at cycle 2: the channel drops only the 3,
+        # it is no preimage, and the table holds only the slot past the first.
         r = (4, 1, 1, 4, 3)
-        assert kdcc._slot_table(r, 2, 3) == {1: ((2, 4, 1, 1, 4, 3), [1, 2])}
         y = (3, 2, 4, 1, 1, 4, 3)
+        assert y in reinsertions(r, (2, 3))
         assert cycles(y)[:2] == (3, 6)
+        assert apply_defects(y, (2, 3)) == (2, 4, 1, 1, 4, 3) != r
+        assert kdcc._slot_table(r, 2, 3) == {1: ((2, 4, 1, 1, 4, 3), [2])}
         assert kdcc._pair_reinsertions(r, signature(r), 2, 3, kdcc._slot_table(r, 2, 3),
-                                       [signature(y)]) == {y}
+                                       [signature(y)]) == set()
         self.check(r, 2, 3, [signature(y), signature((2, 3, 4, 1, 1, 4, 3))])
+
+
+class TestArrayCandidatesArePreimages:
+    """Every word ``kdcc.array_candidates`` returns is mapped by the channel
+    onto the received word, so no decoder runs the channel on it again: under
+    two of the strand's own cycles (two lost), and under one own cycle and
+    one that misses the strand (one lost), with the strand's own array-code
+    class and the class of its signature with a bit flipped.  A decode
+    failure returns no word."""
+
+    @staticmethod
+    def check(x, delta, rows):
+        received = apply_defects(x, delta)
+        sig = signature(x)
+        for bits in (sig, TestPairReinsertions.flipped(sig, sum(delta))):
+            params = array_syndromes(bits, rows)
+            try:
+                found = kdcc.array_candidates(received, delta, len(x) - len(received), params)
+            except DecodeFailure:  # one pair of windows that does not decode
+                continue
+            for y in found:
+                assert apply_defects(y, delta) == received, (x, delta, bits, y)
+
+    @staticmethod
+    def deltas(sched):
+        """Each pair of own cycles, then each own cycle with one that misses."""
+        missed = [d for d in range(1, sched[-1] + 6) if d not in sched]
+        return list(combinations(sched, 2)) + [
+            tuple(sorted((d, missed[d % len(missed)]))) for d in sched]
+
+    def test_every_strand_up_to_length_6(self):
+        for x in words_up_to(6):
+            if len(x) >= 3:
+                for delta in self.deltas(cycles(x)):
+                    self.check(x, delta, kdcc.ARRAY2_ROWS)
+
+    def test_random_strands(self):
+        # four two-lost and four one-lost cycle sets per strand; at n = 32
+        # the tuple code's one-column array of n - 1 rows
+        rng = random.Random(26)
+        for n in (24, 32):
+            for _ in range(300):
+                x = tuple(rng.randint(1, 4) for _ in range(n))
+                deltas = self.deltas(cycles(x))
+                for delta in rng.sample(deltas[:-n], 4) + rng.sample(deltas[-n:], 4):
+                    self.check(x, delta, kdcc.ARRAY2_ROWS if n == 24 else n - 1)
 
 
 def alignment_pair_slots(word, v1, v2, sig, own, firsts):
