@@ -17,15 +17,15 @@ def weight(bits) -> int:
     return sum(bits)
 
 
+_BIT_OF = {0: 0, 1: 1, "0": 0, "1": 1}.__getitem__
+
+
 def as_bits(bits) -> Bits:
     """``bits`` as a tuple of ints; each entry must equal 0 or 1, or be "0" or "1"."""
     try:
-        word = tuple(map({0: 0, 1: 1, "0": 0, "1": 1}.get, bits))
-    except TypeError:
+        return tuple(map(_BIT_OF, bits))
+    except (KeyError, TypeError):
         raise ParameterError("binary word expected") from None
-    if None in word:
-        raise ParameterError("binary word expected")
-    return word
 
 
 def insertions(word: Bits, position_range=None) -> set[Bits]:
@@ -71,6 +71,10 @@ def vt_decode(received, a: int, n: int, modulus: int | None = None) -> Bits:
     suffix weight, so one O(n) pass counts the candidates and only the
     returned word is built.  :func:`insertions` is its test oracle."""
     received = as_bits(received)
+    if type(n) is not int or n < 1:
+        raise ParameterError(f"word length n must be a positive int, got {n!r}")
+    if type(a) is not int:
+        raise ParameterError(f"VT residue a must be an int, got {a!r}")
     if len(received) != n - 1:
         raise ParameterError(f"expected length {n - 1}, got {len(received)}")
     m = (n + 1) if modulus is None else modulus
@@ -115,6 +119,8 @@ def svt_decode(received, window_start: int, params: SvtParams) -> Bits:
     syndrome follows as in :func:`vt_decode`.  :func:`insertions` with
     :func:`svt_member` is its test oracle."""
     received = as_bits(received)
+    if type(window_start) is not int:
+        raise ParameterError(f"window start must be an int, got {window_start!r}")
     lo = max(1, window_start)
     hi = min(len(received) + 1, window_start + params.window - 1)
     if lo > hi:

@@ -76,6 +76,11 @@ def cover_size(n: int) -> tuple[int, Fraction]:
     return exact, closed
 
 
+def _check_int(n) -> None:
+    if type(n) is not int:
+        raise ParameterError(f"strand length n must be an int, got {n!r}")
+
+
 def _confusable(u: Strand, v: Strand) -> bool:
     """Adjacency in the confusability graph, computed on demand; a strand is
     confusable with itself under its first cycle."""
@@ -88,6 +93,7 @@ def _confusable(u: Strand, v: Strand) -> bool:
 def verify_cover(n: int, cover: CliqueCover | None = None):
     """Exhaustively check that the cover spans the strand space and that each
     clique is pairwise confusable; returns (ok, witness)."""
+    _check_int(n)
     if n > 7:
         raise ParameterError("exhaustive cover verification is capped at n = 7")
     cover = cover or build_clique_cover(n)
@@ -116,6 +122,7 @@ def kdcc_size_bounds(n: int) -> dict:
     sum construction from below, the clique cover from above."""
     from .kdcc import best_residues
 
+    _check_int(n)
     if n > 10:
         raise ParameterError("exact lower bound is capped at n = 10")
     spec, lower = best_residues("sum1", n)

@@ -225,6 +225,8 @@ def spec_for_strand(family: str, strand) -> KdccSpec:
 def decode_sum1(instance: KnownDefectInstance, a: int) -> Strand:
     """Single known defect: at most four cycle-consistent insertions exist and
     the even-position sum mod 4 separates them."""
+    if type(a) is not int:
+        raise ParameterError(f"sum1 residue a must be an int, got {a!r}")
     if _shortfall(instance, "sum1", 1) == 0:
         return instance.received
     return _sum1_hit(instance.received, instance.delta[0], a)

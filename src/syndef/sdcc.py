@@ -349,6 +349,7 @@ def c2d_params_of(strand) -> C2dParams:
     n = len(strand)
     if n < 3:
         raise ParameterError("two-deletion coding needs n >= 3")
+    strand = as_strand(strand)
     sig = signature(strand)
     if not is_regular(sig, default_regular_window(n)):
         raise ParameterError("signature is not regular at this window")

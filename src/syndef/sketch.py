@@ -20,13 +20,14 @@ deletion at an unknown position.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, combinations, compress, product
 from math import comb
 
-from .binary import as_bits, insertions, vt_decode, weight
+from .binary import as_bits, vt_decode, weight
 from .core import (Bits, ConstructionError, DecodeFailure, ParameterError, as_spans,
                    is_subsequence)
 
@@ -57,11 +58,10 @@ def _moment_table(length: int):
     return column, shifts, tuple((1 << w) - 1 for w in widths)
 
 
-def _moment_sums(bits) -> tuple[int, int, int, int, int]:
-    """(weight, f1, f2, f3, f4) of a 0/1 word, f_r the sum of C(p, r) over
+def _moment_sums(bits: Bits) -> tuple[int, int, int, int, int]:
+    """(weight, f1, f2, f3, f4) of a checked word, f_r the sum of C(p, r) over
     its 1-based 1-positions p: one pass sums the packed table entries of
     those positions, and each field of the total is one sum."""
-    bits = tuple(bits)
     column, (s0, s1, s2, s3, _), (_, m1, m2, m3, m4) = _moment_table(len(bits))
     total = sum(compress(column, bits))
     return total >> s0, total >> s1 & m1, total >> s2 & m2, total >> s3 & m3, total & m4
@@ -70,14 +70,14 @@ def _moment_sums(bits) -> tuple[int, int, int, int, int]:
 def moment(bits, order: int) -> int:
     """Sum of C(p, ``order``) over the 1-based positions p holding a 1, for
     order 0 (the weight) to 4."""
-    if order not in range(5):
+    if type(order) is not int or order not in range(5):
         raise ParameterError(f"moment order must be 0 to 4, got {order!r}")
-    return _moment_sums(bits)[order]
+    return _moment_sums(as_bits(bits))[order]
 
 
 def moment_vector(bits) -> tuple[int, ...]:
     """(weight mod 3, f1, f2, f3, f4) with the moments stored exactly."""
-    w, f1, f2, f3, f4 = _moment_sums(bits)
+    w, f1, f2, f3, f4 = _moment_sums(as_bits(bits))
     return w % 3, f1, f2, f3, f4
 
 
@@ -97,20 +97,24 @@ def xi_budget(length: int) -> int:
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def to_bits(value: int, width: int) -> Bits:
     if value < 0 or value >> width:
         raise ParameterError(f"value {value} does not fit in {width} bits")
+    return tuple(_bit_bytes(value, width))
+
+
+def _bit_bytes(value: int, width: int) -> bytes:
+    """The low ``width`` bits of ``value``, top bit first, as bytes 0 and 1."""
     # The 1 set above the top bit keeps the leading zeros, also at width 0.
-    return tuple(bin(value | 1 << width)[3:].encode().translate(_BIT_BYTES))
+    return bin(value | 1 << width)[3:].encode().translate(_BIT_BYTES)
 
 
 def from_bits(bits) -> int:
-    out = 0
-    for b in bits:
-        out = (out << 1) | b
-    return out
+    """The integer whose binary digits, top first, are the 0/1 word ``bits``."""
+    return int(b"0" + bytes(bits).translate(_BIT_DIGITS), 2)
 
 
 def _pack(values, widths) -> int:
@@ -132,36 +136,57 @@ def _unpack(value: int, widths) -> tuple[int, ...]:
 def xi_value(bits, pack_length: int) -> int:
     """Sketch of ``bits`` packed as one integer at the field widths of
     ``pack_length`` (which must be at least ``len(bits)``)."""
-    bits = tuple(bits)
+    bits = as_bits(bits)
+    if type(pack_length) is not int:
+        raise ParameterError(f"packing length must be an int, got {pack_length!r}")
     if len(bits) > pack_length:
         raise ParameterError("word longer than its packing length")
-    # The moment table of pack_length has the xi field layout, so no field
-    # of a word this short overflows.
-    _, (s0, s1, s2, s3, _), _ = _moment_table(pack_length)
-    w3, f1, f2, f3, f4 = moment_vector(bits)
-    return w3 << s0 | f1 << s1 | f2 << s2 | f3 << s3 | f4
+    return _xi(bits, pack_length)
+
+
+def _xi(bits: Bits, pack_length: int) -> int:
+    """:func:`xi_value` of a checked word, a tuple or bytes of 0s and 1s: the
+    moment table of pack_length has the xi field layout, so the packed
+    moments are one sum whose fields do not overflow, and only the weight on
+    top is reduced mod 3."""
+    column, (top, *_), _ = _moment_table(pack_length)
+    total = sum(compress(column, bits))
+    return (total >> top) % 3 << top | total & (1 << top) - 1
 
 
 def sketch_xi(bits) -> Bits:
     """Two-deletion sketch of a binary word, as a bit string."""
     bits = as_bits(bits)
-    return to_bits(xi_value(bits, len(bits)), xi_bit_length(len(bits)))
+    return to_bits(_xi(bits, len(bits)), xi_bit_length(len(bits)))
 
 
-def _insert_pair(word: Bits, p: int, q: int, b1: int, b2: int) -> Bits:
-    return word[:p - 1] + (b1,) + word[p - 1:q - 2] + (b2,) + word[q - 2:]
-
-
-def _reinsert_in_intervals(word: Bits, intervals, length: int) -> set[Bits]:
-    """Every ``length``-bit word that leaves ``word`` by losing one bit inside
-    either (start, length) interval, or with two deletions one inside each;
-    positions are 1-based in the longer word."""
-    if length - len(word) == 1:
-        return set().union(*(insertions(word, range(s, s + l)) for s, l in intervals))
+def _insertion_positions(intervals, count: int) -> set[tuple[int, ...]]:
+    """Every set of ``count`` positions, 1-based in the longer word and
+    increasing, at which lost bits can go back: none, one inside either
+    (start, length) interval, or two, one inside each."""
+    if count == 0:
+        return {()}
+    if count == 1:
+        return {(p,) for s, l in intervals for p in range(s, s + l)}
     (s1, l1), (s2, l2) = intervals
-    return {_insert_pair(word, min(p, q), max(p, q), v1, v2)
-            for p in range(s1, s1 + l1) for q in range(s2, s2 + l2) if p != q
-            for v1, v2 in product((0, 1), repeat=2)}
+    return {(min(p, q), max(p, q))
+            for p in range(s1, s1 + l1) for q in range(s2, s2 + l2) if p != q}
+
+
+def _with(word: Bits, positions, bits) -> Bits:
+    """``word`` with ``bits`` put in at the increasing 1-based ``positions``
+    of the longer word."""
+    for p, v in zip(positions, bits):
+        word = word[:p - 1] + (v,) + word[p - 1:]
+    return word
+
+
+def _without(word: Bits, positions, origin: int = 0) -> Bits:
+    """``word`` with its bits at the increasing ``positions`` taken out, each
+    counted 1-based from position ``origin`` + 1."""
+    for p in reversed(positions):
+        word = word[:p - origin - 1] + word[p - origin:]
+    return word
 
 
 def _checked_intervals(intervals, length: int, P: int) -> list[tuple[int, int]]:
@@ -232,7 +257,8 @@ def _completions(word: Bits, n: int, targets, range1=None, range2=None) -> set[B
     if k < 0 or k > 2:
         raise ParameterError("completion supports at most two insertions")
     if k == 0:
-        return {word} if moment_vector(word) == tuple(targets) else set()
+        w, *moments = _moment_sums(word)
+        return {word} if (w % 3, *moments) == tuple(targets) else set()
     _, shifts, masks = _moment_table(n)
     fields = tuple(targets[1:])
     # A weight residue outside 0..2 or a field outside its width is no word's
@@ -266,14 +292,20 @@ def _completions(word: Bits, n: int, targets, range1=None, range2=None) -> set[B
         for p in p_list:
             for q in by_term.get(key - head[p] - b1 * col[p], ()):
                 if q > p:
-                    out.add(_insert_pair(word, p, q, b1, b2))
+                    out.add(_with(word, (p, q), (b1, b2)))
     return out
+
+
+def _check_length(n) -> None:
+    if type(n) is not int or n < 1:
+        raise ParameterError(f"word length n must be a positive int, got {n!r}")
 
 
 def xi_decode(received, sketch, n: int) -> Bits:
     """Recover a word of length ``n`` from its sketch and a copy missing one
     or two bits."""
     received = as_bits(received)
+    _check_length(n)
     if len(received) not in (n - 1, n - 2, n):
         raise ParameterError("received length incompatible with one or two deletions")
     sketch = tuple(sketch)
@@ -323,17 +355,25 @@ def verify_sketch_injectivity(length: int) -> bool:
 
     Only the words of :func:`moment_collisions` need the two-deletion check;
     at lengths up to 15 every word has a sketch of its own."""
+    return not any(_balls_meet(u, v) for words in moment_collisions(length)
+                   for u, v in combinations(words, 2))
 
-    def ball(w):
-        n = len(w)
-        return {tuple(b for j, b in enumerate(w) if j not in pair)
-                for pair in combinations(range(n), 2)}
 
-    for words in moment_collisions(length):
-        for a, b in combinations(words, 2):
-            if ball(a) & ball(b):
-                return False
-    return True
+def _balls_meet(u: Bits, v: Bits) -> bool:
+    """Do two words of one length L share a two-deletion subsequence, that
+    is, a common subsequence of length L - 2?
+
+    Such a subsequence drops at most two positions of each word, so the
+    t-th positions it uses in u and in v differ by at most 2: the longest
+    common subsequence DP needs only the band |i - j| <= 2.  A cell outside
+    the band stays 0, a lower bound, so no cell overstates."""
+    n = len(u)
+    row = [0] * (n + 1)
+    for i in range(1, n + 1):
+        prev, row = row, [0] * (n + 1)
+        for j in range(max(1, i - 2), min(n, i + 2) + 1):
+            row[j] = prev[j - 1] + 1 if u[i - 1] == v[j - 1] else max(prev[j], row[j - 1])
+    return row[n] >= n - 2
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +383,7 @@ def verify_sketch_injectivity(length: int) -> bool:
 def e1_windows(n: int, rho: int) -> list[tuple[int, int]]:
     """Overlapping windows of width 2*rho tiling [1, n] with overlap rho; the
     last window is clipped at n.  Degenerates to one full window for n <= 2*rho."""
-    if type(n) is not int or n < 1:
-        raise ParameterError(f"word length n must be a positive int, got {n!r}")
+    _check_length(n)
     if type(rho) is not int or rho < 1:
         raise ParameterError(f"window overlap rho must be a positive int, got {rho!r}")
     count = -(-n // rho) - 1
@@ -372,7 +411,7 @@ def _e1_sums(bits: Bits, rho: int) -> tuple[int, int]:
     pack_len = 2 * rho
     totals = [0, 0]
     for j, (ws, we) in enumerate(e1_windows(len(bits), rho)):
-        totals[j % 2] += xi_value(bits[ws - 1:we], pack_len)
+        totals[j % 2] += _xi(bits[ws - 1:we], pack_len)
     mask = (1 << xi_bit_length(pack_len)) - 1
     return totals[0] & mask, totals[1] & mask
 
@@ -381,13 +420,18 @@ def e1_decode(received, intervals, sketch: tuple[int, int], n: int, P1: int, P2:
     """Recover a word from two deletions confined to adjacent or overlapping
     intervals whose union spans at most P1 + P2 positions."""
     received, sketch = _checked_inputs(received, P1, P2, sketch, 2)
+    _check_length(n)
     if len(received) != n - 2:
         raise ParameterError(f"expected length {n - 2}, got {len(received)}")
-    rho = P1 + P2
+    return _e1_decode(received, _checked_intervals(intervals, n, max(P1, P2)), sketch, n, P1 + P2)
+
+
+def _e1_decode(received: Bits, intervals, sketch, n: int, rho: int) -> Bits:
+    """:func:`e1_decode` of checked inputs, with sorted intervals."""
     pack_len = 2 * rho
     kappa = xi_bit_length(pack_len)
     windows = e1_windows(n, rho)
-    (s1, l1), (s2, l2) = _checked_intervals(intervals, n, max(P1, P2))
+    (s1, l1), (s2, l2) = intervals
     lo, hi = s1, max(s1 + l1 - 1, s2 + l2 - 1)
     if hi - lo + 1 > rho:
         raise DecodeFailure("interval union wider than one sketch window")
@@ -400,7 +444,7 @@ def e1_decode(received, intervals, sketch: tuple[int, int], n: int, P1: int, P2:
         if jj == j or (jj - 1) % 2 != (j - 1) % 2:
             continue
         content = received[os - 1:oe] if oe < ws else received[os - 3:oe - 2]
-        total_other += xi_value(content, pack_len)
+        total_other += _xi(content, pack_len)
     packed = (sketch[(j - 1) % 2] - total_other) % (1 << kappa)
     targets = _unpack(packed, xi_field_widths(pack_len))
 
@@ -428,11 +472,18 @@ def _e2_residues(bits: Bits, P: int) -> tuple[int, int, int]:
 def e2_decode(received, intervals, sketch: tuple[int, int, int], n: int, P1: int, P2: int) -> Bits:
     """Recover a word from two deletions confined to intervals separated by at
     least one position."""
-    received, (t0, t1, t2) = _checked_inputs(received, P1, P2, sketch, 3)
+    received, sketch = _checked_inputs(received, P1, P2, sketch, 3)
+    _check_length(n)
     if len(received) != n - 2:
         raise ParameterError(f"expected length {n - 2}, got {len(received)}")
     P = max(P1, P2)
-    (s1, l1), (s2, l2) = _checked_intervals(intervals, n, P)
+    return _e2_decode(received, _checked_intervals(intervals, n, P), sketch, n, P)
+
+
+def _e2_decode(received: Bits, intervals, sketch, n: int, P: int) -> Bits:
+    """:func:`e2_decode` of checked inputs, with sorted intervals."""
+    t0, t1, t2 = sketch
+    (s1, l1), (s2, l2) = intervals
     e1, e2 = s1 + l1 - 1, s2 + l2 - 1
     if s2 <= e1 + 1:
         raise DecodeFailure("intervals are not separated")
@@ -453,7 +504,7 @@ def e2_decode(received, intervals, sketch: tuple[int, int, int], n: int, P1: int
                     "second-moment spread exceeds its modulus across feasible placements")
         for v2, p, q in stage:
             if v2 % (P * n) == t2:
-                out.add(_insert_pair(received, p, q, b1, b2))
+                out.add(_with(received, (p, q), (b1, b2)))
     return _unique(out, "placements consistent with the interval sketch")
 
 
@@ -575,7 +626,7 @@ def _tail_bits(e1, e2, params: EParams) -> Bits:
 def _appended(e1, e2, params: EParams) -> Bits:
     """E1 and E2 packed at their widths (the tail), then the tail's sketch."""
     tail = _tail_bits(e1, e2, params)
-    return tail + to_bits(xi_value(tail, len(tail)), params.xi_bits)
+    return tail + to_bits(_xi(tail, len(tail)), params.xi_bits)
 
 
 def _redundancy(bits: Bits, params: EParams) -> Bits:
@@ -588,7 +639,11 @@ def _sketch_bundle_cached(bits: Bits, P1: int, P2: int) -> SketchBundle:
     """The bundle of a word ``as_bits`` has already checked."""
     params = _eparams(len(bits), P1, P2)
     e1, e2 = _e1_sums(bits, params.rho), _e2_residues(bits, params.P)
-    return SketchBundle(e1, e2, _appended(e1, e2, params)[-params.xi_bits:], params)
+    # The tail's sketch is summed over the bytes of its packed value: the
+    # tuple of its bits is built once per encode, by encode_E.
+    width = sum(params.tail_widths)
+    tail = _bit_bytes(_pack(e1 + e2, params.tail_widths), width)
+    return SketchBundle(e1, e2, to_bits(_xi(tail, width), params.xi_bits), params)
 
 
 def sketch_bundle(bits, P1: int, P2: int) -> SketchBundle:
@@ -610,20 +665,42 @@ def _parse_tail(tail: Bits, params: EParams):
     return values[:2], values[2:]
 
 
-def _compositions(candidates, n: int, params: EParams, gap: Bits = ()) -> set[Bits]:
-    """The prefixes z = c[:n] of candidates c == z + gap + _redundancy(z): compositions,
-    or marker codewords with ``gap`` (0, 1).  Per distinct prefix, one moment pass gives
-    the E2 residues, which rule out most; the redundancy is built only if they pass."""
+def _compositions(received: Bits, intervals, n: int, params: EParams, gap: Bits = ()) -> set[Bits]:
+    """The payloads z of every codeword c = z + gap + _redundancy(z) that
+    leaves ``received`` by losing its extra bits inside the declared
+    intervals (see :func:`_insertion_positions`): compositions, or marker
+    codewords with ``gap`` (0, 1).
+
+    No candidate word is built.  A codeword lost the bits at some positions;
+    the bits it lost in the payload z are tried, and those it lost past z
+    are whatever z's redundancy holds there.  So z + gap + _redundancy(z) is
+    such a codeword exactly when taking those later positions out of
+    gap + _redundancy(z) leaves the rest of ``received``.  Each distinct
+    payload is built once, with its E2 field from one moment pass; that field
+    is checked the same way against the slice of ``received`` it would land
+    on, and only a payload that passes gets the rest of its redundancy
+    built and compared."""
+    length = params.total + len(gap)
     at = n + len(gap) + params.e1_bits
-    e2_of, rest_of, found = {}, {}, set()
-    for c in candidates:
-        z = c[:n]
-        if z not in e2_of:
-            e2_of[z] = to_bits(_pack(_e2_residues(z, params.P), params.e2_widths), params.e2_bits)
-        if c[at:at + params.e2_bits] == e2_of[z]:
+    end = at + params.e2_bits
+    payloads, rest_of, found = {}, {}, set()
+    for positions in _insertion_positions(intervals, length - len(received)):
+        j = bisect_right(positions, n)
+        shift = bisect_right(positions, at)
+        inside = positions[shift:bisect_right(positions, end)]
+        field = received[at - shift:end - shift - len(inside)]
+        for head in product((0, 1), repeat=j):
+            early = positions[:j], head
+            if early not in payloads:
+                z = _with(received[:n - j], *early)
+                e2 = _pack(_e2_residues(z, params.P), params.e2_widths)
+                payloads[early] = z, to_bits(e2, params.e2_bits)
+            z, want = payloads[early]
+            if _without(want, inside, at) != field:
+                continue
             if z not in rest_of:
                 rest_of[z] = gap + _redundancy(z, params)
-            if c[n:] == rest_of[z]:
+            if _without(rest_of[z], positions[j:], n) == received[n - j:]:
                 found.add(z)
     return found
 
@@ -635,33 +712,37 @@ def decode_E(received, intervals, n: int, P1: int, P2: int) -> Bits:
     params = _eparams(n, P1, P2)
     L = params.total
     intervals = _checked_intervals(intervals, L, params.P)
+    if not L - 2 <= len(received) <= L:
+        raise ParameterError(f"received length {len(received)} incompatible with <= 2 deletions")
+    return _decode_E(received, intervals, params)
 
+
+def _decode_E(received: Bits, intervals, params: EParams) -> Bits:
+    """:func:`decode_E` of a checked word of length L - 2 to L, with sorted
+    intervals."""
+    n, L = params.n, params.total
     if len(received) == L:
-        if not _compositions((received,), n, params):
+        if not _compositions(received, intervals, n, params):
             raise DecodeFailure("full-length word is not a valid composition")
         return received[:n]
-
     if len(received) == L - 1:
-        found = _compositions(_reinsert_in_intervals(received, intervals, L), n, params)
+        found = _compositions(received, intervals, n, params)
         return _unique(found, "single-deletion completions are consistent")
-
-    if len(received) != L - 2:
-        raise ParameterError(f"received length {len(received)} incompatible with <= 2 deletions")
 
     (s1, l1), (s2, l2) = intervals
     e1_end, e2_end = s1 + l1 - 1, s2 + l2 - 1
     if s1 > n:
         return received[:n]
-    if e2_end <= n:
+    if max(e1_end, e2_end) <= n:
         e1_sk, e2_sk = _parse_tail(received[n - 2:], params)
         body = received[:n - 2]
         if s2 <= e1_end + 1:
-            return e1_decode(body, intervals, e1_sk, n, P1, P2)
-        return e2_decode(body, intervals, e2_sk, n, P1, P2)
+            return _e1_decode(body, intervals, e1_sk, n, params.rho)
+        return _e2_decode(body, intervals, e2_sk, n, params.P)
 
     # An interval reaches past the systematic prefix: reconstruct by direct
     # hypothesis over the two deletion positions and verify the composition.
-    found = _compositions(_reinsert_in_intervals(received, intervals, L), n, params)
+    found = _compositions(received, intervals, n, params)
     return _unique(found, "completions are consistent with the composition")
 
 
@@ -694,18 +775,19 @@ def prefix_decode_two(received, intervals, k: int, P1: int, P2: int) -> Bits:
     if len(received) != L - 2:
         raise ParameterError(f"expected length {L - 2}, got {len(received)}")
     intervals = _checked_intervals(intervals, L, params.P)
-    marker = {k + 1, k + 2}
-    touches = any(set(range(s, s + l)) & marker for s, l in intervals)
-    if not touches:
+    if not any(s <= k + 2 and s + l > k + 1 for s, l in intervals):
+        # Neither interval touches the marker at k + 1, k + 2.
         before = sum(1 for s, l in intervals if s + l - 1 < k + 1)
         at = k - before  # 0-based index of the marker inside received
         if received[at:at + 2] != (0, 1):
             raise DecodeFailure("marker bits not found where the intervals imply")
         stripped = received[:at] + received[at + 2:]
+        # An interval before the marker stays and one after it moves back by
+        # two: the pair stays sorted and inside the composition.
         mapped = [(s if s + l - 1 <= k else s - 2, l) for s, l in intervals]
-        return decode_E(stripped, mapped, k, P1, P2)
+        return _decode_E(stripped, mapped, params)
 
-    found = _compositions(_reinsert_in_intervals(received, intervals, L), k, params, (0, 1))
+    found = _compositions(received, intervals, k, params, (0, 1))
     return _unique(found, "payloads consistent with the marker code")
 
 
@@ -720,7 +802,7 @@ def prefix_decode_one(received, k: int, P1: int, P2: int) -> Bits:
     params = _eparams(k, P1, P2)
     L = params.total + 2
     if len(received) == L:
-        if not _compositions((received,), k, params, (0, 1)):
+        if not _compositions(received, (), k, params, (0, 1)):
             raise DecodeFailure("full-length word is not a marker codeword")
         return received[:k]
     if len(received) != L - 1:

@@ -1,5 +1,6 @@
 """VT and shifted-VT tests against exhaustive insertion oracles."""
 
+import re
 from itertools import product
 
 import numpy as np
@@ -212,3 +213,19 @@ class TestSvt:
         p = SvtParams(a=3, b=1, window=5)
         x = b("1001000100")
         assert svt_member(x, p) == (vt_syndrome(x) % 5 == 3 and sum(x) % 2 == 1)
+
+
+class TestParameterErrors:
+    """One malformed input for each input check, with the text it raises."""
+
+    @pytest.mark.parametrize("call, text", [
+        (lambda: vt_decode(b("01"), 0, "3"), "word length n must be a positive int, got '3'"),
+        (lambda: vt_decode(b("01"), "0", 3), "VT residue a must be an int, got '0'"),
+        (lambda: svt_decode(b("0110"), "1", SvtParams(a=0, b=0, window=3)),
+         "window start must be an int, got '1'"),
+        (lambda: svt_decode(b("0110"), 1.5, SvtParams(a=0, b=0, window=3)),
+         "window start must be an int, got 1.5"),
+    ], ids=["vt_decode n", "vt_decode a", "svt_decode string start", "svt_decode float start"])
+    def test_rejected(self, call, text):
+        with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
+            call()

@@ -138,7 +138,9 @@ class TestParameterErrors:
     @pytest.mark.parametrize("call, text", [
         (lambda: verify_cover(8), "exhaustive cover verification is capped at n = 7"),
         (lambda: kdcc_size_bounds(11), "exact lower bound is capped at n = 10"),
-    ], ids=["verify_cover", "kdcc_size_bounds"])
+        (lambda: kdcc_size_bounds("3"), "strand length n must be an int, got '3'"),
+        (lambda: verify_cover("2"), "strand length n must be an int, got '2'"),
+    ], ids=["verify_cover", "kdcc_size_bounds", "kdcc_size_bounds string", "verify_cover string"])
     def test_rejected(self, call, text):
         with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
             call()

@@ -518,8 +518,10 @@ class TestParameterErrors:
         (lambda: spec_for_strand("sum1", 5), "strand must be a sequence of symbols, got 5"),
         (lambda: membership(spec_for_strand("sum1", (1, 2, 3)), 5),
          "strand must be a sequence of symbols, got 5"),
+        (lambda: decode_sum1(KnownDefectInstance((1, 2, 3), (1,), 4), "1"),
+         "sum1 residue a must be an int, got '1'"),
     ], ids=["spec family", "cycle count", "svt1 length", "longer received", "best family",
-            "spec strand int", "membership strand int"])
+            "spec strand int", "membership strand int", "sum1 string residue"])
     def test_rejected(self, call, text):
         with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
             call()

@@ -231,9 +231,9 @@ DECODE_FAILURES = [
     ("sdcc", "sdcc2_decode", "no defective-cycle set explains all cover strands"),
     ("sdcc", "sdcc2_decode", "{len(outcomes)} tuples consistent with the channel"),
     ("sketch", "_unique", "{len(found)} {what}"),
-    ("sketch", "e1_decode", "interval union wider than one sketch window"),
-    ("sketch", "e2_decode", "intervals are not separated"),
-    ("sketch", "decode_E", "full-length word is not a valid composition"),
+    ("sketch", "_e1_decode", "interval union wider than one sketch window"),
+    ("sketch", "_e2_decode", "intervals are not separated"),
+    ("sketch", "_decode_E", "full-length word is not a valid composition"),
     ("sketch", "prefix_decode_two", "marker bits not found where the intervals imply"),
     ("sketch", "prefix_decode_one", "full-length word is not a marker codeword"),
 ]
@@ -244,7 +244,7 @@ DECODE_FAILURES = [
 CONSTRUCTION_CHECKS = [
     ("bounds", "kdcc_size_bounds", "lower bound exceeded the clique-cover bound"),
     ("sdcc", "select_cover_shifts", "block [{t}, {t + n - 1}] left uncovered"),
-    ("sketch", "e2_decode",
+    ("sketch", "_e2_decode",
      "second-moment spread exceeds its modulus across feasible placements"),
 ]
 

@@ -626,6 +626,7 @@ class TestParameterErrors:
          "received lengths incompatible with one defect"),
         (lambda: c2d_params_of((1, 2)), "two-deletion coding needs n >= 3"),
         (lambda: c2d_params_of((1,) * 48), "signature is not regular at this window"),
+        (lambda: c2d_params_of((1, 2, 9, 1)), "symbol 9 outside alphabet {1,2,3,4}"),
         (lambda: c2d_decode((2, 1, 3), c2d_params_of((2, 1, 3, 4, 2, 1))),
          "received length incompatible with two deletions"),
         (lambda: sdcc2_decode(*shortened(random_member_2sdcc(16, 10, seed=1), 0, 3)),
@@ -635,7 +636,7 @@ class TestParameterErrors:
         (lambda: sdcc2_decode(*with_int_strand(random_member_2sdcc(16, 10, seed=1))),
          "strand must be a sequence of symbols, got 5"),
     ], ids=["cover None", "cover int", "json header", "irregular cover", "sdcc1 lengths",
-            "c2d length", "c2d irregular", "c2d received", "sdcc2 lengths",
+            "c2d length", "c2d irregular", "c2d symbol", "c2d received", "sdcc2 lengths",
             "sdcc1 int strand", "sdcc2 int strand"])
     def test_rejected(self, call, text):
         with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):

@@ -11,16 +11,17 @@ from math import comb
 import pytest
 
 from syndef.array_code import array_bounded_decode, array_single_bounded_decode, array_syndromes
+from syndef.binary import insertions
 from syndef.core import ConstructionError, DecodeFailure, ParameterError
 from syndef.sketch import (
     EParams,
     SketchBundle,
     XI_VERIFIED_MAX_LENGTH,
+    _balls_meet,
     _completions,
     _compositions,
     _eparams,
     _pack,
-    _reinsert_in_intervals,
     _sketch_bundle_cached,
     decode_E,
     e1_decode,
@@ -135,6 +136,14 @@ class TestXiSketch:
         with pytest.raises(ParameterError):
             verify_sketch_injectivity(length)
 
+    def test_string_words_read_as_bits(self):
+        # every character of a string is truthy, so a word read without
+        # as_bits would count "0" as a 1
+        word = b("1001101")
+        assert moment_vector("1001101") == moment_vector(word)
+        assert [moment("1001101", r) for r in range(5)] == [moment(word, r) for r in range(5)]
+        assert xi_value("1001101", 9) == xi_value(word, 9)
+
     def test_budget_at_64(self):
         assert xi_bit_length(64) <= xi_budget(64)
         assert XI_VERIFIED_MAX_LENGTH >= 16
@@ -165,6 +174,41 @@ class TestMomentCollisions:
         injective = not any(self.ball(u) & self.ball(v)
                             for words in shared for u, v in combinations(words, 2))
         assert verify_sketch_injectivity(length) == injective
+
+
+class TestBallsMeet:
+    """The banded common-subsequence test against the two-deletion balls it
+    replaces."""
+
+    @staticmethod
+    def meet(u, v):
+        return bool(TestMomentCollisions.ball(u) & TestMomentCollisions.ball(v))
+
+    @pytest.mark.parametrize("length", range(2, 8))
+    def test_every_pair_up_to_length_7(self, length):
+        words = list(all_words(length))
+        for u, v in combinations(words, 2):
+            assert _balls_meet(u, v) == self.meet(u, v), (u, v)
+
+    def test_random_near_pairs(self):
+        # v is u with a few bits moved or flipped, so both outcomes occur
+        rng = random.Random(22)
+        outcomes = Counter()
+        for _ in range(2000):
+            length = rng.randint(8, 22)
+            u = tuple(rng.randint(0, 1) for _ in range(length))
+            v = list(u)
+            for _ in range(rng.randint(1, 5)):
+                i, j = rng.randrange(length), rng.randrange(length)
+                if rng.random() < 0.7:
+                    v.insert(j, v.pop(i))
+                else:
+                    v[i] = 1 - v[i]
+            v = tuple(v)
+            want = self.meet(u, v)
+            assert _balls_meet(u, v) == want, (u, v)
+            outcomes[want] += 1
+        assert min(outcomes.values()) > 300, outcomes
 
 
 def grown_words(word, k):
@@ -469,6 +513,15 @@ class TestComposition:
         assert decode_E(word, ivs, n, P1, P2) == x
         assert decode_E(delete(word, 5), ivs, n, P1, P2) == x
 
+    def test_first_interval_reaching_past_the_prefix(self):
+        # sorted by start, the first interval [15, 17] runs past n = 16 while
+        # the second, [16, 16], ends inside: the deletions are decoded as past
+        # the prefix, not handed to e1_decode with an interval outside [1, n]
+        x = b("1011001110001011")
+        word = encode_E(x, 3, 2)
+        for d1, d2 in [(16, 17), (15, 16)]:
+            assert decode_E(delete(word, d1, d2), [(15, 3), (16, 1)], 16, 3, 2) == x
+
     def test_bundle_serialization(self):
         x = b("1011010010")
         bundle = sketch_bundle(x, 2, 3)
@@ -738,56 +791,110 @@ def criterion_08_sweep(L: int):
             yield (d1, d2), [(max(1, d1 - 1), 2), (max(1, d2 - 1), 2)]
 
 
+def insert(word, p, value):
+    return word[:p - 1] + (value,) + word[p - 1:]
+
+
+def reinsert_in_intervals(word, intervals, length):
+    """Every ``length``-bit word that leaves ``word`` by losing nothing, one
+    bit inside either (start, length) interval, or two bits, one inside
+    each; positions are 1-based in the longer word.  The decoders' candidate
+    set, built word by word."""
+    if length == len(word):
+        return {word}
+    if length - len(word) == 1:
+        return set().union(*(insertions(word, range(s, s + l)) for s, l in intervals))
+    (s1, l1), (s2, l2) = intervals
+    return {insert(insert(word, min(p, q), v1), max(p, q), v2)
+            for p in range(s1, s1 + l1) for q in range(s2, s2 + l2) if p != q
+            for v1, v2 in product((0, 1), repeat=2)}
+
+
+def sketch_workload_patterns(rng, n, L):
+    """(deleted positions, intervals) of the benchmark's six decode kinds for
+    an n-bit payload: composition length L, marker codeword length L + 2.
+    The unknown-position single deletion gets an interval around it."""
+    Lp = L + 2
+    d1 = rng.randint(2, n - 2)
+    yield False, (d1, d1 + 1), [(d1 - 1, 2), (d1, 2)]
+    d1 = rng.randint(1, n - 4)
+    d2 = rng.randint(d1 + 4, n)
+    yield False, (d1, d2), [(d1, 2), (d2 - 1, 2)]
+    d1, d2 = rng.randint(1, n), rng.randint(n + 1, L)
+    yield False, (d1, d2), [(d1, 2), (d2 - 1, 2)]
+    d = rng.randint(1, L)
+    yield False, (d,), [(max(1, d - 1), 2), (rng.randint(1, L - 1), 2)]
+    d1 = rng.randint(1, Lp - 1)
+    d2 = rng.randint(d1 + 1, Lp)
+    yield True, (d1, d2), [(max(1, d1 - 1), 2), (max(1, d2 - 1), 2)]
+    d = rng.randint(1, Lp)
+    yield True, (d,), [(max(1, d - 1), 2), (max(1, d - 1), 2)]
+
+
 class TestCandidateCheck:
-    """``_compositions``, the decoders' one candidate check, against the
-    public encoders on the candidate sets the decoders build."""
+    """``_compositions``, the decoders' one candidate search, against the
+    public encoders on every candidate word the received word and its
+    intervals allow."""
 
     N, P1, P2 = 6, 2, 2
 
-    def candidate_sets(self):
-        """(candidates, marker) for every payload of length N under criterion
-        08's patterns, the received word also with one bit flipped, and for
-        two payloads under its sweep."""
+    def cases(self):
+        """(n, received, intervals, marker) for every payload of length N
+        under criterion 08's patterns, for two payloads under its sweep, and
+        for seeded payloads of length 16 under the sketch workload's six
+        patterns; each received word also with one bit flipped."""
         n, P1, P2 = self.N, self.P1, self.P2
         params = _eparams(n, P1, P2)
         r12 = params.e1_bits + params.e2_bits
+        cases = []
         for i, x in enumerate(all_words(n)):
-            for word, marker in ((encode_E(x, P1, P2), False), (prefix_encode(x, P1, P2), True)):
-                L = len(word)
+            for marker in (False, True):
                 patterns = criterion_08_patterns(n, params.total, r12, marker)
                 if i in (11, 45):
-                    patterns += criterion_08_sweep(L)
-                for deleted, ivs in patterns:
-                    received = delete(word, *deleted)
-                    j = sum(deleted) % len(received)
-                    flipped = received[:j] + (1 - received[j],) + received[j + 1:]
-                    for r in (received, flipped):
-                        yield _reinsert_in_intervals(r, ivs, L), marker
+                    patterns += criterion_08_sweep(params.total + 2 * marker)
+                cases += [(n, x, marker, deleted, ivs) for deleted, ivs in patterns]
+        rng = random.Random(16)
+        L = _eparams(16, P1, P2).total
+        for _ in range(40):
+            x = tuple(rng.randint(0, 1) for _ in range(16))
+            cases += [(16, x, marker, deleted, ivs)
+                      for marker, deleted, ivs in sketch_workload_patterns(rng, 16, L)]
+        for n, x, marker, deleted, ivs in cases:
+            word = prefix_encode(x, P1, P2) if marker else encode_E(x, P1, P2)
+            received = delete(word, *deleted)
+            j = sum(deleted) % len(received)
+            flipped = received[:j] + (1 - received[j],) + received[j + 1:]
+            for r in (received, flipped):
+                yield n, r, ivs, marker
 
     def test_matches_the_public_encoders(self):
-        n, P1, P2 = self.N, self.P1, self.P2
-        params = _eparams(n, P1, P2)
+        P1, P2 = self.P1, self.P2
         sets = Counter()
-        for candidates, marker in self.candidate_sets():
+        for n, received, ivs, marker in self.cases():
+            params = _eparams(n, P1, P2)
+            candidates = reinsert_in_intervals(received, ivs, params.total + 2 * marker)
             if marker:
                 want = {c[:n] for c in candidates if prefix_member(c, n, P1, P2)}
             else:
                 want = {c[:n] for c in candidates if c == encode_E(c[:n], P1, P2)}
-            assert _compositions(candidates, n, params, (0, 1) if marker else ()) == want
-            sets[marker, len(want)] += 1
-        assert min(sets[m, k] for m in (False, True) for k in (0, 1)) > 100, sets
+            got = _compositions(received, ivs, n, params, (0, 1) if marker else ())
+            assert got == want, (n, received, ivs, marker)
+            sets[n, marker, len(want)] += 1
+        assert min(sets[self.N, m, k] for m in (False, True) for k in (0, 1)) > 100, sets
+        assert min(sets[16, m, k] for m in (False, True) for k in (0, 1)) > 10, sets
 
     def test_full_length_words(self):
         n, P1, P2 = self.N, self.P1, self.P2
         params = _eparams(n, P1, P2)
         for x in all_words(n):
             word, marked = encode_E(x, P1, P2), prefix_encode(x, P1, P2)
-            assert _compositions([word], n, params) == {x}
-            assert _compositions([marked], n, params, (0, 1)) == {x}
-            assert _compositions([marked[:n] + marked[n + 2:]], n, params, (0, 1)) == set()
+            assert _compositions(word, (), n, params) == {x}
+            assert _compositions(marked, (), n, params, (0, 1)) == {x}
+            assert _compositions(marked[:n] + (1, 0) + marked[n + 2:], (), n, params, (0, 1)) \
+                == set()
             for j in range(n, len(word)):
                 flipped = word[:j] + (1 - word[j],) + word[j + 1:]
-                assert _compositions([flipped], n, params) == set()
+                assert _compositions(flipped, (), n, params) == set()
 
     def test_decoders_leave_the_bundle_cache_alone(self):
         n, P1, P2 = 16, 2, 2
@@ -933,11 +1040,20 @@ class TestParameterErrors:
         (lambda: prefix_decode_one((0,) * 5, 8, 2, 2),
          f"expected length {PREFIX_LENGTH} or {PREFIX_LENGTH - 1}, got 5"),
         (lambda: e2_sketch((), 2, 2), "word length n must be a positive int, got 0"),
+        (lambda: xi_decode((1,), (0,), "2"), "word length n must be a positive int, got '2'"),
+        (lambda: e1_decode((0,) * 10, [(3, 2), (4, 2)], (0, 0), "12", 2, 2),
+         "word length n must be a positive int, got '12'"),
+        (lambda: e2_decode((), [(1, 1), (3, 1)], (0, 0, 0), 0, 2, 2),
+         "word length n must be a positive int, got 0"),
+        (lambda: moment((1, 0), True), "moment order must be 0 to 4, got True"),
+        (lambda: moment_vector("102"), "binary word expected"),
+        (lambda: xi_value((1, 0, 1), "5"), "packing length must be an int, got '5'"),
     ] + [(lambda n=n: e1_windows(n, 2), f"word length n must be a positive int, got {n!r}")
          for n in (0, -3, True, 2.5)],
         ids=["xi_value", "xi_decode", "e1_decode", "e2_decode", "EParams", "bundle keys",
              "bundle ints", "decode_E", "prefix_decode_two", "prefix_decode_one",
-             "e2_sketch empty", "windows 0", "windows -3", "windows True", "windows 2.5"])
+             "e2_sketch empty", "xi_decode n", "e1_decode n", "e2_decode n", "moment bool order",
+             "moment_vector string", "xi_value packing length", "windows 0", "windows -3", "windows True", "windows 2.5"])
     def test_rejected(self, call, text):
         with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
             call()
