@@ -100,10 +100,7 @@ def array_syndromes(word, rows: int) -> ArrayCodeParams:
 
 
 def is_member(word, params: ArrayCodeParams) -> bool:
-    other = array_syndromes(word, params.rows)
-    return (other.row_sums == params.row_sums
-            and other.weighted_vt == params.weighted_vt
-            and other.length == params.length)
+    return array_syndromes(word, params.rows) == params
 
 
 def _normalize_windows(bursts, rows: int, padded: int) -> list[Interval]:

@@ -10,6 +10,7 @@ counterexamples), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -188,14 +189,7 @@ def run_verify_kdcc(args) -> Report:
 
 
 def run_verify_sdcc(args) -> Report:
-    report = Report(task="verify-sdcc",
-                    params={"t": args.t, "n": args.n, "m": args.m,
-                            "seed": args.seed, "mode": args.mode})
-    sim = run_simulate(args)
-    report.metrics = sim.metrics
-    report.counterexamples = sim.counterexamples
-    report.passed = sim.passed
-    return report
+    return dataclasses.replace(run_simulate(args), task="verify-sdcc")
 
 
 def run_enumerate(args) -> Report:

@@ -68,6 +68,8 @@ def as_spans(spans, what: str) -> list[tuple[int, int]]:
 
 def all_strands(n: int):
     """Iterate over all of Sigma^n in lexicographic order."""
+    if type(n) is not int or n < 0:
+        raise ParameterError(f"strand length must be a non-negative int, got {n!r}")
     return product(ALPHABET, repeat=n)
 
 
@@ -120,6 +122,7 @@ def deletion_positions(full, short) -> list[tuple[int, ...]]:
 
 def diff(strand: Strand) -> Strand:
     """Difference sequence: first symbol, then successive shifted-mod-4 gaps."""
+    strand = as_strand(strand)
     out = [strand[0]]
     for prev, cur in zip(strand, strand[1:]):
         out.append(smod4(cur - prev))
@@ -128,6 +131,7 @@ def diff(strand: Strand) -> Strand:
 
 def inverse_diff(d: Strand) -> Strand:
     """Invert :func:`diff` by shifted-mod-4 prefix sums."""
+    d = as_strand(d)
     out = [d[0]]
     for step in d[1:]:
         out.append(smod4(out[-1] + step))
@@ -188,21 +192,16 @@ def _insert_slot_positions(word: Strand, delta: int, start: int = 1, c: int = 0)
     return out
 
 
-def insertions_at_cycle(word: Strand, delta: int) -> list[Strand]:
-    """All words obtained by inserting one symbol into ``word`` so that the new
-    symbol is synthesised exactly at cycle ``delta``."""
-    value = smod4(delta)
-    return [word[:pos - 1] + (value,) + word[pos - 1:]
-            for pos in _insert_slot_positions(word, delta)]
-
-
 def reinsertions(word: Strand, delta) -> set[Strand]:
     """Every word reached by reinstating a symbol at each cycle of ``delta``,
-    in increasing cycle order: a superset of the channel's preimages, which
+    in increasing cycle order, each synthesised exactly at its cycle: a
+    superset of the channel's preimages, which :func:`confusable_ball`,
     ``kdcc.algorithm1_recover`` and the tests filter by ``apply_defects``."""
     frontier = {word}
     for d in sorted(set(delta)):
-        frontier = {y for w in frontier for y in insertions_at_cycle(w, d)}
+        value = smod4(d)
+        frontier = {w[:p - 1] + (value,) + w[p - 1:]
+                    for w in frontier for p in _insert_slot_positions(w, d)}
     return frontier
 
 
@@ -283,28 +282,26 @@ def confusable_ball(strand: Strand, delta) -> set[Strand]:
     """Exact set of length-n words indistinguishable from ``strand`` once the
     cycles in ``delta`` are defective.
 
-    Candidates are generated by constrained insertion in increasing cycle
-    order (each defect either misses the word or re-inserts its symbol at the
-    defective cycle) and then filtered against the defining equation.
+    Such a word lost as many symbols as ``strand`` did, at some set of that
+    many cycles of ``delta``, so it is among the :func:`reinsertions` of the
+    channel output at one such set; those are filtered against the defining
+    equation.
     """
-    n = len(strand)
     target = apply_defects(strand, delta)
-    frontier: set[Strand] = {target}
-    for d in sorted(set(delta)):
-        grown: set[Strand] = set()
-        for w in frontier:
-            grown.add(w)
-            if len(w) < n:
-                grown.update(insertions_at_cycle(w, d))
-        frontier = grown
     hit = set(delta)
-    return {w for w in frontier if len(w) == n and apply_defects(w, hit) == target}
+    return {w for lost in combinations(sorted(hit), len(strand) - len(target))
+            for w in reinsertions(target, lost) if apply_defects(w, hit) == target}
 
 
 def defect_ball(strands, radius: int) -> set[tuple[Strand, ...]]:
     """All outputs of the channel on an ordered tuple under at most ``radius``
     defective cycles, deduplicated."""
-    n = len(strands[0])
+    try:
+        n = len(strands[0])
+    except (LookupError, TypeError):
+        raise ParameterError(f"a tuple of strands expected, got {strands!r}") from None
+    if type(radius) is not int:
+        raise ParameterError(f"defect radius must be an int, got {radius!r}")
     if radius > n:
         raise ParameterError("defect radius exceeds strand length")
     outputs = {tuple(strands)}
@@ -348,7 +345,10 @@ def symbol_positions(strand: Strand, sigma: int) -> tuple[int, tuple[int, ...]]:
     """Count of ``sigma`` in the strand and its sorted 1-based positions."""
     if sigma not in (1, 2, 3, 4):
         raise ParameterError(f"symbol {sigma!r} outside alphabet")
-    pos = tuple(i for i, s in enumerate(strand, start=1) if s == sigma)
+    try:
+        pos = tuple(i for i, s in enumerate(strand, start=1) if s == sigma)
+    except TypeError:
+        raise ParameterError(f"strand must be a sequence of symbols, got {strand!r}") from None
     return len(pos), pos
 
 

@@ -202,8 +202,8 @@ class SdccCodeword:
         for s, a in zip(cw.strands, cw.shifts):
             if type(a) is not int:
                 raise ParameterError(f"shift {a!r} is not an integer")
-            sched = cycles(unshift_symbols(s, a))
-            lo, hi = _shift_range(sched, len(s))
+            # The re-timed schedule is the base one moved by a.
+            lo, hi = (a + v for v in _shift_range(cycles(s, a), len(s)))
             if not lo <= a <= hi:
                 raise ParameterError(f"shift {a} outside feasible range [{lo}, {hi}]")
         return cw
@@ -237,6 +237,8 @@ def _svt_window(n: int) -> int:
 def sdcc1_params_of(codeword: SdccCodeword) -> Sdcc1Params:
     """Read the residues off a tuple, making it a member of its own class."""
     n = codeword.n
+    if n < 3:
+        raise ParameterError("single-defect tuple coding needs n >= 3")
     window = _svt_window(n)
     s, b, d, e = [], [], [], []
     for x in codeword.bases():
@@ -290,10 +292,10 @@ def sdcc1_decode(received, plan: CoverPlan, params: Sdcc1Params):
         if len(words) != 1:
             raise DecodeFailure("cover strand reconstruction is not unique")
         x = words.pop()
-        sched = cycles(x)
-        cands = {sched[p - 1] + a for p, in deletion_positions(x, x_short)}
-        delta_candidates = cands if delta_candidates is None else delta_candidates & cands
         out[i] = shift_symbols(x, a)
+        sched = cycles(out[i], a)
+        cands = {sched[p - 1] for p, in deletion_positions(x, x_short)}
+        delta_candidates = cands if delta_candidates is None else delta_candidates & cands
     if not delta_candidates:
         raise DecodeFailure("cover strands disagree on the defective cycle")
     # Each cover's candidates are the cycles of one run of equal symbols: one
@@ -474,14 +476,15 @@ def sdcc2_params_of(codeword: SdccCodeword) -> Sdcc2Params:
     return Sdcc2Params(n=n, cover=cover, sig_arrays=arrays, position_sums=sums)
 
 
-def _remaining_strand_decode(r, delta, arr: ArrayCodeParams, sums, n):
-    """Decode one hit remaining strand under a fixed defective-cycle hypothesis."""
-    lost = n - len(r)
+def _remaining_strand_decode(r, delta, arr: ArrayCodeParams, sums, modulus: int):
+    """Decode one hit remaining strand under a fixed defective-cycle hypothesis;
+    ``arr`` holds the syndromes of its n - 1 signature bits."""
+    lost = arr.length + 1 - len(r)
     try:
         words = array_candidates(r, delta, lost, arr) if lost <= len(delta) else set()
     except DecodeFailure:
         return set()
-    return {y for y in words if position_sums(y, position_sum_modulus(n)) == sums}
+    return {y for y in words if position_sums(y, modulus) == sums}
 
 
 def sdcc2_decode(received, plan: CoverPlan, params: Sdcc2Params) -> tuple[Strand, ...]:
@@ -539,7 +542,7 @@ def sdcc2_decode(received, plan: CoverPlan, params: Sdcc2Params) -> tuple[Strand
         for j in (j for j in rest if shortfalls[j]):
             words = _remaining_strand_decode(
                 received[j], delta, params.sig_arrays[j - cover_count],
-                params.position_sums[j - cover_count], n)
+                params.position_sums[j - cover_count], params.pos_modulus)
             if len(words) != 1:
                 break
             out[j] = words.pop()

@@ -93,15 +93,23 @@ def xi_bit_length(length: int) -> int:
 
 def xi_budget(length: int) -> int:
     """Materialised sketch-length budget for this scheme."""
+    if type(length) is not int or length < 0:
+        raise ParameterError(f"word length must be a non-negative int, got {length!r}")
     return 10 * math.ceil(math.log2(length + 1)) + 6
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+# Bytes 0 and 1 become the digits; any other byte a character int() rejects.
+_BIT_DIGITS = b"01" + b"x" * 254
 
 
 def to_bits(value: int, width: int) -> Bits:
-    if value < 0 or value >> width:
+    try:
+        fits = value >= 0 and not value >> width
+    except (TypeError, ValueError):  # no int, or a negative width
+        raise ParameterError(
+            f"value and width must be ints with width >= 0, got {value!r} and {width!r}") from None
+    if not fits:
         raise ParameterError(f"value {value} does not fit in {width} bits")
     return tuple(_bit_bytes(value, width))
 
@@ -114,7 +122,10 @@ def _bit_bytes(value: int, width: int) -> bytes:
 
 def from_bits(bits) -> int:
     """The integer whose binary digits, top first, are the 0/1 word ``bits``."""
-    return int(b"0" + bytes(bits).translate(_BIT_DIGITS), 2)
+    try:
+        return int(b"0" + bytes(bits).translate(_BIT_DIGITS), 2)
+    except (TypeError, ValueError):
+        raise ParameterError(f"a word of 0s and 1s expected, got {bits!r}") from None
 
 
 def _pack(values, widths) -> int:
@@ -244,13 +255,13 @@ def _growth_terms(word: Bits, n: int):
     return col, head, tail
 
 
-def _completions(word: Bits, n: int, targets, range1=None, range2=None) -> set[Bits]:
+def _completions(word: Bits, n: int, targets, positions=None) -> set[Bits]:
     """All words of length ``n`` containing ``word`` as an (n - len)-deletion
     subsequence whose moment vector equals ``targets``.
 
-    The optional 1-based position ranges confine the first and second
-    insertion.  Each candidate is accepted on one comparison of its packed
-    moments (:func:`_growth_terms`) with the packed targets.
+    The optional 1-based position range confines every insertion.  Each
+    candidate is accepted on one comparison of its packed moments
+    (:func:`_growth_terms`) with the packed targets.
     """
     m = len(word)
     k = n - m
@@ -269,21 +280,21 @@ def _completions(word: Bits, n: int, targets, range1=None, range2=None) -> set[B
     top = shifts[0]
     want = sum(f << shift for f, shift in zip(fields, shifts[1:])) + (weight(word) << top)
     col, head, tail = _growth_terms(word, n)
-    r1 = range(1, n + 1) if range1 is None else range1
-    r2 = range(1, n + 1) if range2 is None else range2
+    if positions is None:
+        positions = range(1, n + 1)
     out: set[Bits] = set()
 
     if k == 1:
         for (b,) in _value_options(word, 1, targets[0]):
             key = want + (b << top)
-            out.update(word[:p - 1] + (b,) + word[p - 1:] for p in r1
+            out.update(word[:p - 1] + (b,) + word[p - 1:] for p in positions
                        if 1 <= p <= m + 1 and head[p] + b * col[p] == key)
         return out
 
     # The pair's packed moments split as A(p) + B(q): key the q's by B(q) and
     # look up key - A(p) for each p.
-    p_list = [p for p in r1 if 1 <= p <= m + 1]
-    q_list = [q for q in r2 if 2 <= q <= n]
+    p_list = [p for p in positions if 1 <= p <= m + 1]
+    q_list = [q for q in positions if 2 <= q <= n]
     for b1, b2 in _value_options(word, 2, targets[0]):
         by_term: dict[int, list[int]] = {}
         for q in q_list:
@@ -450,7 +461,7 @@ def _e1_decode(received: Bits, intervals, sketch, n: int, rho: int) -> Bits:
 
     body = received[ws - 1:we - 2]
     local = range(lo - ws + 1, hi - ws + 2)
-    found = _completions(body, we - ws + 1, targets, range1=local, range2=local)
+    found = _completions(body, we - ws + 1, targets, local)
     content = _unique(found, "window contents consistent with the sketch")
     return received[:ws - 1] + content + received[we - 2:]
 
@@ -623,15 +634,11 @@ def _tail_bits(e1, e2, params: EParams) -> Bits:
     return to_bits(_pack(e1 + e2, widths), sum(widths))
 
 
-def _appended(e1, e2, params: EParams) -> Bits:
-    """E1 and E2 packed at their widths (the tail), then the tail's sketch."""
-    tail = _tail_bits(e1, e2, params)
-    return tail + to_bits(_xi(tail, len(tail)), params.xi_bits)
-
-
 def _redundancy(bits: Bits, params: EParams) -> Bits:
-    """``_appended`` for a checked word, uncached: the decode candidate check."""
-    return _appended(_e1_sums(bits, params.rho), _e2_residues(bits, params.P), params)
+    """E1 and E2 of a checked word packed at their widths (the tail), then the
+    tail's sketch, uncached: the decode candidate check."""
+    tail = _tail_bits(_e1_sums(bits, params.rho), _e2_residues(bits, params.P), params)
+    return tail + to_bits(_xi(tail, len(tail)), params.xi_bits)
 
 
 @lru_cache(maxsize=8192, typed=True)

@@ -87,6 +87,10 @@ class TestExitCodes:
         (["verify-kdcc", "--family", "sum2", "--n", "3"], "unknown family 'sum2'"),
         (["verify-kdcc", "--family", "array2", "--n", "4", "--mode", "every"],
          "unknown mode 'every'"),
+        (["simulate", "--t", "1", "--n", "2", "--m", "4"],
+         "single-defect tuple coding needs n >= 3"),
+        (["verify-sdcc", "--t", "1", "--n", "2", "--m", "4"],
+         "single-defect tuple coding needs n >= 3"),
     ])
     def test_parameter_error_exits_two(self, argv, text, capsys):
         assert run_cli(argv) == 2

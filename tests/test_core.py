@@ -42,6 +42,15 @@ def ball_by_filtration(strand, delta):
     return {y for y in all_strands(len(strand)) if apply_defects(y, delta) == target}
 
 
+def balls_by_filtration(n, delta):
+    """(strand, ball) for every strand of length ``n``: all of Sigma^n grouped
+    by channel output, the same oracle at one scan per cycle set."""
+    by_output = {}
+    for y in all_strands(n):
+        by_output.setdefault(apply_defects(y, delta), set()).add(y)
+    return [(x, by_output[apply_defects(x, delta)]) for x in all_strands(n)]
+
+
 class TestDiff:
     def test_paper_example(self):
         assert diff(s("1241321")) == s("1121233")
@@ -140,6 +149,23 @@ class TestConfusableBall:
             for delta in combinations(range(1, 13), 2):
                 if delta[0] in sched or delta[1] in sched:
                     assert confusable_ball(x, set(delta)) == ball_by_filtration(x, set(delta))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_filtration_up_to_three_cycles(self, n):
+        # every set of one to three cycles, those that miss the strand included
+        for size in (1, 2, 3):
+            for delta in combinations(range(1, 4 * n + 1), size):
+                for x, ball in balls_by_filtration(n, delta):
+                    assert confusable_ball(x, set(delta)) == ball, (x, delta)
+
+    def test_matches_filtration_missing_and_three_cycles_n4(self):
+        # every single cycle, hit or missed, and seeded sets of three
+        rng = random.Random(4)
+        deltas = [(d,) for d in range(1, 17)]
+        deltas += [tuple(sorted(rng.sample(range(1, 17), 3))) for _ in range(40)]
+        for delta in deltas:
+            for x, ball in balls_by_filtration(4, delta):
+                assert confusable_ball(x, set(delta)) == ball, (x, delta)
 
     def test_size_formula_single_defect(self):
         # |ball| = |{d-4..d-1} meet (cycle(rest) union {0})|
@@ -371,8 +397,15 @@ class TestParameterErrors:
         (lambda: run_sequence(()), "empty word has no run sequence"),
         (lambda: symbol_positions((1, 2), 5), "symbol 5 outside alphabet"),
         (lambda: default_regular_window(1), "window undefined for n < 2"),
+        (lambda: diff(()), "empty strand"),
+        (lambda: inverse_diff(()), "empty strand"),
+        (lambda: defect_ball((), 1), "a tuple of strands expected, got ()"),
+        (lambda: defect_ball(((1, 2),), "1"), "defect radius must be an int, got '1'"),
+        (lambda: symbol_positions(5, 1), "strand must be a sequence of symbols, got 5"),
+        (lambda: all_strands(-1), "strand length must be a non-negative int, got -1"),
     ], ids=["as_strand", "as_strand int", "defect_ball", "run_sequence", "symbol_positions",
-            "default_regular_window"])
+            "default_regular_window", "diff empty", "inverse_diff empty", "defect_ball empty",
+            "defect_ball str radius", "symbol_positions int", "all_strands negative"])
     def test_rejected(self, call, text):
         with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
             call()

@@ -143,6 +143,36 @@ class TestSdcc1:
             _, (lo, hi) = sdcc1_decode(received, plan, params)
             assert hi - lo <= 4 * run_bound + 4
 
+    def test_outcomes_pinned(self):
+        # sha256 of every outcome (strands and window, or the error) for eight
+        # members, no defect and every single cycle, each also with one symbol
+        # of a seeded strand rewritten and with one seeded strand cut short:
+        # 1464 decodes, 566 of them errors.  Any change to what sdcc1_decode
+        # returns shows here.
+        digest = hashlib.sha256()
+        rng = SplitMix(9)
+        for n, m, seed in ((8, 6, 0), (8, 8, 1), (12, 8, 2), (12, 6, 3),
+                           (16, 8, 4), (16, 10, 5), (24, 6, 6), (24, 8, 7)):
+            codeword, plan, params = random_member_1sdcc(n, m, seed=seed)
+            for delta in [()] + [(d,) for d in range(1, 4 * n + 1)]:
+                received = codeword.channel(delta)
+                j = rng.randrange(0, m)
+                i = rng.randrange(0, len(received[j]))
+                bad = list(received)
+                bad[j] = bad[j][:i] + (bad[j][i] % 4 + 1,) + bad[j][i + 1:]
+                j = rng.randrange(0, m)
+                i = rng.randrange(0, len(received[j]))
+                cut = list(received)
+                cut[j] = cut[j][:i] + cut[j][i + 1:]
+                for r in (received, bad, cut):
+                    try:
+                        out = repr(sdcc1_decode(r, plan, params))
+                    except (DecodeFailure, ParameterError) as exc:
+                        out = f"{type(exc).__name__}: {exc}"
+                    digest.update(out.encode() + b"\n")
+        assert digest.hexdigest() == \
+            "04ed6a35b41536593aeac9306065fd303ca8272ea04a6deeec8f17488bc883aa"
+
 
 def strand_pairs_ball(a, b, radius):
     from syndef.core import defect_ball
@@ -622,6 +652,7 @@ class TestParameterErrors:
          "tuple JSON header disagrees with payload"),
         (lambda: sdcc1_params_of(irregular_cover_codeword()),
          "cover signature is not regular at this window"),
+        (lambda: random_member_1sdcc(2, 4), "single-defect tuple coding needs n >= 3"),
         (lambda: sdcc1_decode(*shortened(random_member_1sdcc(16, 8, seed=1), 0, 2)),
          "received lengths incompatible with one defect"),
         (lambda: c2d_params_of((1, 2)), "two-deletion coding needs n >= 3"),
@@ -635,7 +666,7 @@ class TestParameterErrors:
          "strand must be a sequence of symbols, got 5"),
         (lambda: sdcc2_decode(*with_int_strand(random_member_2sdcc(16, 10, seed=1))),
          "strand must be a sequence of symbols, got 5"),
-    ], ids=["cover None", "cover int", "json header", "irregular cover", "sdcc1 lengths",
+    ], ids=["cover None", "cover int", "json header", "irregular cover", "sdcc1 n", "sdcc1 lengths",
             "c2d length", "c2d irregular", "c2d symbol", "c2d received", "sdcc2 lengths",
             "sdcc1 int strand", "sdcc2 int strand"])
     def test_rejected(self, call, text):

@@ -30,6 +30,7 @@ from syndef.sketch import (
     e2_decode,
     e2_sketch,
     encode_E,
+    from_bits,
     moment,
     moment_collisions,
     moment_vector,
@@ -230,7 +231,7 @@ def grown_words(word, k):
 class TestCompletions:
     """``_completions`` against brute-force insertion for every word of length
     at most 8: the words it returns are exactly the insertions, inside the
-    position ranges, whose moment vector equals the targets."""
+    position range, whose moment vector equals the targets."""
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_matches_brute_force(self, k):
@@ -241,18 +242,16 @@ class TestCompletions:
                 grown = [(pq, z, moment_vector(z)) for pq, z in grown_words(word, k)]
                 parent = rng.choice(grown)[1]
                 stranger = tuple(rng.randint(0, 1) for _ in range(n))
-                a, b = rng.randint(0, n + 1), rng.randint(0, n + 1)
-                clipped = (range(a, a + rng.randint(0, 4)), range(b, b + rng.randint(0, 4)))
-                cases = [(moment_vector(parent), None, None),
-                         (moment_vector(word), None, None),
-                         (moment_vector(stranger), None, None),
-                         (moment_vector(parent),) + clipped]
-                for targets, range1, range2 in cases:
+                a = rng.randint(0, n + 1)
+                clipped = range(a, a + rng.randint(0, 5))
+                cases = [(moment_vector(parent), None), (moment_vector(word), None),
+                         (moment_vector(stranger), None), (moment_vector(parent), clipped)]
+                for targets, positions in cases:
                     want = {z for (p, q), z, vec in grown if vec == targets
-                            and (range1 is None or p is None or p in range1)
-                            and (range2 is None or q is None or q in range2)}
-                    assert _completions(word, n, targets, range1, range2) == want, \
-                        (word, n, targets, range1, range2)
+                            and (positions is None or p is None or p in positions)
+                            and (positions is None or q is None or q in positions)}
+                    assert _completions(word, n, targets, positions) == want, \
+                        (word, n, targets, positions)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_random_long_words(self, k):
@@ -267,14 +266,14 @@ class TestCompletions:
             true = list(rng.choice(grown)[2])
             perturbed = true.copy()
             perturbed[rng.randint(1, 4)] += rng.choice((-2, -1, 1, 2))
-            clipped = (range(rng.randint(1, n), n + 1), range(1, rng.randint(1, n + 1)))
-            for targets, range1, range2 in [(true, None, None), (perturbed, None, None),
-                                            (true,) + clipped]:
+            a, b = sorted((rng.randint(1, n), rng.randint(1, n)))
+            clipped = range(a, b + 1)
+            for targets, positions in [(true, None), (perturbed, None), (true, clipped)]:
                 want = {z for (p, q), z, vec in grown if vec == tuple(targets)
-                        and (range1 is None or p in range1)
-                        and (range2 is None or q is None or q in range2)}
-                assert _completions(word, n, tuple(targets), range1, range2) == want, \
-                    (word, n, targets, range1, range2)
+                        and (positions is None or p in positions)
+                        and (positions is None or q is None or q in positions)}
+                assert _completions(word, n, tuple(targets), positions) == want, \
+                    (word, n, targets, positions)
             widths = xi_field_widths(n)
             for r in range(1, 5):
                 for bad in (1 << widths[r], true[r] + (1 << widths[r]), -1):
@@ -1048,12 +1047,20 @@ class TestParameterErrors:
         (lambda: moment((1, 0), True), "moment order must be 0 to 4, got True"),
         (lambda: moment_vector("102"), "binary word expected"),
         (lambda: xi_value((1, 0, 1), "5"), "packing length must be an int, got '5'"),
+        (lambda: to_bits("5", 3), "value and width must be ints with width >= 0, got '5' and 3"),
+        (lambda: to_bits(5, "3"), "value and width must be ints with width >= 0, got 5 and '3'"),
+        (lambda: xi_budget("3"), "word length must be a non-negative int, got '3'"),
+        (lambda: xi_budget(-5), "word length must be a non-negative int, got -5"),
+        (lambda: from_bits([2]), "a word of 0s and 1s expected, got [2]"),
+        (lambda: from_bits("01"), "a word of 0s and 1s expected, got '01'"),
     ] + [(lambda n=n: e1_windows(n, 2), f"word length n must be a positive int, got {n!r}")
          for n in (0, -3, True, 2.5)],
         ids=["xi_value", "xi_decode", "e1_decode", "e2_decode", "EParams", "bundle keys",
              "bundle ints", "decode_E", "prefix_decode_two", "prefix_decode_one",
              "e2_sketch empty", "xi_decode n", "e1_decode n", "e2_decode n", "moment bool order",
-             "moment_vector string", "xi_value packing length", "windows 0", "windows -3", "windows True", "windows 2.5"])
+             "moment_vector string", "xi_value packing length", "to_bits str value",
+             "to_bits str width", "xi_budget str", "xi_budget negative", "from_bits 2",
+             "from_bits str", "windows 0", "windows -3", "windows True", "windows 2.5"])
     def test_rejected(self, call, text):
         with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
             call()
