@@ -15,6 +15,7 @@ from fractions import Fraction
 from itertools import product
 
 from .core import ParameterError, Strand, all_strands, apply_defects, cycles
+from .kdcc import best_residues
 
 PATTERN_A = ((1, 1, 2, 3, 4), (1, 2, 1, 3, 4), (1, 2, 3, 1, 4), (1, 2, 3, 4, 1))
 PATTERN_B = ((2, 2, 3, 4, 1), (2, 3, 2, 4, 1), (2, 3, 4, 2, 1), (2, 3, 4, 1, 2))
@@ -120,8 +121,6 @@ def block_collapse_cycle(prefix_len: int, block) -> int:
 def kdcc_size_bounds(n: int) -> dict:
     """Sandwich for the best single-known-defect codebook: the even-position
     sum construction from below, the clique cover from above."""
-    from .kdcc import best_residues
-
     _check_int(n)
     if n > 10:
         raise ParameterError("exact lower bound is capped at n = 10")

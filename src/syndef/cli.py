@@ -1,7 +1,7 @@
 """Verification CLI binding every code family to deterministic drivers.
 
-Usage: ``syndef <task> [--n INT --m INT --t INT --family STR --seed INT
---mode exhaustive|sampled:COUNT --out PATH --params JSON]``.
+Usage: ``syndef <task> --n INT [--out PATH]`` plus the options of the task
+in :data:`TASKS`; a flag the task does not read is a usage error.
 
 Exit codes: 0 all checks passed, 1 a check failed (report carries the
 counterexamples), 2 usage error.
@@ -10,7 +10,6 @@ counterexamples), 2 usage error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -56,7 +55,7 @@ def _parse_mode(mode: str):
 
 def run_simulate(args) -> Report:
     n, m, t = args.n, args.m, args.t
-    report = Report(task="simulate",
+    report = Report(task=args.task,
                     params={"n": n, "m": m, "t": t, "seed": args.seed,
                             "mode": args.mode})
     kind, count = _parse_mode(args.mode)
@@ -188,10 +187,6 @@ def run_verify_kdcc(args) -> Report:
     return report
 
 
-def run_verify_sdcc(args) -> Report:
-    return dataclasses.replace(run_simulate(args), task="verify-sdcc")
-
-
 def run_enumerate(args) -> Report:
     check_ceiling("enumerate", args.n)
     if args.params and args.params != "best":
@@ -249,13 +244,18 @@ def run_sketch_audit(args) -> Report:
     return report
 
 
+# Each option's type and default.
+OPTIONS = {"m": (int, 8), "t": (int, 1), "family": (str, "sum1"), "seed": (int, 0),
+           "mode": (str, "exhaustive"), "params": (str, None)}
+
+# Each task's runner and the options it reads besides --n and --out.
 TASKS = {
-    "simulate": run_simulate,
-    "verify-kdcc": run_verify_kdcc,
-    "verify-sdcc": run_verify_sdcc,
-    "enumerate": run_enumerate,
-    "bounds": run_bounds,
-    "sketch-audit": run_sketch_audit,
+    "simulate": (run_simulate, ("m", "t", "seed", "mode")),
+    "verify-kdcc": (run_verify_kdcc, ("family", "seed", "mode")),
+    "verify-sdcc": (run_simulate, ("m", "t", "seed", "mode")),
+    "enumerate": (run_enumerate, ("family", "params")),
+    "bounds": (run_bounds, ()),
+    "sketch-audit": (run_sketch_audit, ()),
 }
 
 
@@ -264,16 +264,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="syndef",
         description="Verification drivers for synthesis-defect correcting codes.")
     sub = parser.add_subparsers(dest="task", required=True)
-    for name in TASKS:
-        p = sub.add_parser(name)
+    for name, (_, options) in TASKS.items():
+        # no abbreviations: --m must not stand for --mode where --m is foreign
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--n", type=int, required=True)
-        p.add_argument("--m", type=int, default=8)
-        p.add_argument("--t", type=int, default=1)
-        p.add_argument("--family", type=str, default="sum1")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--mode", type=str, default="exhaustive")
+        for option in options:
+            kind, default = OPTIONS[option]
+            p.add_argument(f"--{option}", type=kind, default=default)
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--params", type=str, default=None)
     return parser
 
 
@@ -287,7 +285,7 @@ def main(argv=None) -> int:
     try:
         if args.n < 1:
             raise ParameterError(f"--n must be at least 1, got {args.n}")
-        report = TASKS[args.task](args)
+        report = TASKS[args.task][0](args)
     except (ParameterError, json.JSONDecodeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

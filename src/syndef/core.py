@@ -287,8 +287,14 @@ def confusable_ball(strand: Strand, delta) -> set[Strand]:
     channel output at one such set; those are filtered against the defining
     equation.
     """
-    target = apply_defects(strand, delta)
-    hit = set(delta)
+    strand = as_strand(strand)
+    try:
+        hit = set(delta)
+    except TypeError:
+        hit = None
+    if hit is None or any(type(d) is not int for d in hit):
+        raise ParameterError(f"defect cycles must be a set of ints, got {delta!r}")
+    target = apply_defects(strand, hit)
     return {w for lost in combinations(sorted(hit), len(strand) - len(target))
             for w in reinsertions(target, lost) if apply_defects(w, hit) == target}
 
@@ -322,7 +328,10 @@ def signature(strand: Strand) -> Bits:
 
 def run_sequence(bits) -> tuple[int, ...]:
     """Cumulative run index of a binary word; the last entry is the run count."""
-    bits = tuple(bits)
+    try:
+        bits = tuple(bits)
+    except TypeError:
+        raise ParameterError(f"binary word expected, got {bits!r}") from None
     if not bits:
         raise ParameterError("empty word has no run sequence")
     out = [1]
@@ -384,9 +393,14 @@ def apply_defects_shifted(symbols: Strand, a: int, delta) -> Strand:
 def is_regular(bits, window: int) -> bool:
     """True iff every length-``window`` contiguous substring contains both 00
     and 11.  Vacuously true when the word is shorter than the window."""
+    if type(window) is not int:
+        raise ParameterError(f"regularity window must be an int, got {window!r}")
     if window < 4:
         raise ParameterError("regularity window must be at least 4")
-    bits = tuple(bits)
+    try:
+        bits = tuple(bits)
+    except TypeError:
+        raise ParameterError(f"binary word expected, got {bits!r}") from None
     for start in range(len(bits) - window + 1):
         chunk = bits[start:start + window]
         has00 = any(a == b == 0 for a, b in zip(chunk, chunk[1:]))
@@ -398,6 +412,8 @@ def is_regular(bits, window: int) -> bool:
 
 def default_regular_window(n: int) -> int:
     """Default regularity window: ceil(7 log2 n), floored at the minimum of 4."""
+    if type(n) is not int:
+        raise ParameterError(f"window needs an int n, got {n!r}")
     if n < 2:
         raise ParameterError("window undefined for n < 2")
     return max(4, math.ceil(7 * math.log2(n)))

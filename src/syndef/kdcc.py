@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress, cycle, product
 
 from .array_code import (
@@ -169,9 +170,12 @@ def _signature_key(family: str, sig):
     return p.row_sums, p.weighted_vt
 
 
+@lru_cache(maxsize=1, typed=True)
 def _sweep_keys(family: str, n: int) -> list:
     """:func:`syndrome_key` of every strand of length ``n``, in
-    :func:`all_strands` order.
+    :func:`all_strands` order.  The last sweep is kept, so a task that picks
+    the best residues and then lists that codebook sweeps once; no caller
+    mutates the list.
 
     The keys are built by prefix extension, one symbol at a time.  ``sum1``
     extends each prefix's even-position sum.  The signature families extend

@@ -15,6 +15,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .core import ParameterError
+from .rng import SplitMix
 
 CEILINGS = {
     "strand_sweep": 7,   # exhaustive Sigma^n sweeps
@@ -91,8 +92,6 @@ class Report:
 def stratified_delta_pairs(n: int, count: int, seed: int):
     """Deterministic defect pairs: every cycle of [1, 4n] occurs in at least
     one pair, then seeded extras fill the requested count."""
-    from .rng import SplitMix
-
     top = 4 * n
     pairs = [(d, d + 1) for d in range(1, top, 2)]
     rng = SplitMix(seed)

@@ -53,8 +53,14 @@ from .sketch import _completions, moment_vector
 LOG43 = 2 - math.log2(3)
 
 
+def _check_n(n, least: int = 1):
+    if type(n) is not int or n < least:
+        raise ParameterError(f"strand length must be an int >= {least}, got {n!r}")
+
+
 def cover_group_size(n: int) -> int:
     """Strands per template block needed to cover it for arbitrary content."""
+    _check_n(n)
     return math.ceil(math.log2(n) / LOG43) + 1
 
 
@@ -64,10 +70,12 @@ def default_cover_count(n: int) -> int:
 
 def localization_window(n: int) -> int:
     """Defect-window bound once cover signatures are regular."""
+    _check_n(n)
     return math.ceil(28 * math.log2(n)) + 5
 
 
 def position_sum_modulus(n: int) -> int:
+    _check_n(n, 2)  # n = 1 would give modulus 0
     return math.ceil(14 * math.log2(n))
 
 
@@ -467,9 +475,10 @@ class Sdcc2Params:
 
 def sdcc2_params_of(codeword: SdccCodeword) -> Sdcc2Params:
     n = codeword.n
+    # first, so that n < 3 raises the two-deletion code's own message
+    cover = tuple(c2d_params_of(x) for x in codeword.bases())
     rows = min(localization_window(n), n - 1)
     m = position_sum_modulus(n)
-    cover = tuple(c2d_params_of(x) for x in codeword.bases())
     rest = codeword.strands[codeword.cover_count:]
     arrays = tuple(array_syndromes(signature(s), rows) for s in rest)
     sums = tuple(position_sums(s, m) for s in rest)
@@ -580,6 +589,9 @@ def random_member_2sdcc(n: int, m: int, seed: int = 0):
 def _seeded_member(n: int, m: int, seed: int, cover_count: int):
     """(codeword, plan) of a seeded tuple: per block one template strand and
     cover_count / 4 - 1 random ones, then m - cover_count random strands."""
+    for name, value in (("n", n), ("m", m), ("seed", seed)):
+        if type(value) is not int:
+            raise ParameterError(f"{name} must be an int, got {value!r}")
     if m < cover_count:
         raise ParameterError(f"m={m} is below the cover count {cover_count}")
     rng = SplitMix(seed)

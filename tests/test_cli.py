@@ -1,6 +1,8 @@
 """CLI contract tests: exit codes, determinism, report schemas."""
 
+import ast
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -119,23 +121,36 @@ class TestExitCodes:
 # lengths stay at most 4, so that every exhaustive sweep is quick.
 LENGTHS = ["1", "2", "3", "4", "0", "-2", "x", "1.5", ""]
 OPTION_VALUES = {
-    "--m": ["1", "3", "8", "0", "-1", "x"],
-    "--t": ["1", "2", "3", "0", "x"],
-    "--mode": ["exhaustive", "sampled:3", "sampled:0", "sampled:x", "sampled:", "bogus"],
-    "--params": ["best", '{"a": 1}', '{"a": 1, "b": 0}', "{}", "[1, 2]", "{", '{"a": 9}',
-                 "null", "3", '{"a": [0, 1, 2, 0, 1, 2, 0, 1, 2], "b": 0}'],
-    "--family": ["sum1", "svt1", "array2", "bogus", ""],
-    "--seed": ["0", "7", "-1", "x"],
+    "m": ["1", "3", "8", "0", "-1", "x"],
+    "t": ["1", "2", "3", "0", "x"],
+    "mode": ["exhaustive", "sampled:3", "sampled:0", "sampled:x", "sampled:", "bogus"],
+    "params": ["best", '{"a": 1}', '{"a": 1, "b": 0}', "{}", "[1, 2]", "{", '{"a": 9}',
+               "null", "3", '{"a": [0, 1, 2, 0, 1, 2, 0, 1, 2], "b": 0}'],
+    "family": ["sum1", "svt1", "array2", "bogus", ""],
+    "seed": ["0", "7", "-1", "x"],
 }
+
+
+def foreign_options(task):
+    """The options of the CLI that ``task`` does not read."""
+    return sorted(set(cli.OPTIONS) - set(cli.TASKS[task][1]))
 
 
 @st.composite
 def cli_argv(draw):
-    argv = [draw(st.sampled_from(sorted(cli.TASKS) + ["bogus"]))]
+    """A task with its own options; now and then one option it does not read."""
+    task = draw(st.sampled_from(sorted(cli.TASKS) + ["bogus"]))
+    argv = [task]
     if draw(st.integers(0, 4)):  # --n is required; leave it out now and then
         argv += ["--n", draw(st.sampled_from(LENGTHS))]
-    for option in draw(st.lists(st.sampled_from(sorted(OPTION_VALUES)), unique=True)):
-        argv += [option, draw(st.sampled_from(OPTION_VALUES[option]))]
+    options = []
+    if task in cli.TASKS:
+        if cli.TASKS[task][1]:
+            options = draw(st.lists(st.sampled_from(cli.TASKS[task][1]), unique=True))
+        if not draw(st.integers(0, 7)):
+            options.append(draw(st.sampled_from(foreign_options(task))))
+    for option in draw(st.permutations(options)):
+        argv += [f"--{option}", draw(st.sampled_from(OPTION_VALUES[option]))]
     return argv
 
 
@@ -144,13 +159,51 @@ def cli_argv(draw):
 @given(argv=cli_argv())
 def test_fuzzed_argv_exits_with_a_code(argv, tmp_path, capsys):
     """Whatever the grammar draws, ``main`` returns 0, 1 or 2 and lets no
-    exception out; a usage error says so on stderr."""
+    exception out; a usage error says so on stderr, and a foreign option is
+    one."""
     code = run_cli(argv + ["--out", str(tmp_path / "report.json")])
     assert code in (0, 1, 2), argv
     if code == 2:
         err = capsys.readouterr().err
         assert "usage error" in err or "usage:" in err, argv
+    if argv[0] in cli.TASKS and set(argv) & {f"--{o}" for o in foreign_options(argv[0])}:
+        assert code == 2, argv
     capsys.readouterr()
+
+
+class TestTaskOptions:
+    """``cli.TASKS`` is the one declaration of each task's options."""
+
+    @pytest.mark.parametrize("task", sorted(cli.TASKS))
+    def test_parser_holds_exactly_the_declared_options(self, task):
+        args = vars(cli.build_parser().parse_args([task, "--n", "3"]))
+        options = cli.TASKS[task][1]
+        assert args == dict({o: cli.OPTIONS[o][1] for o in options},
+                            task=task, n=3, out=None)
+
+    @pytest.mark.parametrize("task, option", [
+        (task, option) for task in sorted(cli.TASKS) for option in foreign_options(task)])
+    def test_foreign_option_is_a_usage_error(self, task, option, tmp_path, capsys):
+        # also where the option is a prefix of one the task reads (--m, --mode)
+        out = tmp_path / "report.json"
+        value = OPTION_VALUES[option][0]
+        assert run_cli([task, "--n", "3", f"--{option}", value, "--out", str(out)]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("task", sorted(cli.TASKS))
+    def test_runner_reads_exactly_the_declared_options(self, task):
+        """The ``args.<name>`` loads of the runner, found in its source, are
+        its declared options plus ``n``, ``out`` and ``task``; ``args`` is not
+        handed on, so no read hides in a helper."""
+        runner, options = cli.TASKS[task]
+        tree = ast.parse(inspect.getsource(runner))
+        loads = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name) and node.value.id == "args"]
+        uses = [node for node in ast.walk(tree) if isinstance(node, ast.Name)
+                and node.id == "args"]
+        assert len(uses) == len(loads)  # ``args`` only ever as ``args.<name>``
+        assert {node.attr for node in loads} - {"n", "out", "task"} == set(options)
 
 
 class TestArray2Modes:

@@ -21,6 +21,7 @@ from syndef.core import (
     inverse_diff,
     is_regular,
     is_subsequence,
+    longest_run,
     run_sequence,
     shift_symbols,
     signature,
@@ -403,9 +404,21 @@ class TestParameterErrors:
         (lambda: defect_ball(((1, 2),), "1"), "defect radius must be an int, got '1'"),
         (lambda: symbol_positions(5, 1), "strand must be a sequence of symbols, got 5"),
         (lambda: all_strands(-1), "strand length must be a non-negative int, got -1"),
+        (lambda: confusable_ball(5, {1}), "strand must be a sequence of symbols, got 5"),
+        (lambda: confusable_ball((1, 2), 5), "defect cycles must be a set of ints, got 5"),
+        (lambda: confusable_ball((1, 2), {"1"}),
+         "defect cycles must be a set of ints, got {'1'}"),
+        (lambda: run_sequence(5), "binary word expected, got 5"),
+        (lambda: longest_run(5), "binary word expected, got 5"),
+        (lambda: is_regular((0, 1), "4"), "regularity window must be an int, got '4'"),
+        (lambda: is_regular(5, 4), "binary word expected, got 5"),
+        (lambda: default_regular_window("8"), "window needs an int n, got '8'"),
     ], ids=["as_strand", "as_strand int", "defect_ball", "run_sequence", "symbol_positions",
             "default_regular_window", "diff empty", "inverse_diff empty", "defect_ball empty",
-            "defect_ball str radius", "symbol_positions int", "all_strands negative"])
+            "defect_ball str radius", "symbol_positions int", "all_strands negative",
+            "confusable_ball int strand", "confusable_ball int cycles",
+            "confusable_ball str cycle", "run_sequence int", "longest_run int",
+            "is_regular str window", "is_regular int word", "default_regular_window str"])
     def test_rejected(self, call, text):
         with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
             call()

@@ -33,7 +33,9 @@ from syndef.sdcc import (
     c2d_params_of,
     cover_group_size,
     default_cover_count,
+    localization_window,
     plan_covers,
+    position_sum_modulus,
     random_member_1sdcc,
     random_member_2sdcc,
     sdcc1_decode,
@@ -666,9 +668,19 @@ class TestParameterErrors:
          "strand must be a sequence of symbols, got 5"),
         (lambda: sdcc2_decode(*with_int_strand(random_member_2sdcc(16, 10, seed=1))),
          "strand must be a sequence of symbols, got 5"),
+        (lambda: random_member_1sdcc("8", 4), "n must be an int, got '8'"),
+        (lambda: random_member_2sdcc(8, "9"), "m must be an int, got '9'"),
+        (lambda: random_member_1sdcc(8, 4, seed="1"), "seed must be an int, got '1'"),
+        (lambda: localization_window(0), "strand length must be an int >= 1, got 0"),
+        (lambda: cover_group_size(0), "strand length must be an int >= 1, got 0"),
+        (lambda: position_sum_modulus(0), "strand length must be an int >= 2, got 0"),
+        (lambda: position_sum_modulus(1), "strand length must be an int >= 2, got 1"),
+        (lambda: random_member_2sdcc(1, 8), "two-deletion coding needs n >= 3"),
     ], ids=["cover None", "cover int", "json header", "irregular cover", "sdcc1 n", "sdcc1 lengths",
             "c2d length", "c2d irregular", "c2d symbol", "c2d received", "sdcc2 lengths",
-            "sdcc1 int strand", "sdcc2 int strand"])
+            "sdcc1 int strand", "sdcc2 int strand", "member str n", "member str m",
+            "member str seed", "localization_window 0", "cover_group_size 0",
+            "position_sum_modulus 0", "position_sum_modulus 1", "sdcc2 n 1"])
     def test_rejected(self, call, text):
         with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
             call()
