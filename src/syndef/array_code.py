@@ -30,7 +30,8 @@ from functools import cache, cached_property, lru_cache
 from itertools import compress
 
 from .binary import as_bits
-from .core import Bits, DecodeFailure, ParameterError, as_spans, is_subsequence
+from .core import (Bits, DecodeFailure, ParameterError, as_int, as_ints, as_spans, as_type,
+                   is_subsequence)
 
 Interval = tuple[int, int]  # (start, length), 1-based start
 
@@ -48,16 +49,15 @@ class ArrayCodeParams:
     weighted_vt: int
 
     def __post_init__(self):
-        for name in ("rows", "length", "weighted_vt"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
-        if self.rows < 1 or self.length < 1:
-            raise ParameterError("array code needs rows >= 1 and length >= 1")
-        if (len(self.row_sums) != self.rows
-                or not all(type(v) is int and 0 <= v <= 2 for v in self.row_sums)):
+        as_int(self.rows, "rows", 1)
+        as_int(self.length, "length", 1)
+        try:
+            sums = as_ints(self.row_sums, "row sum", 0)
+        except ParameterError:  # no collection, or a value that is no int or below 0
+            sums = ()
+        if len(sums) != self.rows or max(sums) > 2:
             raise ParameterError(f"row sums must be {self.rows} values in {{0, 1, 2}}")
-        if not 0 <= self.weighted_vt < self.modulus:
+        if not 0 <= as_int(self.weighted_vt, "weighted_vt") < self.modulus:
             raise ParameterError(f"weighted VT residue must lie in [0, {self.modulus})")
 
     # Cached in the instance dict, which equality, hashing and repr ignore.
@@ -87,11 +87,10 @@ def _weighted(word, rows: int) -> int:
 
 def array_syndromes(word, rows: int) -> ArrayCodeParams:
     """Compute the array-code syndromes of a binary word."""
-    if type(rows) is not int:
-        raise ParameterError(f"row count must be an integer, got {rows!r}")
-    if rows < 1:
-        raise ParameterError("row count must be positive")
+    as_int(rows, "row count", 1)
     word = as_bits(word)
+    if not word:
+        raise ParameterError("an empty word has no array form")
     padded = word + (0,) * (-len(word) % rows)
     return ArrayCodeParams(
         rows=rows, length=len(word),
@@ -100,7 +99,7 @@ def array_syndromes(word, rows: int) -> ArrayCodeParams:
 
 
 def is_member(word, params: ArrayCodeParams) -> bool:
-    return array_syndromes(word, params.rows) == params
+    return array_syndromes(word, as_type(params, ArrayCodeParams).rows) == params
 
 
 def _normalize_windows(bursts, rows: int, padded: int) -> list[Interval]:
@@ -192,10 +191,14 @@ def array_erasure_decode(received, burst_positions, params: ArrayCodeParams) -> 
     declared bursts.  Widening them into row windows also erases the known
     bits and pads there, so a word is returned only if it keeps them.
     """
-    received = list(received)
-    if len(received) != params.length:
+    try:
+        received = list(received)
+        known = set(received) <= _KNOWN
+    except TypeError:  # no sequence, or an unhashable symbol
+        raise ParameterError("known symbols must be bits") from None
+    if len(received) != as_type(params, ArrayCodeParams).length:
         raise ParameterError("received word has the wrong length")
-    if not set(received) <= _KNOWN:
+    if not known:
         raise ParameterError("known symbols must be bits")
     burst_positions = as_spans(burst_positions, "a burst")
     declared = set()
@@ -280,7 +283,7 @@ def _bounded_decode(received, intervals, params: ArrayCodeParams, k: int) -> Bit
     bits, pads included, so a word is returned only if its pads are 0 and it
     loses ``k`` bits inside the intervals to give ``received``."""
     received = as_bits(received)
-    if len(received) != params.length - k:
+    if len(received) != as_type(params, ArrayCodeParams).length - k:
         raise ParameterError(f"expected length {params.length - k}, got {len(received)}")
     intervals = as_spans(intervals, "an interval")
     if len(intervals) != k:

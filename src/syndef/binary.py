@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Bits, DecodeFailure, ParameterError
+from .core import Bits, DecodeFailure, ParameterError, as_int, as_type
 
 
 def vt_syndrome(bits) -> int:
@@ -31,15 +31,13 @@ def as_bits(bits) -> Bits:
 def insertions(word: Bits, position_range=None) -> set[Bits]:
     """Distinct single-bit insertions into ``word``; positions are 1-based
     final coordinates, optionally restricted."""
-    word = tuple(word)
-    positions = range(1, len(word) + 2) if position_range is None else position_range
-    out = set()
-    for p in positions:
-        if not 1 <= p <= len(word) + 1:
-            continue
-        for v in (0, 1):
-            out.add(word[:p - 1] + (v,) + word[p - 1:])
-    return out
+    try:
+        word = tuple(word)
+        positions = range(1, len(word) + 2) if position_range is None else position_range
+        return {word[:p - 1] + (v,) + word[p - 1:]
+                for p in positions if 1 <= p <= len(word) + 1 for v in (0, 1)}
+    except TypeError:
+        raise ParameterError("a word and integer insertion positions expected") from None
 
 
 def _insertion_shifts(received: Bits, lo: int, hi: int):
@@ -71,15 +69,10 @@ def vt_decode(received, a: int, n: int, modulus: int | None = None) -> Bits:
     suffix weight, so one O(n) pass counts the candidates and only the
     returned word is built.  :func:`insertions` is its test oracle."""
     received = as_bits(received)
-    if type(n) is not int or n < 1:
-        raise ParameterError(f"word length n must be a positive int, got {n!r}")
-    if type(a) is not int:
-        raise ParameterError(f"VT residue a must be an int, got {a!r}")
-    if len(received) != n - 1:
+    as_int(a, "VT residue a")
+    if len(received) != as_int(n, "word length n", 1) - 1:
         raise ParameterError(f"expected length {n - 1}, got {len(received)}")
-    m = (n + 1) if modulus is None else modulus
-    if type(m) is not int or m < 1:
-        raise ParameterError(f"VT modulus must be a positive integer, got {m!r}")
+    m = as_int(n + 1 if modulus is None else modulus, "VT modulus", 1)
     target = (a - vt_syndrome(received)) % m
     matches = [(v, p) for v, p, rise in _insertion_shifts(received, 1, n)
                if rise % m == target]
@@ -99,14 +92,17 @@ class SvtParams:
     window: int
 
     def __post_init__(self):
-        if not (type(self.a) is type(self.b) is type(self.window) is int
-                and 0 <= self.a < self.window and self.b in (0, 1)):
+        if not (0 <= as_int(self.a, "SVT residue a") < as_int(self.window, "SVT window")
+                and as_int(self.b, "SVT parity b") in (0, 1)):
             raise ParameterError("invalid shifted-VT parameters")
 
 
 def svt_member(bits, params: SvtParams) -> bool:
-    return (vt_syndrome(bits) % params.window == params.a
-            and weight(bits) % 2 == params.b)
+    try:
+        return (vt_syndrome(bits) % as_type(params, SvtParams).window == params.a
+                and weight(bits) % 2 == params.b)
+    except TypeError:
+        raise ParameterError(f"a word of numbers expected, got {bits!r}") from None
 
 
 def svt_decode(received, window_start: int, params: SvtParams) -> Bits:
@@ -119,10 +115,8 @@ def svt_decode(received, window_start: int, params: SvtParams) -> Bits:
     syndrome follows as in :func:`vt_decode`.  :func:`insertions` with
     :func:`svt_member` is its test oracle."""
     received = as_bits(received)
-    if type(window_start) is not int:
-        raise ParameterError(f"window start must be an int, got {window_start!r}")
-    lo = max(1, window_start)
-    hi = min(len(received) + 1, window_start + params.window - 1)
+    lo = max(1, as_int(window_start, "window start"))
+    hi = min(len(received) + 1, window_start + as_type(params, SvtParams).window - 1)
     if lo > hi:
         raise DecodeFailure("deletion window does not meet the received word")
     bit = (params.b - sum(received)) % 2

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .core import ParameterError, Strand, all_strands, apply_defects, cycles
+from .core import ParameterError, Strand, all_strands, apply_defects, as_int, as_type, cycles
 from .kdcc import best_residues
 
 PATTERN_A = ((1, 1, 2, 3, 4), (1, 2, 1, 3, 4), (1, 2, 3, 1, 4), (1, 2, 3, 4, 1))
@@ -45,8 +45,7 @@ def _plain_blocks(n: int):
 
 def build_clique_cover(n: int) -> CliqueCover:
     """Materialise the cover; exponential in n, intended for n <= 7."""
-    if n < 5:
-        raise ParameterError("the cover construction needs one length-5 block")
+    as_int(n, "strand length n", 5)  # the cover needs one length-5 block
     plain = _plain_blocks(n)
     cliques: list[tuple[Strand, ...]] = []
     blocks_count = n // 5
@@ -68,18 +67,12 @@ def cover_size(n: int) -> tuple[int, Fraction]:
     """Cover cardinality, as the construction count and in closed form: with
     x = 63/64 and q = n // 5, 4z = 4^(n-1) (1 - x^q) and 1008^q 4^(n mod 5) =
     4^n x^q, so both are 4^(n-1) (1 + 3 x^q)."""
-    if n < 5:
-        raise ParameterError("the cover construction needs one length-5 block")
+    as_int(n, "strand length n", 5)  # the cover needs one length-5 block
     plain = 4 ** 5 - 16
     z = sum(plain ** i * 4 ** (n - 5 * i - 5) for i in range(n // 5))
     exact = 4 * z + plain ** (n // 5) * 4 ** (n % 5)
     closed = 4 ** (n - 1) * (1 + 3 * Fraction(plain, 4 ** 5) ** (n // 5))
     return exact, closed
-
-
-def _check_int(n) -> None:
-    if type(n) is not int:
-        raise ParameterError(f"strand length n must be an int, got {n!r}")
 
 
 def _confusable(u: Strand, v: Strand) -> bool:
@@ -94,10 +87,9 @@ def _confusable(u: Strand, v: Strand) -> bool:
 def verify_cover(n: int, cover: CliqueCover | None = None):
     """Exhaustively check that the cover spans the strand space and that each
     clique is pairwise confusable; returns (ok, witness)."""
-    _check_int(n)
-    if n > 7:
+    if as_int(n, "strand length n") > 7:
         raise ParameterError("exhaustive cover verification is capped at n = 7")
-    cover = cover or build_clique_cover(n)
+    cover = as_type(cover, CliqueCover) if cover else build_clique_cover(n)
     seen = set()
     for clique in cover.cliques:
         seen.update(clique)
@@ -114,15 +106,17 @@ def verify_cover(n: int, cover: CliqueCover | None = None):
 def block_collapse_cycle(prefix_len: int, block) -> int:
     """The defective cycle under which all four block variants agree: the
     cycle of the second symbol of the first variant."""
-    probe = tuple(1 for _ in range(prefix_len)) + block[0]
-    return cycles(probe)[prefix_len + 1]
+    try:
+        probe = (1,) * as_int(prefix_len, "prefix length") + block[0]
+        return cycles(probe)[prefix_len + 1]
+    except (LookupError, TypeError):
+        raise ParameterError(f"a block of strand variants expected, got {block!r}") from None
 
 
 def kdcc_size_bounds(n: int) -> dict:
     """Sandwich for the best single-known-defect codebook: the even-position
     sum construction from below, the clique cover from above."""
-    _check_int(n)
-    if n > 10:
+    if as_int(n, "strand length n") > 10:
         raise ParameterError("exact lower bound is capped at n = 10")
     spec, lower = best_residues("sum1", n)
     upper, closed = cover_size(n)

@@ -259,11 +259,22 @@ TASKS = {
 }
 
 
+class _TaskParser(argparse.ArgumentParser):
+    """A task's parser: an argument it does not take is its own usage error,
+    reported under the task's usage rather than the top level's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return args, extra
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="syndef",
         description="Verification drivers for synthesis-defect correcting codes.")
-    sub = parser.add_subparsers(dest="task", required=True)
+    sub = parser.add_subparsers(dest="task", required=True, parser_class=_TaskParser)
     for name, (_, options) in TASKS.items():
         # no abbreviations: --m must not stand for --mode where --m is foreign
         p = sub.add_parser(name, allow_abbrev=False)

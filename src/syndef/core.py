@@ -37,19 +37,49 @@ def smod4(value: int) -> int:
     return (value - 1) % 4 + 1
 
 
-def as_strand(symbols) -> Strand:
-    """Validate and normalise a quaternary word: a non-empty sequence of the
-    ints 1 to 4, where a float, a string or a bool is no symbol."""
+def as_strand(symbols, empty: bool = False) -> Strand:
+    """Validate and normalise a quaternary word: a sequence of the ints 1 to
+    4, where a float, a string or a bool is no symbol, non-empty unless
+    ``empty`` allows it."""
     try:
         word = tuple(symbols)
     except TypeError:
         raise ParameterError(f"strand must be a sequence of symbols, got {symbols!r}") from None
     if not word:
-        raise ParameterError("empty strand")
-    if set(map(type, word)) != {int} or not _SYMBOLS.issuperset(word):
+        if not empty:
+            raise ParameterError("empty strand")
+    elif set(map(type, word)) != {int} or not _SYMBOLS.issuperset(word):
         bad = next(s for s in word if type(s) is not int or s not in _SYMBOLS)
         raise ParameterError(f"symbol {bad!r} outside alphabet {{1,2,3,4}}")
     return word
+
+
+def as_int(value, what: str, least: int | None = None) -> int:
+    """``value`` checked to be an int, not a bool, and at least ``least`` when
+    that is given: the one integer reader of the package."""
+    if type(value) is int and (least is None or value >= least):
+        return value
+    floor = "" if least is None else f" >= {least}"
+    raise ParameterError(f"{what} must be an int{floor}, got {value!r}")
+
+
+def as_ints(values, what: str, least: int | None = None) -> tuple[int, ...]:
+    """``values`` as a tuple, each value read by :func:`as_int`."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ParameterError(f"a collection of {what}s expected, got {values!r}") from None
+    for value in values:
+        as_int(value, what, least)
+    return values
+
+
+def as_type(value, cls):
+    """``value`` checked to be exactly a ``cls``: the one test of a params
+    object, spec or plan at a public entry."""
+    if type(value) is not cls:
+        raise ParameterError(f"{cls.__name__} expected, got {type(value).__name__}")
+    return value
 
 
 def as_spans(spans, what: str) -> list[tuple[int, int]]:
@@ -68,9 +98,7 @@ def as_spans(spans, what: str) -> list[tuple[int, int]]:
 
 def all_strands(n: int):
     """Iterate over all of Sigma^n in lexicographic order."""
-    if type(n) is not int or n < 0:
-        raise ParameterError(f"strand length must be a non-negative int, got {n!r}")
-    return product(ALPHABET, repeat=n)
+    return product(ALPHABET, repeat=as_int(n, "strand length", 0))
 
 
 def is_subsequence(short, long) -> bool:
@@ -165,7 +193,11 @@ def apply_defects(strand: Strand, delta) -> Strand:
 
 def apply_defects_tuple(strands, delta) -> tuple[Strand, ...]:
     """Apply the same defect set to every strand of an ordered tuple."""
-    return tuple(apply_defects(s, delta) for s in strands)
+    try:
+        return tuple(apply_defects(s, delta) for s in strands)
+    except TypeError:  # no tuple of strands, a symbol that is no number, or no set of cycles
+        raise ParameterError(
+            f"strands and a set of defect cycles expected, got {strands!r}, {delta!r}") from None
 
 
 def _insert_slot_positions(word: Strand, delta: int, start: int = 1, c: int = 0) -> list[int]:
@@ -288,12 +320,7 @@ def confusable_ball(strand: Strand, delta) -> set[Strand]:
     equation.
     """
     strand = as_strand(strand)
-    try:
-        hit = set(delta)
-    except TypeError:
-        hit = None
-    if hit is None or any(type(d) is not int for d in hit):
-        raise ParameterError(f"defect cycles must be a set of ints, got {delta!r}")
+    hit = set(as_ints(delta, "defect cycle"))
     target = apply_defects(strand, hit)
     return {w for lost in combinations(sorted(hit), len(strand) - len(target))
             for w in reinsertions(target, lost) if apply_defects(w, hit) == target}
@@ -306,14 +333,11 @@ def defect_ball(strands, radius: int) -> set[tuple[Strand, ...]]:
         n = len(strands[0])
     except (LookupError, TypeError):
         raise ParameterError(f"a tuple of strands expected, got {strands!r}") from None
-    if type(radius) is not int:
-        raise ParameterError(f"defect radius must be an int, got {radius!r}")
-    if radius > n:
+    if as_int(radius, "defect radius") > n:
         raise ParameterError("defect radius exceeds strand length")
     outputs = {tuple(strands)}
-    span = range(1, 4 * n + 1)
     for size in range(1, radius + 1):
-        for delta in combinations(span, size):
+        for delta in combinations(range(1, 4 * n + 1), size):
             outputs.add(apply_defects_tuple(strands, delta))
     return outputs
 
@@ -352,7 +376,7 @@ def longest_run(bits) -> int:
 
 def symbol_positions(strand: Strand, sigma: int) -> tuple[int, tuple[int, ...]]:
     """Count of ``sigma`` in the strand and its sorted 1-based positions."""
-    if sigma not in (1, 2, 3, 4):
+    if as_int(sigma, "symbol") not in _SYMBOLS:
         raise ParameterError(f"symbol {sigma!r} outside alphabet")
     try:
         pos = tuple(i for i, s in enumerate(strand, start=1) if s == sigma)
@@ -393,10 +417,7 @@ def apply_defects_shifted(symbols: Strand, a: int, delta) -> Strand:
 def is_regular(bits, window: int) -> bool:
     """True iff every length-``window`` contiguous substring contains both 00
     and 11.  Vacuously true when the word is shorter than the window."""
-    if type(window) is not int:
-        raise ParameterError(f"regularity window must be an int, got {window!r}")
-    if window < 4:
-        raise ParameterError("regularity window must be at least 4")
+    as_int(window, "regularity window", 4)
     try:
         bits = tuple(bits)
     except TypeError:
@@ -412,8 +433,4 @@ def is_regular(bits, window: int) -> bool:
 
 def default_regular_window(n: int) -> int:
     """Default regularity window: ceil(7 log2 n), floored at the minimum of 4."""
-    if type(n) is not int:
-        raise ParameterError(f"window needs an int n, got {n!r}")
-    if n < 2:
-        raise ParameterError("window undefined for n < 2")
-    return max(4, math.ceil(7 * math.log2(n)))
+    return max(4, math.ceil(7 * math.log2(as_int(n, "strand length", 2))))

@@ -26,7 +26,7 @@ from .array_code import (
     array_single_bounded_decode,
     array_syndromes,
 )
-from .binary import SvtParams, svt_decode, vt_syndrome, weight
+from .binary import SvtParams, as_bits, svt_decode, vt_syndrome, weight
 from .core import (
     ALPHABET,
     DecodeFailure,
@@ -35,7 +35,10 @@ from .core import (
     _insert_slot_positions,
     all_strands,
     apply_defects,
+    as_int,
+    as_ints,
     as_strand,
+    as_type,
     matching_insertions,
     pair_slots,
     reinsertions,
@@ -49,22 +52,6 @@ ARRAY2_ROWS = 9
 _STEP_BITS = tuple(tuple(int(v >= last) for v in ALPHABET) for last in ALPHABET)
 
 
-def _below(value, bound: int) -> bool:
-    """Is ``value`` an integer (not a bool) in [0, bound)?"""
-    return type(value) is int and 0 <= value < bound
-
-
-def _check_positive(n):
-    if type(n) is not int or n < 1:
-        raise ParameterError(f"strand length must be a positive integer, got {n!r}")
-
-
-def _check_length(family: str, n):
-    _check_positive(n)
-    if family in ("svt1", "array2") and n < 3:
-        raise ParameterError(f"family {family} needs n >= 3")
-
-
 @dataclass(frozen=True)
 class KdccSpec:
     """Codebook descriptor: family name, strand length, residue vector."""
@@ -76,20 +63,20 @@ class KdccSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ParameterError(f"unknown family {self.family!r}")
-        _check_length(self.family, self.n)
+        as_int(self.n, "strand length", 1 if self.family == "sum1" else 3)
         r = self.residues
         keys = {"a"} if self.family == "sum1" else {"a", "b"}
         if not isinstance(r, dict) or set(r) != keys:
             raise ParameterError(
                 f"{self.family} residues must be an object with keys {sorted(keys)}")
         if self.family == "sum1":
-            ok = _below(r["a"], 4)
+            ok = as_int(r["a"], "residue", 0) < 4
         elif self.family == "svt1":
-            ok = _below(r["a"], 5) and _below(r["b"], 2)
+            ok = as_int(r["a"], "residue", 0) < 5 and as_int(r["b"], "residue", 0) < 2
         else:
             ok = (isinstance(r["a"], (list, tuple)) and len(r["a"]) == ARRAY2_ROWS
-                  and all(_below(v, 3) for v in r["a"])
-                  and _below(r["b"], array2_params(self).modulus))
+                  and all(as_int(v, "residue", 0) < 3 for v in r["a"])
+                  and as_int(r["b"], "residue", 0) < array2_params(self).modulus)
         if not ok:
             raise ParameterError(f"residues {r!r} out of range for family {self.family}")
 
@@ -109,22 +96,22 @@ class KdccSpec:
 class KnownDefectInstance:
     """Decoder input: the shortened strand, the defective cycles, and the
     original length.  The strand is normalised to a tuple of symbols in
-    {1, 2, 3, 4}; it may be empty when every symbol can have been lost."""
+    {1, 2, 3, 4}, and may be empty when every symbol can have been lost; the
+    defective cycles to a tuple of distinct positive ints."""
 
     received: Strand
     delta: tuple[int, ...]
     n: int
 
     def __post_init__(self):
-        _check_positive(self.n)
-        if (any(type(d) is not int or d < 1 for d in self.delta)
-                or len(set(self.delta)) != len(self.delta)):
-            raise ParameterError(
-                f"defective cycles must be distinct positive integers, got {self.delta!r}")
+        as_int(self.n, "strand length", 1)
+        delta = as_ints(self.delta, "defective cycle", 1)
+        if len(set(delta)) != len(delta):
+            raise ParameterError(f"defective cycles must be distinct, got {self.delta!r}")
+        object.__setattr__(self, "delta", delta)
         try:
-            received = tuple(self.received)
-            received = as_strand(received) if received else ()
-        except (ParameterError, TypeError):  # a symbol outside the alphabet, or no strand
+            received = as_strand(self.received, empty=True)
+        except ParameterError:  # a symbol outside the alphabet, or no strand
             raise ParameterError("received strand must hold symbols of {1,2,3,4}, "
                                  f"got {self.received!r}") from None
         object.__setattr__(self, "received", received)
@@ -146,10 +133,12 @@ def _shortfall(instance: KnownDefectInstance, family: str, size: int) -> int:
 
 
 def even_position_sum(strand) -> int:
-    return sum(strand[1::2])
+    return sum(as_strand(strand)[1::2])
 
 
 def array2_params(spec: KdccSpec) -> ArrayCodeParams:
+    if as_type(spec, KdccSpec).family != "array2":
+        raise ParameterError(f"family {spec.family} has no array code")
     return ArrayCodeParams(rows=ARRAY2_ROWS, length=spec.n - 1,
                            row_sums=tuple(spec.residues["a"]),
                            weighted_vt=spec.residues["b"])
@@ -217,7 +206,8 @@ def _key_of(spec: KdccSpec):
 def membership(spec: KdccSpec, strand) -> bool:
     """Does the strand satisfy the family's syndrome constraints?"""
     strand = as_strand(strand)
-    return len(strand) == spec.n and syndrome_key(spec.family, strand) == _key_of(spec)
+    return (len(strand) == as_type(spec, KdccSpec).n
+            and syndrome_key(spec.family, strand) == _key_of(spec))
 
 
 def spec_for_strand(family: str, strand) -> KdccSpec:
@@ -229,9 +219,8 @@ def spec_for_strand(family: str, strand) -> KdccSpec:
 def decode_sum1(instance: KnownDefectInstance, a: int) -> Strand:
     """Single known defect: at most four cycle-consistent insertions exist and
     the even-position sum mod 4 separates them."""
-    if type(a) is not int:
-        raise ParameterError(f"sum1 residue a must be an int, got {a!r}")
-    if _shortfall(instance, "sum1", 1) == 0:
+    as_int(a, "sum1 residue a")
+    if _shortfall(as_type(instance, KnownDefectInstance), "sum1", 1) == 0:
         return instance.received
     return _sum1_hit(instance.received, instance.delta[0], a)
 
@@ -266,9 +255,8 @@ def algorithm1_recover(received, delta, sig) -> Strand:
     case by the slot test of :func:`_recover_each` and the two-cycle case by
     :func:`_pair_reinsertions`; the tests hold both against this function.
     """
-    received = as_strand(received) if received else tuple(received)
-    delta = tuple(sorted(set(delta)))
-    sig = tuple(sig)
+    received, sig = as_strand(received, empty=True), as_bits(sig)
+    delta = tuple(sorted(set(as_ints(delta, "defective cycle"))))
     if not delta:
         return received
     frontier = reinsertions(received, delta)
@@ -325,7 +313,7 @@ def svt1_candidates(received, cycles, params: SvtParams) -> set[Strand]:
 def decode_svt1(instance: KnownDefectInstance, a: int, b: int) -> Strand:
     """Single known defect via the signature: the defect confines the missing
     signature bit to a five-wide window, which the shifted VT code corrects."""
-    if _shortfall(instance, "svt1", 1) == 0:
+    if _shortfall(as_type(instance, KnownDefectInstance), "svt1", 1) == 0:
         return instance.received
     return _svt1_hit(instance.received, instance.delta, SvtParams(a=a, b=b, window=5))
 
@@ -346,7 +334,7 @@ def hit_decoder(spec: KdccSpec):
     It skips the instance checks of :func:`decode`, which then takes the same
     path, so ``received`` must be a strand over {1, 2, 3, 4} of length n - 1,
     as a sweep over the codebook makes them."""
-    r = spec.residues
+    r = as_type(spec, KdccSpec).residues
     if spec.family == "sum1":
         return lambda received, d: _sum1_hit(received, d, r["a"])
     if spec.family == "svt1":
@@ -460,11 +448,11 @@ def decode_array2(instance: KnownDefectInstance, params: ArrayCodeParams) -> Str
     in the confusable ball makes the decode fail closed: 3,910 of 172,800
     one-hit decodes at n = 24 (``TestDecodeArray2`` checks n = 4 and 5).
     """
-    k = _shortfall(instance, "array2", 2)
-    received = instance.received
+    k = _shortfall(as_type(instance, KnownDefectInstance), "array2", 2)
     if k == 0:
-        return received
-    found = array_candidates(received, tuple(sorted(instance.delta)), k, params)
+        return instance.received
+    found = array_candidates(instance.received, tuple(sorted(instance.delta)), k,
+                             as_type(params, ArrayCodeParams))
     if len(found) != 1:
         hits = "one hit" if k == 1 else "two hits"
         raise DecodeFailure(f"{len(found)} strands consistent with {hits}")
@@ -472,7 +460,7 @@ def decode_array2(instance: KnownDefectInstance, params: ArrayCodeParams) -> Str
 
 
 def decode(spec: KdccSpec, instance: KnownDefectInstance) -> Strand:
-    if spec.family == "sum1":
+    if as_type(spec, KdccSpec).family == "sum1":
         return decode_sum1(instance, spec.residues["a"])
     if spec.family == "svt1":
         return decode_svt1(instance, spec.residues["a"], spec.residues["b"])
@@ -485,7 +473,7 @@ def best_residues(family: str, n: int):
     key string."""
     if family not in FAMILIES:
         raise ParameterError(f"unknown family {family!r}")
-    _check_length(family, n)
+    as_int(n, "strand length", 1 if family == "sum1" else 3)
     counts = Counter(_sweep_keys(family, n))
     key, size = max(counts.items(), key=lambda kv: (kv[1], str(kv[0])))
     return KdccSpec(family, n, _residues_of(family, key)), size
@@ -494,6 +482,6 @@ def best_residues(family: str, n: int):
 def enumerate_codebook(spec: KdccSpec) -> list[Strand]:
     """All members of the residue class, in lexicographic order: the strands
     whose :func:`_sweep_keys` entry is the spec's key."""
-    target = _key_of(spec)
+    target = _key_of(as_type(spec, KdccSpec))
     keys = _sweep_keys(spec.family, spec.n)
     return list(compress(all_strands(spec.n), [k == target for k in keys]))

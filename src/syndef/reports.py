@@ -14,7 +14,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .core import ParameterError
+from .core import ParameterError, as_int
 from .rng import SplitMix
 
 CEILINGS = {
@@ -26,6 +26,8 @@ CEILINGS = {
 
 
 def ceiling(kind: str) -> int:
+    if kind not in tuple(CEILINGS):  # compared, not hashed: a list is no kind either
+        raise ParameterError(f"unknown sweep kind {kind!r}")
     override = os.environ.get("SYNDEF_MAX_EXHAUSTIVE_N")
     if override:
         try:
@@ -41,7 +43,7 @@ def ceiling(kind: str) -> int:
 
 def check_ceiling(kind: str, n: int):
     cap = ceiling(kind)
-    if n > cap:
+    if as_int(n, "n") > cap:
         raise ParameterError(
             f"{kind} refuses n={n} beyond its ceiling {cap}; "
             "set SYNDEF_MAX_EXHAUSTIVE_N to override")
@@ -91,10 +93,12 @@ class Report:
 
 def stratified_delta_pairs(n: int, count: int, seed: int):
     """Deterministic defect pairs: every cycle of [1, 4n] occurs in at least
-    one pair, then seeded extras fill the requested count."""
-    top = 4 * n
+    one pair, then seeded extras fill the requested count, or every pair when
+    fewer exist."""
+    top = 4 * as_int(n, "strand length", 0)
+    count = min(as_int(count, "pair count"), top * (top - 1) // 2)
     pairs = [(d, d + 1) for d in range(1, top, 2)]
-    rng = SplitMix(seed)
+    rng = SplitMix(as_int(seed, "seed"))
     seen = set(pairs)
     while len(pairs) < count:
         d1 = rng.randrange(1, top + 1)

@@ -33,7 +33,9 @@ from .core import (
     ParameterError,
     Strand,
     apply_defects_shifted,
+    as_int,
     as_strand,
+    as_type,
     cycles,
     default_regular_window,
     deletion_positions,
@@ -53,15 +55,9 @@ from .sketch import _completions, moment_vector
 LOG43 = 2 - math.log2(3)
 
 
-def _check_n(n, least: int = 1):
-    if type(n) is not int or n < least:
-        raise ParameterError(f"strand length must be an int >= {least}, got {n!r}")
-
-
 def cover_group_size(n: int) -> int:
     """Strands per template block needed to cover it for arbitrary content."""
-    _check_n(n)
-    return math.ceil(math.log2(n) / LOG43) + 1
+    return math.ceil(math.log2(as_int(n, "strand length", 1)) / LOG43) + 1
 
 
 def default_cover_count(n: int) -> int:
@@ -70,13 +66,12 @@ def default_cover_count(n: int) -> int:
 
 def localization_window(n: int) -> int:
     """Defect-window bound once cover signatures are regular."""
-    _check_n(n)
-    return math.ceil(28 * math.log2(n)) + 5
+    return math.ceil(28 * math.log2(as_int(n, "strand length", 1))) + 5
 
 
 def position_sum_modulus(n: int) -> int:
-    _check_n(n, 2)  # n = 1 would give modulus 0
-    return math.ceil(14 * math.log2(n))
+    # n = 1 would give modulus 0
+    return math.ceil(14 * math.log2(as_int(n, "strand length", 2)))
 
 
 def position_sums(strand, m: int) -> tuple[int, ...]:
@@ -108,8 +103,12 @@ class CoverPlan:
 def plan_covers(strands, plan: CoverPlan) -> bool:
     """Do the shifted cover schedules occupy every cycle of [1, 4n]?"""
     covered = set()
-    for base, a in zip(strands, plan.shifts):
-        covered.update(c + a for c in cycles(base))
+    try:
+        for base, a in zip(strands, as_type(plan, CoverPlan).shifts):
+            covered.update(c + a for c in cycles(base))
+    except TypeError:
+        raise ParameterError(
+            f"cover strands must be a sequence of strands, got {strands!r}") from None
     return set(range(1, 4 * plan.n + 1)) <= covered
 
 
@@ -208,8 +207,7 @@ class SdccCodeword:
         if cw.cover_count > len(cw.strands):
             raise ParameterError("more shifts than strands")
         for s, a in zip(cw.strands, cw.shifts):
-            if type(a) is not int:
-                raise ParameterError(f"shift {a!r} is not an integer")
+            as_int(a, "shift")
             # The re-timed schedule is the base one moved by a.
             lo, hi = (a + v for v in _shift_range(cycles(s, a), len(s)))
             if not lo <= a <= hi:
@@ -244,7 +242,7 @@ def _svt_window(n: int) -> int:
 
 def sdcc1_params_of(codeword: SdccCodeword) -> Sdcc1Params:
     """Read the residues off a tuple, making it a member of its own class."""
-    n = codeword.n
+    n = as_type(codeword, SdccCodeword).n
     if n < 3:
         raise ParameterError("single-defect tuple coding needs n >= 3")
     window = _svt_window(n)
@@ -264,10 +262,20 @@ def sdcc1_params_of(codeword: SdccCodeword) -> Sdcc1Params:
 
 def _received_strands(received, count: int) -> tuple[Strand, ...]:
     """A received tuple checked to hold ``count`` strands over {1, 2, 3, 4}."""
-    received = tuple(received)
+    try:
+        received = tuple(received)
+    except TypeError:
+        raise ParameterError(f"a tuple of strands expected, got {received!r}") from None
     if len(received) != count:
         raise ParameterError(f"received {len(received)} strands, the code has {count}")
     return tuple(as_strand(r) for r in received)
+
+
+def _cover_count(plan: CoverPlan, count: int) -> int:
+    """The cover count of ``plan``, checked to be the ``count`` of the params."""
+    if as_type(plan, CoverPlan).cover_count != count:
+        raise ParameterError(f"the plan has {plan.cover_count} covers, the params {count}")
+    return count
 
 
 def sdcc1_decode(received, plan: CoverPlan, params: Sdcc1Params):
@@ -276,8 +284,8 @@ def sdcc1_decode(received, plan: CoverPlan, params: Sdcc1Params):
     Returns (strands, window) where window is the [lo, hi] cycle interval the
     defect was confined to, or None when nothing was hit.
     """
-    n = params.n
-    cover_count = plan.cover_count
+    n = as_type(params, Sdcc1Params).n
+    cover_count = _cover_count(plan, len(params.s))
     received = _received_strands(received, cover_count + len(params.d))
     lengths = {len(r) for r in received}
     if not lengths <= {n, n - 1}:
@@ -344,44 +352,39 @@ class C2dParams:
         object.__setattr__(self, "pos_modulus", position_sum_modulus(self.n))
 
 
-def run_weighted_sum(strand) -> int:
-    """Symbols weighted by the run index of their signature position, mod 4n."""
-    return _run_weighted(strand, run_sequence(signature(strand)))
-
-
 def _run_weighted(strand, runs) -> int:
-    """:func:`run_weighted_sum` given the run sequence of the signature."""
+    """Symbols weighted by the run index of their signature position, mod 4n;
+    ``runs`` is the run sequence of the signature."""
     return sum(v * r for v, r in zip(strand, runs)) % (4 * len(strand))
 
 
 def c2d_params_of(strand) -> C2dParams:
-    strand = tuple(strand)
+    strand = as_strand(strand)
     n = len(strand)
     if n < 3:
         raise ParameterError("two-deletion coding needs n >= 3")
-    strand = as_strand(strand)
     sig = signature(strand)
     if not is_regular(sig, default_regular_window(n)):
         raise ParameterError("signature is not regular at this window")
     return C2dParams(
         n=n,
         sketch=moment_vector(sig),
-        run_weighted=run_weighted_sum(strand),
+        run_weighted=_run_weighted(strand, run_sequence(sig)),
         counts=symbol_counts_mod3(strand),
         position_sums=position_sums(strand, position_sum_modulus(n)),
     )
 
 
 def c2d_membership(strand, params: C2dParams) -> bool:
-    strand = tuple(strand)
-    if len(strand) != params.n:
+    strand = as_strand(strand, empty=True)
+    if len(strand) != as_type(params, C2dParams).n:
         return False
     sig = signature(strand)
     if not is_regular(sig, default_regular_window(params.n)):
         return False
     if moment_vector(sig) != params.sketch:
         return False
-    if run_weighted_sum(strand) != params.run_weighted:
+    if _run_weighted(strand, run_sequence(sig)) != params.run_weighted:
         return False
     return (params.counts == symbol_counts_mod3(strand)
             and params.position_sums == position_sums(strand, params.pos_modulus))
@@ -411,8 +414,8 @@ def c2d_decode(received, params: C2dParams) -> Strand:
     for deletions inside alternating signature segments where that sum is
     blind, by the per-symbol position sums.
     """
-    received = tuple(received)
-    n = params.n
+    received = as_strand(received, empty=True)
+    n = as_type(params, C2dParams).n
     k = n - len(received)
     if k not in (0, 1, 2):
         raise ParameterError("received length incompatible with two deletions")
@@ -474,7 +477,7 @@ class Sdcc2Params:
 
 
 def sdcc2_params_of(codeword: SdccCodeword) -> Sdcc2Params:
-    n = codeword.n
+    n = as_type(codeword, SdccCodeword).n
     # first, so that n < 3 raises the two-deletion code's own message
     cover = tuple(c2d_params_of(x) for x in codeword.bases())
     rows = min(localization_window(n), n - 1)
@@ -498,8 +501,8 @@ def _remaining_strand_decode(r, delta, arr: ArrayCodeParams, sums, modulus: int)
 
 def sdcc2_decode(received, plan: CoverPlan, params: Sdcc2Params) -> tuple[Strand, ...]:
     """Recover the tuple from at most two defective cycles."""
-    n = params.n
-    cover_count = plan.cover_count
+    n = as_type(params, Sdcc2Params).n
+    cover_count = _cover_count(plan, len(params.cover))
     received = _received_strands(received, cover_count + len(params.sig_arrays))
     shortfalls = [n - len(r) for r in received]
     if any(not 0 <= s <= 2 for s in shortfalls):
@@ -568,7 +571,8 @@ def sdcc2_decode(received, plan: CoverPlan, params: Sdcc2Params) -> tuple[Strand
 
 def template_strand(n: int, start: int) -> Strand:
     """Gap-one schedule: symbols step through the template from ``start``."""
-    return tuple(smod4(start + i) for i in range(n))
+    as_int(start, "template start")
+    return tuple(smod4(start + i) for i in range(as_int(n, "strand length")))
 
 
 def random_member_1sdcc(n: int, m: int, seed: int = 0):
@@ -590,8 +594,7 @@ def _seeded_member(n: int, m: int, seed: int, cover_count: int):
     """(codeword, plan) of a seeded tuple: per block one template strand and
     cover_count / 4 - 1 random ones, then m - cover_count random strands."""
     for name, value in (("n", n), ("m", m), ("seed", seed)):
-        if type(value) is not int:
-            raise ParameterError(f"{name} must be an int, got {value!r}")
+        as_int(value, name)
     if m < cover_count:
         raise ParameterError(f"m={m} is below the cover count {cover_count}")
     rng = SplitMix(seed)

@@ -28,8 +28,8 @@ from itertools import accumulate, combinations, compress, product
 from math import comb
 
 from .binary import as_bits, vt_decode, weight
-from .core import (Bits, ConstructionError, DecodeFailure, ParameterError, as_spans,
-                   is_subsequence)
+from .core import (Bits, ConstructionError, DecodeFailure, ParameterError, as_int, as_ints,
+                   as_spans, is_subsequence)
 
 MOMENT_ORDERS = (1, 2, 3, 4)
 
@@ -70,7 +70,7 @@ def _moment_sums(bits: Bits) -> tuple[int, int, int, int, int]:
 def moment(bits, order: int) -> int:
     """Sum of C(p, ``order``) over the 1-based positions p holding a 1, for
     order 0 (the weight) to 4."""
-    if type(order) is not int or order not in range(5):
+    if as_int(order, "moment order") not in range(5):
         raise ParameterError(f"moment order must be 0 to 4, got {order!r}")
     return _moment_sums(as_bits(bits))[order]
 
@@ -93,9 +93,7 @@ def xi_bit_length(length: int) -> int:
 
 def xi_budget(length: int) -> int:
     """Materialised sketch-length budget for this scheme."""
-    if type(length) is not int or length < 0:
-        raise ParameterError(f"word length must be a non-negative int, got {length!r}")
-    return 10 * math.ceil(math.log2(length + 1)) + 6
+    return 10 * math.ceil(math.log2(as_int(length, "word length", 0) + 1)) + 6
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
@@ -148,9 +146,7 @@ def xi_value(bits, pack_length: int) -> int:
     """Sketch of ``bits`` packed as one integer at the field widths of
     ``pack_length`` (which must be at least ``len(bits)``)."""
     bits = as_bits(bits)
-    if type(pack_length) is not int:
-        raise ParameterError(f"packing length must be an int, got {pack_length!r}")
-    if len(bits) > pack_length:
+    if len(bits) > as_int(pack_length, "packing length"):
         raise ParameterError("word longer than its packing length")
     return _xi(bits, pack_length)
 
@@ -307,20 +303,19 @@ def _completions(word: Bits, n: int, targets, positions=None) -> set[Bits]:
     return out
 
 
-def _check_length(n) -> None:
-    if type(n) is not int or n < 1:
-        raise ParameterError(f"word length n must be a positive int, got {n!r}")
-
-
 def xi_decode(received, sketch, n: int) -> Bits:
     """Recover a word of length ``n`` from its sketch and a copy missing one
     or two bits."""
     received = as_bits(received)
-    _check_length(n)
+    as_int(n, "word length n", 1)
     if len(received) not in (n - 1, n - 2, n):
         raise ParameterError("received length incompatible with one or two deletions")
-    sketch = tuple(sketch)
-    if len(sketch) != xi_bit_length(n) or not set(sketch) <= {0, 1}:
+    try:
+        sketch = tuple(sketch)
+        binary = set(sketch) <= {0, 1}
+    except TypeError:  # no sequence, or an unhashable entry
+        binary = False
+    if not binary or len(sketch) != xi_bit_length(n):
         raise ParameterError(f"sketch must be {xi_bit_length(n)} bits, each 0 or 1")
     targets = _unpack(from_bits(sketch), xi_field_widths(n))
     return _unique(_completions(received, n, targets), "words consistent with the sketch")
@@ -334,9 +329,7 @@ def sketch_values(length: int) -> list[int]:
     the list doubles once per position s: the half whose bit s is 1 adds
     C(s, r) into each field r.  The weight mod 3 goes on top at the end.
     """
-    if type(length) is not int or length < 1:
-        raise ParameterError(f"word length must be a positive integer, got {length!r}")
-    column, (top, *_), _ = _moment_table(length)
+    column, (top, *_), _ = _moment_table(as_int(length, "word length", 1))
     orders = (1 << top) - 1  # the fields of orders 1-4, without the weight
     values = [0]
     # Position s ends up as bit length - s of a word's index, first bit on top.
@@ -394,9 +387,11 @@ def _balls_meet(u: Bits, v: Bits) -> bool:
 def e1_windows(n: int, rho: int) -> list[tuple[int, int]]:
     """Overlapping windows of width 2*rho tiling [1, n] with overlap rho; the
     last window is clipped at n.  Degenerates to one full window for n <= 2*rho."""
-    _check_length(n)
-    if type(rho) is not int or rho < 1:
-        raise ParameterError(f"window overlap rho must be a positive int, got {rho!r}")
+    return _e1_windows(as_int(n, "word length n", 1), as_int(rho, "window overlap rho", 1))
+
+
+def _e1_windows(n: int, rho: int) -> list[tuple[int, int]]:
+    """:func:`e1_windows` of checked n and rho."""
     count = -(-n // rho) - 1
     if count < 1:
         return [(1, n)]
@@ -406,22 +401,31 @@ def e1_windows(n: int, rho: int) -> list[tuple[int, int]]:
 
 def _checked_inputs(bits, P1, P2, sketch=(), arity: int = 0) -> tuple[Bits, tuple]:
     """``bits`` through ``as_bits`` and ``sketch`` as a tuple of exactly
-    ``arity`` values, for interval bounds P1 and P2 that are positive ints."""
-    sketch = tuple(sketch)
-    if not (type(P1) is type(P2) is int and P1 > 0 and P2 > 0 and len(sketch) == arity):
-        raise ParameterError(f"positive int P1, P2 and a sketch of {arity} values expected")
+    ``arity`` ints, for interval bounds P1 and P2 that are positive ints."""
+    as_int(P1, "P1", 1)
+    as_int(P2, "P2", 1)
+    sketch = as_ints(sketch, "sketch value")
+    if len(sketch) != arity:
+        raise ParameterError(f"a sketch of {arity} values expected, got {len(sketch)}")
     return as_bits(bits), sketch
+
+
+def _word_to_sketch(bits, P1, P2) -> Bits:
+    """A non-empty word to sketch under :func:`_checked_inputs`."""
+    bits = _checked_inputs(bits, P1, P2)[0]
+    as_int(len(bits), "word length n", 1)
+    return bits
 
 
 def e1_sketch(bits, P1: int, P2: int) -> tuple[int, int]:
     """Sums of packed window sketches over odd- and even-indexed windows."""
-    return _e1_sums(_checked_inputs(bits, P1, P2)[0], P1 + P2)
+    return _e1_sums(_word_to_sketch(bits, P1, P2), P1 + P2)
 
 
 def _e1_sums(bits: Bits, rho: int) -> tuple[int, int]:
     pack_len = 2 * rho
     totals = [0, 0]
-    for j, (ws, we) in enumerate(e1_windows(len(bits), rho)):
+    for j, (ws, we) in enumerate(_e1_windows(len(bits), rho)):
         totals[j % 2] += _xi(bits[ws - 1:we], pack_len)
     mask = (1 << xi_bit_length(pack_len)) - 1
     return totals[0] & mask, totals[1] & mask
@@ -431,8 +435,7 @@ def e1_decode(received, intervals, sketch: tuple[int, int], n: int, P1: int, P2:
     """Recover a word from two deletions confined to adjacent or overlapping
     intervals whose union spans at most P1 + P2 positions."""
     received, sketch = _checked_inputs(received, P1, P2, sketch, 2)
-    _check_length(n)
-    if len(received) != n - 2:
+    if len(received) != as_int(n, "word length n", 1) - 2:
         raise ParameterError(f"expected length {n - 2}, got {len(received)}")
     return _e1_decode(received, _checked_intervals(intervals, n, max(P1, P2)), sketch, n, P1 + P2)
 
@@ -441,7 +444,7 @@ def _e1_decode(received: Bits, intervals, sketch, n: int, rho: int) -> Bits:
     """:func:`e1_decode` of checked inputs, with sorted intervals."""
     pack_len = 2 * rho
     kappa = xi_bit_length(pack_len)
-    windows = e1_windows(n, rho)
+    windows = _e1_windows(n, rho)
     (s1, l1), (s2, l2) = intervals
     lo, hi = s1, max(s1 + l1 - 1, s2 + l2 - 1)
     if hi - lo + 1 > rho:
@@ -468,10 +471,7 @@ def _e1_decode(received: Bits, intervals, sketch, n: int, rho: int) -> Bits:
 
 def e2_sketch(bits, P1: int, P2: int) -> tuple[int, int, int]:
     """(weight mod 3, f1 mod n+1, f2 mod P*n) with P = max(P1, P2)."""
-    bits = _checked_inputs(bits, P1, P2)[0]
-    if not bits:
-        raise ParameterError("word length n must be a positive int, got 0")
-    return _e2_residues(bits, max(P1, P2))
+    return _e2_residues(_word_to_sketch(bits, P1, P2), max(P1, P2))
 
 
 def _e2_residues(bits: Bits, P: int) -> tuple[int, int, int]:
@@ -484,8 +484,7 @@ def e2_decode(received, intervals, sketch: tuple[int, int, int], n: int, P1: int
     """Recover a word from two deletions confined to intervals separated by at
     least one position."""
     received, sketch = _checked_inputs(received, P1, P2, sketch, 3)
-    _check_length(n)
-    if len(received) != n - 2:
+    if len(received) != as_int(n, "word length n", 1) - 2:
         raise ParameterError(f"expected length {n - 2}, got {len(received)}")
     P = max(P1, P2)
     return _e2_decode(received, _checked_intervals(intervals, n, P), sketch, n, P)
@@ -540,10 +539,9 @@ class EParams:
     total: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if any(type(v) is not int for v in (self.n, self.P1, self.P2)):
-            raise ParameterError("composition parameters n, P1 and P2 must be integers")
-        if self.P1 < 2 or self.P2 < 2 or self.n < 3:
-            raise ParameterError("composition requires P1, P2 >= 2 and n >= 3")
+        as_int(self.n, "payload length", 3)
+        as_int(self.P1, "P1", 2)
+        as_int(self.P2, "P2", 2)
         kappa = xi_bit_length(self.window_pack_len)
         e2_widths = (2, _width(self.n), _width(self.P * self.n - 1))
         # E1's two sums followed by E2's three residues.
@@ -584,6 +582,12 @@ def _eparams(n: int, P1: int, P2: int) -> EParams:
     return EParams(n=n, P1=P1, P2=P2)
 
 
+def _layout(n, P1, P2) -> EParams:
+    """The shared :class:`EParams` of (n, P1, P2), each read by :func:`as_int`
+    before the cache, which hashes them."""
+    return _eparams(as_int(n, "payload length"), as_int(P1, "P1"), as_int(P2, "P2"))
+
+
 @dataclass(frozen=True)
 class SketchBundle:
     """Serializable sketch material of one word: interval sketches plus the
@@ -608,8 +612,7 @@ class SketchBundle:
             n, P1, P2 = p["n"], p["P1"], p["P2"]
         except (KeyError, TypeError):
             raise ParameterError("malformed sketch bundle") from None
-        if any(type(v) is not int for v in (n, P1, P2) + e1 + e2):
-            raise ParameterError("sketch bundle fields must be integers")
+        as_ints((n, P1, P2) + e1 + e2, "sketch bundle field")
         params = _eparams(n, P1, P2)
         if p != _params_json(params):
             raise ParameterError("sketch bundle parameters disagree with n, P1 and P2")
@@ -654,14 +657,14 @@ def _sketch_bundle_cached(bits: Bits, P1: int, P2: int) -> SketchBundle:
 
 
 def sketch_bundle(bits, P1: int, P2: int) -> SketchBundle:
-    return _sketch_bundle_cached(as_bits(bits), P1, P2)
+    return _sketch_bundle_cached(as_bits(bits), as_int(P1, "P1"), as_int(P2, "P2"))
 
 
 def encode_E(bits, P1: int, P2: int) -> Bits:
     """Systematic composition: the word, both interval sketches, then a
     deletion sketch protecting those sketches."""
     bits = as_bits(bits)
-    bundle = _sketch_bundle_cached(bits, P1, P2)
+    bundle = _sketch_bundle_cached(bits, as_int(P1, "P1"), as_int(P2, "P2"))
     return bits + _tail_bits(bundle.e1, bundle.e2, bundle.params) + bundle.xi
 
 
@@ -716,7 +719,7 @@ def decode_E(received, intervals, n: int, P1: int, P2: int) -> Bits:
     """Recover the systematic prefix from up to two deletions, each confined
     to its declared interval."""
     received = as_bits(received)
-    params = _eparams(n, P1, P2)
+    params = _layout(n, P1, P2)
     L = params.total
     intervals = _checked_intervals(intervals, L, params.P)
     if not L - 2 <= len(received) <= L:
@@ -759,7 +762,7 @@ def _decode_E(received: Bits, intervals, params: EParams) -> Bits:
 
 
 def prefix_codeword_length(k: int, P1: int, P2: int) -> int:
-    return _eparams(k, P1, P2).total + 2
+    return _layout(k, P1, P2).total + 2
 
 
 def prefix_encode(payload, P1: int, P2: int) -> Bits:
@@ -777,7 +780,7 @@ def prefix_member(word, k: int, P1: int, P2: int) -> bool:
 def prefix_decode_two(received, intervals, k: int, P1: int, P2: int) -> Bits:
     """Recover the payload from two deletions confined to declared intervals."""
     received = as_bits(received)
-    params = _eparams(k, P1, P2)
+    params = _layout(k, P1, P2)
     L = params.total + 2
     if len(received) != L - 2:
         raise ParameterError(f"expected length {L - 2}, got {len(received)}")
@@ -806,7 +809,7 @@ def prefix_decode_one(received, k: int, P1: int, P2: int) -> Bits:
     own 0) and the position-weighted residue stored in the tail pins it down.
     """
     received = as_bits(received)
-    params = _eparams(k, P1, P2)
+    params = _layout(k, P1, P2)
     L = params.total + 2
     if len(received) == L:
         if not _compositions(received, (), k, params, (0, 1)):

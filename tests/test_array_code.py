@@ -203,11 +203,11 @@ class TestParamsValidation:
                             weighted_vt=weighted_vt)
 
     @pytest.mark.parametrize("rows, length, row_sums, weighted_vt, fault", [
-        (2.5, 8, (0, 0), 0, "rows must be an integer, got 2.5"),
-        ("2", 8, (0, 0), 0, "rows must be an integer, got '2'"),
-        (True, 8, (0,), 0, "rows must be an integer, got True"),
-        (2, 8.0, (0, 0), 0, "length must be an integer, got 8.0"),
-        (2, 8, (0, 0), 1.0, "weighted_vt must be an integer, got 1.0"),
+        (2.5, 8, (0, 0), 0, "rows must be an int >= 1, got 2.5"),
+        ("2", 8, (0, 0), 0, "rows must be an int >= 1, got '2'"),
+        (True, 8, (0,), 0, "rows must be an int >= 1, got True"),
+        (2, 8.0, (0, 0), 0, "length must be an int >= 1, got 8.0"),
+        (2, 8, (0, 0), 1.0, "weighted_vt must be an int, got 1.0"),
         (2, 8, (0, 1.0), 0, "row sums must be 2 values in {0, 1, 2}"),
     ])
     def test_non_integers_named(self, rows, length, row_sums, weighted_vt, fault):
@@ -254,7 +254,7 @@ class TestIntegerChecks:
 
     def test_row_count(self):
         for rows in ("2", 2.0, None):
-            with pytest.raises(ParameterError, match="row count must be an integer"):
+            with pytest.raises(ParameterError, match="row count must be an int >= 1, got"):
                 array_syndromes(self.x, rows)
 
     @pytest.mark.parametrize("span", [("1", 2), (1.0, 2), (1, 2.0), (None, 2), (1, 2, 3), 1])
@@ -519,7 +519,7 @@ class TestParameterErrors:
     """One malformed input for each input check, with the text it raises."""
 
     @pytest.mark.parametrize("call, text", [
-        (lambda: array_syndromes((0, 1), 0), "row count must be positive"),
+        (lambda: array_syndromes((0, 1), 0), "row count must be an int >= 1, got 0"),
         (lambda: array_erasure_decode([None, 0, 0, 0], [(1, 1)], ROWS2),
          "exactly two nonempty erasure bursts expected"),
         (lambda: array_erasure_decode([None, 0, 0, 0], [(1, 3), (4, 1)], ROWS2),
@@ -539,9 +539,17 @@ class TestParameterErrors:
         (lambda: array_bounded_decode((0, 0), [], ROWS2), "expected 2 deletion intervals, got 0"),
         (lambda: array_bounded_decode((0, 0), [(1, 1), (2, 1), (3, 1)], ROWS2),
          "expected 2 deletion intervals, got 3"),
+        (lambda: array_syndromes((), 8), "an empty word has no array form"),
+        (lambda: is_member((0, 1), 5), "ArrayCodeParams expected, got int"),
+        (lambda: array_erasure_decode([None, 0], [(1, 1)], 5), "ArrayCodeParams expected, got int"),
+        (lambda: array_bounded_decode((0, 0), [(1, 1), (2, 1)], 5),
+         "ArrayCodeParams expected, got int"),
+        (lambda: array_erasure_decode(5, [(1, 1), (2, 1)], ROWS2), "known symbols must be bits"),
+        (lambda: ArrayCodeParams(2, 4, 5, 0), "row sums must be 2 values in {0, 1, 2}"),
     ], ids=["rows", "one burst", "long burst", "burst at 0", "short word",
             "erasure length", "long interval", "one interval", "no interval",
-            "three intervals"])
+            "three intervals", "empty word", "is_member int params", "erasure int params",
+            "bounded int params", "erasure int word", "int row sums"])
     def test_rejected(self, call, text):
         with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
             call()

@@ -162,11 +162,18 @@ class TestDirectDecodersAgainstInsertions:
 
 
 class TestSvt:
-    @pytest.mark.parametrize("a, b, window", [(0, 0, 1.5), (0, 0, 5.0), (0, 0, 0),
-                                              (5, 0, 5), (0, 2, 5),
-                                              (1.5, 0, 5), (1, True, 5), (True, 0, 5)])
-    def test_malformed_params_rejected(self, a, b, window):
-        with pytest.raises(ParameterError, match="invalid shifted-VT parameters"):
+    @pytest.mark.parametrize("a, b, window, text", [
+        pytest.param(0, 0, 1.5, "SVT window must be an int, got 1.5", id="0-0-1.5"),
+        pytest.param(0, 0, 5.0, "SVT window must be an int, got 5.0", id="0-0-5.0"),
+        pytest.param(0, 0, 0, "invalid shifted-VT parameters", id="0-0-0"),
+        pytest.param(5, 0, 5, "invalid shifted-VT parameters", id="5-0-5"),
+        pytest.param(0, 2, 5, "invalid shifted-VT parameters", id="0-2-5"),
+        pytest.param(1.5, 0, 5, "SVT residue a must be an int, got 1.5", id="1.5-0-5"),
+        pytest.param(1, True, 5, "SVT parity b must be an int, got True", id="1-True-5"),
+        pytest.param(True, 0, 5, "SVT residue a must be an int, got True", id="True-0-5"),
+    ])
+    def test_malformed_params_rejected(self, a, b, window, text):
+        with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
             SvtParams(a, b, window)
 
     def test_all_zero(self):
@@ -219,13 +226,19 @@ class TestParameterErrors:
     """One malformed input for each input check, with the text it raises."""
 
     @pytest.mark.parametrize("call, text", [
-        (lambda: vt_decode(b("01"), 0, "3"), "word length n must be a positive int, got '3'"),
+        (lambda: vt_decode(b("01"), 0, "3"), "word length n must be an int >= 1, got '3'"),
         (lambda: vt_decode(b("01"), "0", 3), "VT residue a must be an int, got '0'"),
         (lambda: svt_decode(b("0110"), "1", SvtParams(a=0, b=0, window=3)),
          "window start must be an int, got '1'"),
         (lambda: svt_decode(b("0110"), 1.5, SvtParams(a=0, b=0, window=3)),
          "window start must be an int, got 1.5"),
-    ], ids=["vt_decode n", "vt_decode a", "svt_decode string start", "svt_decode float start"])
+        (lambda: svt_member(b("01"), 5), "SvtParams expected, got int"),
+        (lambda: svt_decode(b("01"), 1, 5), "SvtParams expected, got int"),
+        (lambda: insertions(5), "a word and integer insertion positions expected"),
+        (lambda: insertions(b("01"), ["1"]), "a word and integer insertion positions expected"),
+    ], ids=["vt_decode n", "vt_decode a", "svt_decode string start", "svt_decode float start",
+            "svt_member int params", "svt_decode int params", "insertions int word",
+            "insertions str position"])
     def test_rejected(self, call, text):
         with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
             call()

@@ -133,14 +133,20 @@ class TestSizeBounds:
 
 
 class TestParameterErrors:
-    """One input past each size cap, with the text it raises."""
+    """One malformed input for each input check, with the text it raises."""
 
     @pytest.mark.parametrize("call, text", [
         (lambda: verify_cover(8), "exhaustive cover verification is capped at n = 7"),
         (lambda: kdcc_size_bounds(11), "exact lower bound is capped at n = 10"),
         (lambda: kdcc_size_bounds("3"), "strand length n must be an int, got '3'"),
         (lambda: verify_cover("2"), "strand length n must be an int, got '2'"),
-    ], ids=["verify_cover", "kdcc_size_bounds", "kdcc_size_bounds string", "verify_cover string"])
+        (lambda: cover_size(None), "strand length n must be an int >= 5, got None"),
+        (lambda: build_clique_cover("3"), "strand length n must be an int >= 5, got '3'"),
+        (lambda: verify_cover(5, 5), "CliqueCover expected, got int"),
+        (lambda: block_collapse_cycle(1, 5), "a block of strand variants expected, got 5"),
+    ], ids=["verify_cover", "kdcc_size_bounds", "kdcc_size_bounds string", "verify_cover string",
+            "cover_size None", "build_clique_cover string", "verify_cover int cover",
+            "block_collapse_cycle int block"])
     def test_rejected(self, call, text):
         with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
             call()

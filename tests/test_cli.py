@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 
 from syndef import cli
 from syndef.cli import main
-from syndef.core import DecodeFailure
+from syndef.core import DecodeFailure, ParameterError
+from syndef.reports import check_ceiling, stratified_delta_pairs
 
 
 def run_cli(args):
@@ -192,6 +194,15 @@ class TestTaskOptions:
         assert not out.exists()
 
     @pytest.mark.parametrize("task", sorted(cli.TASKS))
+    def test_foreign_option_reported_under_the_task_usage(self, task, capsys):
+        # the usage shown is the task's, which lists the options it does take
+        option = foreign_options(task)[0]
+        assert run_cli([task, "--n", "3", f"--{option}", OPTION_VALUES[option][0]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: syndef {task} ")
+        assert f"syndef {task}: error: unrecognized arguments: --{option}" in err
+
+    @pytest.mark.parametrize("task", sorted(cli.TASKS))
     def test_runner_reads_exactly_the_declared_options(self, task):
         """The ``args.<name>`` loads of the runner, found in its source, are
         its declared options plus ``n``, ``out`` and ``task``; ``args`` is not
@@ -305,6 +316,16 @@ class TestReports:
         assert run_cli(["sketch-audit", "--n", "8", "--out", str(out)]) == 0
         data = json.loads(out.read_text())
         assert data["metrics"]["all_ok"] is True
+
+
+class TestReportHelpers:
+    def test_sample_beyond_every_pair_takes_every_pair(self):
+        # [1, 8] holds 28 pairs: asking for 100 once drew forever
+        assert sorted(stratified_delta_pairs(2, 100, 0)) == list(combinations(range(1, 9), 2))
+
+    def test_unknown_sweep_kind(self):
+        with pytest.raises(ParameterError, match="^unknown sweep kind 'nope'$"):
+            check_ceiling("nope", 3)
 
 
 class TestDeterminism:

@@ -397,28 +397,37 @@ class TestParameterErrors:
         (lambda: defect_ball(((1, 2),), 3), "defect radius exceeds strand length"),
         (lambda: run_sequence(()), "empty word has no run sequence"),
         (lambda: symbol_positions((1, 2), 5), "symbol 5 outside alphabet"),
-        (lambda: default_regular_window(1), "window undefined for n < 2"),
+        (lambda: default_regular_window(1), "strand length must be an int >= 2, got 1"),
         (lambda: diff(()), "empty strand"),
         (lambda: inverse_diff(()), "empty strand"),
         (lambda: defect_ball((), 1), "a tuple of strands expected, got ()"),
         (lambda: defect_ball(((1, 2),), "1"), "defect radius must be an int, got '1'"),
         (lambda: symbol_positions(5, 1), "strand must be a sequence of symbols, got 5"),
-        (lambda: all_strands(-1), "strand length must be a non-negative int, got -1"),
+        (lambda: all_strands(-1), "strand length must be an int >= 0, got -1"),
         (lambda: confusable_ball(5, {1}), "strand must be a sequence of symbols, got 5"),
-        (lambda: confusable_ball((1, 2), 5), "defect cycles must be a set of ints, got 5"),
+        (lambda: confusable_ball((1, 2), 5), "a collection of defect cycles expected, got 5"),
         (lambda: confusable_ball((1, 2), {"1"}),
-         "defect cycles must be a set of ints, got {'1'}"),
+         "defect cycle must be an int, got '1'"),
         (lambda: run_sequence(5), "binary word expected, got 5"),
         (lambda: longest_run(5), "binary word expected, got 5"),
-        (lambda: is_regular((0, 1), "4"), "regularity window must be an int, got '4'"),
+        (lambda: is_regular((0, 1), "4"), "regularity window must be an int >= 4, got '4'"),
         (lambda: is_regular(5, 4), "binary word expected, got 5"),
-        (lambda: default_regular_window("8"), "window needs an int n, got '8'"),
+        (lambda: default_regular_window("8"), "strand length must be an int >= 2, got '8'"),
+        (lambda: symbol_positions((1, 2), 1.0), "symbol must be an int, got 1.0"),
+        (lambda: defect_ball(("12",), 1),
+         "strands and a set of defect cycles expected, got ('12',), (1,)"),
+        (lambda: apply_defects_tuple(5, {1}),
+         "strands and a set of defect cycles expected, got 5, {1}"),
+        (lambda: apply_defects_tuple(((1, 2),), 5),
+         "strands and a set of defect cycles expected, got ((1, 2),), 5"),
     ], ids=["as_strand", "as_strand int", "defect_ball", "run_sequence", "symbol_positions",
             "default_regular_window", "diff empty", "inverse_diff empty", "defect_ball empty",
             "defect_ball str radius", "symbol_positions int", "all_strands negative",
             "confusable_ball int strand", "confusable_ball int cycles",
             "confusable_ball str cycle", "run_sequence int", "longest_run int",
-            "is_regular str window", "is_regular int word", "default_regular_window str"])
+            "is_regular str window", "is_regular int word", "default_regular_window str",
+            "symbol_positions float symbol", "defect_ball str strand",
+            "apply_defects_tuple int strands", "apply_defects_tuple int cycles"])
     def test_rejected(self, call, text):
         with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
             call()

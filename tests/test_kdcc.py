@@ -285,21 +285,24 @@ class TestInstanceValidation:
     """Malformed defective cycles or lengths are rejected when the instance is
     built, before any decoder sees them."""
 
-    @pytest.mark.parametrize("delta", [
-        (2.0, 3),    # a float cycle once decoded to a strand holding 2.0
-        ("a", 3),    # once a TypeError traceback
-        (3, 3),      # once two cycles, ending in "0 strands consistent"
-        (True, 3),
-        (0, 3),
-        (-1, 3),
+    @pytest.mark.parametrize("delta, text", [
+        # a float cycle once decoded to a strand holding 2.0
+        pytest.param((2.0, 3), "defective cycle must be an int >= 1, got 2.0", id="delta0"),
+        # once a TypeError traceback
+        pytest.param(("a", 3), "defective cycle must be an int >= 1, got 'a'", id="delta1"),
+        # once two cycles, ending in "0 strands consistent"
+        pytest.param((3, 3), "defective cycles must be distinct, got (3, 3)", id="delta2"),
+        pytest.param((True, 3), "defective cycle must be an int >= 1, got True", id="delta3"),
+        pytest.param((0, 3), "defective cycle must be an int >= 1, got 0", id="delta4"),
+        pytest.param((-1, 3), "defective cycle must be an int >= 1, got -1", id="delta5"),
     ])
-    def test_malformed_cycles_rejected(self, delta):
-        with pytest.raises(ParameterError, match="distinct positive integers"):
+    def test_malformed_cycles_rejected(self, delta, text):
+        with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
             KnownDefectInstance((1, 2, 3), delta, 5)
 
     @pytest.mark.parametrize("n", [5.0, "5", True, 0])
     def test_malformed_length_rejected(self, n):
-        with pytest.raises(ParameterError, match="positive integer"):
+        with pytest.raises(ParameterError, match="strand length must be an int >= 1, got"):
             KnownDefectInstance((1, 2, 3), (2, 3), n)
 
     @pytest.mark.parametrize("received", [
@@ -520,8 +523,26 @@ class TestParameterErrors:
          "strand must be a sequence of symbols, got 5"),
         (lambda: decode_sum1(KnownDefectInstance((1, 2, 3), (1,), 4), "1"),
          "sum1 residue a must be an int, got '1'"),
+        (lambda: decode_array2(5, array2_params(spec_for_strand("array2", (1, 2, 3, 4)))),
+         "KnownDefectInstance expected, got int"),
+        (lambda: decode(5, KnownDefectInstance((1, 2), (2,), 3)), "KdccSpec expected, got int"),
+        (lambda: decode_sum1(5, 0), "KnownDefectInstance expected, got int"),
+        (lambda: KnownDefectInstance((1, 2), 5, 3),
+         "a collection of defective cycles expected, got 5"),
+        (lambda: algorithm1_recover((1, 2), 5, (1,)),
+         "a collection of defective cycles expected, got 5"),
+        (lambda: array2_params(spec_for_strand("sum1", (1, 2, 3))),
+         "family sum1 has no array code"),
+        (lambda: hit_decoder(5), "KdccSpec expected, got int"),
+        (lambda: enumerate_codebook(5), "KdccSpec expected, got int"),
+        (lambda: membership(5, (1, 2)), "KdccSpec expected, got int"),
+        (lambda: even_position_sum(5), "strand must be a sequence of symbols, got 5"),
     ], ids=["spec family", "cycle count", "svt1 length", "longer received", "best family",
-            "spec strand int", "membership strand int", "sum1 string residue"])
+            "spec strand int", "membership strand int", "sum1 string residue",
+            "decode_array2 int instance", "decode int spec", "decode_sum1 int instance",
+            "instance int cycles", "algorithm1 int cycles", "array2_params sum1 spec",
+            "hit_decoder int spec", "enumerate int spec", "membership int spec",
+            "even_position_sum int strand"])
     def test_rejected(self, call, text):
         with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
             call()

@@ -165,7 +165,23 @@ class TestModuleBoundaries:
         assert unused == []
 
     @staticmethod
-    def raise_sites(paths, *exceptions) -> list[tuple[str, str, str]]:
+    def sites(paths, keep) -> list[tuple[str, str, ast.AST]]:
+        """(module, enclosing function, node) of every node in ``paths`` that
+        ``keep`` accepts, in source order."""
+        def walk(node, module, function):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.FunctionDef):
+                    yield from walk(child, module, child.name)
+                    continue
+                if keep(child):
+                    yield module, function, child
+                yield from walk(child, module, function)
+
+        return [site for path in paths
+                for site in walk(ast.parse(path.read_text()), path.stem, None)]
+
+    @classmethod
+    def raise_sites(cls, paths, *exceptions) -> list[tuple[str, str, str]]:
         """(module, enclosing function, message) of every ``raise E(...)`` in
         ``paths`` with E one of ``exceptions``, in source order; an f-string
         message reads as its template, each field in braces as written."""
@@ -175,18 +191,33 @@ class TestModuleBoundaries:
             return "".join(v.value if isinstance(v, ast.Constant)
                            else "{" + ast.unparse(v.value) + "}" for v in node.values)
 
-        def walk(node, module, function):
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, ast.FunctionDef):
-                    yield from walk(child, module, child.name)
-                    continue
-                if (isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call)
-                        and getattr(child.exc.func, "id", None) in exceptions):
-                    yield module, function, text(child.exc.args[0])
-                yield from walk(child, module, function)
+        def keep(node):
+            return (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and getattr(node.exc.func, "id", None) in exceptions)
 
-        return [site for path in paths
-                for site in walk(ast.parse(path.read_text()), path.stem, None)]
+        return [(module, function, text(node.exc.args[0]))
+                for module, function, node in cls.sites(paths, keep)]
+
+    @classmethod
+    def int_type_tests(cls, paths) -> list[tuple[str, str]]:
+        """(module, enclosing function) of every ``type(...) is int`` or
+        ``type(...) is not int`` comparison in ``paths``, chained ones too."""
+        def keep(node):
+            if not isinstance(node, ast.Compare):
+                return False
+            operands = [node.left, *node.comparators]
+            return (any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+                    and any(isinstance(o, ast.Name) and o.id == "int" for o in operands)
+                    and any(isinstance(o, ast.Call) and getattr(o.func, "id", None) == "type"
+                            for o in operands))
+
+        return [(module, function) for module, function, _ in cls.sites(paths, keep)]
+
+    def test_one_integer_reader(self):
+        """An int (not a bool) is told apart only by ``core.as_int`` and the
+        readers listed in ``INT_TYPE_TESTS``; everything else calls them."""
+        paths = sorted((ROOT / "src" / "syndef").glob("*.py"))
+        assert {f"{m}.{f}" for m, f in self.int_type_tests(paths)} == set(INT_TYPE_TESTS)
 
     def test_decode_failure_inventory(self):
         """Every guard that raises DecodeFailure, listed: one added, deleted
@@ -200,6 +231,14 @@ class TestModuleBoundaries:
         paths = sorted((ROOT / "src" / "syndef").glob("*.py"))
         assert self.raise_sites(paths, "ConstructionError", "ArithmeticError") \
             == CONSTRUCTION_CHECKS
+
+
+# The functions that test ``type(x) is int`` themselves, each with the reason.
+INT_TYPE_TESTS = {
+    "core.as_int": "the integer reader",
+    "core.as_strand": "reads every symbol of a strand in one pass, on every checked call",
+    "core.as_spans": "reads both ints of each (start, length) pair in one test",
+}
 
 
 # (module, function, message) of each ``raise DecodeFailure(...)`` in the package.

@@ -545,7 +545,7 @@ class TestCodewordJson:
     def test_shift_not_an_integer(self, shift):
         data = self._cover_json(self.X, 0)
         data["shifts"] = [shift]
-        with pytest.raises(ParameterError, match="not an integer"):
+        with pytest.raises(ParameterError, match="shift must be an int, got"):
             SdccCodeword.from_json(data)
 
     @pytest.mark.parametrize("symbol", [1.5, "1", True])
@@ -676,11 +676,27 @@ class TestParameterErrors:
         (lambda: position_sum_modulus(0), "strand length must be an int >= 2, got 0"),
         (lambda: position_sum_modulus(1), "strand length must be an int >= 2, got 1"),
         (lambda: random_member_2sdcc(1, 8), "two-deletion coding needs n >= 3"),
+        (lambda: template_strand(None, 1), "strand length must be an int, got None"),
+        (lambda: c2d_decode((1, 2, 3), 5), "C2dParams expected, got int"),
+        (lambda: c2d_membership((1, 2, 3), 5), "C2dParams expected, got int"),
+        (lambda: sdcc1_decode((), 5, random_member_1sdcc(16, 8, seed=1)[2]),
+         "CoverPlan expected, got int"),
+        (lambda: sdcc2_decode((), random_member_1sdcc(16, 8, seed=1)[1],
+                              random_member_2sdcc(16, 10, seed=1)[2]),
+         "the plan has 4 covers, the params 8"),
+        (lambda: sdcc1_decode(5, *random_member_1sdcc(16, 8, seed=1)[1:]),
+         "a tuple of strands expected, got 5"),
+        (lambda: sdcc1_params_of(5), "SdccCodeword expected, got int"),
+        (lambda: plan_covers(5, CoverPlan(4, (0,))),
+         "cover strands must be a sequence of strands, got 5"),
     ], ids=["cover None", "cover int", "json header", "irregular cover", "sdcc1 n", "sdcc1 lengths",
             "c2d length", "c2d irregular", "c2d symbol", "c2d received", "sdcc2 lengths",
             "sdcc1 int strand", "sdcc2 int strand", "member str n", "member str m",
             "member str seed", "localization_window 0", "cover_group_size 0",
-            "position_sum_modulus 0", "position_sum_modulus 1", "sdcc2 n 1"])
+            "position_sum_modulus 0", "position_sum_modulus 1", "sdcc2 n 1",
+            "template_strand None", "c2d_decode int params", "c2d_membership int params",
+            "sdcc1 int plan", "sdcc2 plan of another code", "sdcc1 int received",
+            "sdcc1_params_of int", "plan_covers int strands"])
     def test_rejected(self, call, text):
         with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
             call()

@@ -528,15 +528,15 @@ class TestComposition:
         assert again == bundle
 
     def test_float_length_rejected(self):
-        with pytest.raises(ParameterError, match="must be integers"):
+        with pytest.raises(ParameterError, match="must be an int"):
             EParams(16.0, 2, 2)
 
     def test_float_interval_bound_rejected(self):
-        with pytest.raises(ParameterError, match="must be integers"):
+        with pytest.raises(ParameterError, match="must be an int"):
             EParams(16, 2.5, 2)
 
     def test_encode_with_float_interval_bound_rejected(self):
-        with pytest.raises(ParameterError, match="must be integers"):
+        with pytest.raises(ParameterError, match="must be an int"):
             encode_E(b("1011010010110100"), 2.5, 2)
 
     @pytest.mark.parametrize("P1, P2", [(2.0, 2), (2, 2.0)])
@@ -545,9 +545,9 @@ class TestComposition:
         # call's codeword without ever checking the types
         w = b("101100111010")
         assert len(encode_E(w, 2, 2)) == EParams(len(w), 2, 2).total
-        with pytest.raises(ParameterError, match="must be integers"):
+        with pytest.raises(ParameterError, match="must be an int"):
             encode_E(w, P1, P2)
-        with pytest.raises(ParameterError, match="must be integers"):
+        with pytest.raises(ParameterError, match="must be an int"):
             sketch_bundle(w, P1, P2)
 
 
@@ -1028,39 +1028,52 @@ class TestParameterErrors:
          "expected length 14, got 10"),
         (lambda: e2_decode((0,) * 10, [(3, 2), (8, 2)], (0, 0, 0), 16, 2, 2),
          "expected length 14, got 10"),
-        (lambda: EParams(n=2, P1=2, P2=2), "composition requires P1, P2 >= 2 and n >= 3"),
+        (lambda: EParams(n=2, P1=2, P2=2), "payload length must be an int >= 3, got 2"),
         (lambda: SketchBundle.from_json({}), "malformed sketch bundle"),
         (lambda: SketchBundle.from_json(dict(BUNDLE, params=dict(BUNDLE["params"], P1="2"))),
-         "sketch bundle fields must be integers"),
+         "sketch bundle field must be an int, got '2'"),
         (lambda: decode_E((0,) * (COMPOSED_LENGTH - 3), [(1, 1), (2, 1)], 8, 2, 2),
          f"received length {COMPOSED_LENGTH - 3} incompatible with <= 2 deletions"),
         (lambda: prefix_decode_two((0,) * 5, [(1, 1), (3, 1)], 8, 2, 2),
          f"expected length {PREFIX_LENGTH - 2}, got 5"),
         (lambda: prefix_decode_one((0,) * 5, 8, 2, 2),
          f"expected length {PREFIX_LENGTH} or {PREFIX_LENGTH - 1}, got 5"),
-        (lambda: e2_sketch((), 2, 2), "word length n must be a positive int, got 0"),
-        (lambda: xi_decode((1,), (0,), "2"), "word length n must be a positive int, got '2'"),
+        (lambda: e2_sketch((), 2, 2), "word length n must be an int >= 1, got 0"),
+        (lambda: xi_decode((1,), (0,), "2"), "word length n must be an int >= 1, got '2'"),
         (lambda: e1_decode((0,) * 10, [(3, 2), (4, 2)], (0, 0), "12", 2, 2),
-         "word length n must be a positive int, got '12'"),
+         "word length n must be an int >= 1, got '12'"),
         (lambda: e2_decode((), [(1, 1), (3, 1)], (0, 0, 0), 0, 2, 2),
-         "word length n must be a positive int, got 0"),
-        (lambda: moment((1, 0), True), "moment order must be 0 to 4, got True"),
+         "word length n must be an int >= 1, got 0"),
+        (lambda: moment((1, 0), True), "moment order must be an int, got True"),
         (lambda: moment_vector("102"), "binary word expected"),
         (lambda: xi_value((1, 0, 1), "5"), "packing length must be an int, got '5'"),
         (lambda: to_bits("5", 3), "value and width must be ints with width >= 0, got '5' and 3"),
         (lambda: to_bits(5, "3"), "value and width must be ints with width >= 0, got 5 and '3'"),
-        (lambda: xi_budget("3"), "word length must be a non-negative int, got '3'"),
-        (lambda: xi_budget(-5), "word length must be a non-negative int, got -5"),
+        (lambda: xi_budget("3"), "word length must be an int >= 0, got '3'"),
+        (lambda: xi_budget(-5), "word length must be an int >= 0, got -5"),
         (lambda: from_bits([2]), "a word of 0s and 1s expected, got [2]"),
         (lambda: from_bits("01"), "a word of 0s and 1s expected, got '01'"),
-    ] + [(lambda n=n: e1_windows(n, 2), f"word length n must be a positive int, got {n!r}")
+        (lambda: encode_E((0, 1, 1), [2], 2), "P1 must be an int, got [2]"),
+        (lambda: decode_E((0,) * 5, [(1, 1), (2, 1)], 8, {2}, 2), "P1 must be an int, got {2}"),
+        (lambda: prefix_codeword_length([16], 2, 2), "payload length must be an int, got [16]"),
+        (lambda: sketch_bundle((0, 1), 2, {2}), "P2 must be an int, got {2}"),
+        (lambda: xi_decode((1,), 5, 2), "sketch must be 7 bits, each 0 or 1"),
+        (lambda: e1_decode((0,) * 10, [(3, 2), (4, 2)], 5, 12, 2, 2),
+         "a collection of sketch values expected, got 5"),
+        (lambda: e1_sketch((), 2, 2), "word length n must be an int >= 1, got 0"),
+        (lambda: e2_decode((0,) * 4, [(1, 1), (3, 1)], (0, 0, 0), None, 2, 2),
+         "word length n must be an int >= 1, got None"),
+    ] + [(lambda n=n: e1_windows(n, 2), f"word length n must be an int >= 1, got {n!r}")
          for n in (0, -3, True, 2.5)],
         ids=["xi_value", "xi_decode", "e1_decode", "e2_decode", "EParams", "bundle keys",
              "bundle ints", "decode_E", "prefix_decode_two", "prefix_decode_one",
              "e2_sketch empty", "xi_decode n", "e1_decode n", "e2_decode n", "moment bool order",
              "moment_vector string", "xi_value packing length", "to_bits str value",
              "to_bits str width", "xi_budget str", "xi_budget negative", "from_bits 2",
-             "from_bits str", "windows 0", "windows -3", "windows True", "windows 2.5"])
+             "from_bits str", "encode_E list P1", "decode_E set P1", "prefix length list",
+             "bundle set P2", "xi_decode int sketch", "e1_decode int sketch", "e1_sketch empty",
+             "e2_decode None n",
+             "windows 0", "windows -3", "windows True", "windows 2.5"])
     def test_rejected(self, call, text):
         with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
             call()
