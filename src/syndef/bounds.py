@@ -38,7 +38,7 @@ class CliqueCover:
         return len(self.cliques)
 
 
-def _plain_blocks(n: int):
+def _plain_blocks():
     """Words over the length-5 alphabet blocks carrying no pattern."""
     return [p for p in product((1, 2, 3, 4), repeat=5) if p not in PATTERNED]
 
@@ -46,7 +46,7 @@ def _plain_blocks(n: int):
 def build_clique_cover(n: int) -> CliqueCover:
     """Materialise the cover; exponential in n, intended for n <= 7."""
     as_int(n, "strand length n", 5)  # the cover needs one length-5 block
-    plain = _plain_blocks(n)
+    plain = _plain_blocks()
     cliques: list[tuple[Strand, ...]] = []
     blocks_count = n // 5
     for i in range(blocks_count):

@@ -266,17 +266,6 @@ def matching_insertions(word: Strand, value: int, sig: Bits, own: Bits, slots=No
             for p in matching_slots(word, value, sig, own, slots)}
 
 
-def pair_alignment(own: Bits, sig: Bits) -> tuple[int, int, list[int]]:
-    """Align ``own``, a word's signature, against ``sig``, the target once two
-    symbols are inserted: common prefix, common suffix, and ahead[j], the run
-    length of ``own[i] == sig[i + 1]`` from i = j."""
-    ahead = [0] * (len(own) + 2)
-    for j in range(len(own) - 1, -1, -1):
-        if own[j] == sig[j + 1]:
-            ahead[j] = ahead[j + 1] + 1
-    return common_prefix(own, sig), common_suffix(own, sig), ahead
-
-
 def pair_slots(word: Strand, v1: int, v2: int, sig: Bits, own: Bits, table=None):
     """Slot pairs (p, q), q > p, at which inserting ``v1`` into ``word`` (whose
     own signature is ``own``) at p, then ``v2`` at q of the grown word, gives
@@ -286,13 +275,18 @@ def pair_slots(word: Strand, v1: int, v2: int, sig: Bits, own: Bits, table=None)
     places right, and those between are its own one place right; the four
     bits around v1 and v2 take one comparison each.  Given a slot ``table``
     ({p: (grown word, second slots q > p)}, p ascending), only its pairs are
-    tried, the three runs compared as slices.  Otherwise :func:`pair_alignment`
-    bounds every pair: p by the common prefix, q by the common suffix, and
-    the middle run by ``ahead``.
+    tried, the three runs compared as slices.  Otherwise the alignment of
+    ``own`` against ``sig`` bounds every pair: p by their common prefix, q by
+    their common suffix, and the middle run by ahead[j], the run length of
+    ``own[i] == sig[i + 1]`` from i = j.
     """
     n = len(word) + 2
     if table is None:
-        prefix, suffix, ahead = pair_alignment(own, sig)
+        prefix, suffix = common_prefix(own, sig), common_suffix(own, sig)
+        ahead = [0] * (len(own) + 2)
+        for j in range(len(own) - 1, -1, -1):
+            if own[j] == sig[j + 1]:
+                ahead[j] = ahead[j + 1] + 1
     for p in range(1, n) if table is None else table:
         if p > 2 and (p > prefix + 2 if table is None else own[:p - 2] != sig[:p - 2]):
             return
@@ -308,6 +302,19 @@ def pair_slots(word: Strand, v1: int, v2: int, sig: Bits, own: Bits, table=None)
             before = v1 if q == p + 1 else word[q - 3]
             if (v2 >= before) == sig[q - 2] and (q == n or (word[q - 2] >= v2) == sig[q - 1]):
                 yield p, q
+
+
+def pair_insertions(word: Strand, v1: int, v2: int, sig: Bits, own: Bits,
+                    table=None) -> set[Strand]:
+    """Every distinct word whose signature is ``sig`` that inserting ``v1``
+    and then ``v2`` into ``word`` gives, at the pairs of :func:`pair_slots`:
+    the two-insertion twin of :func:`matching_insertions`.  Given a slot
+    ``table``, each pair grows the word the table already holds for its p."""
+    out = set()
+    for p, q in pair_slots(word, v1, v2, sig, own, table):
+        grown = word[:p - 1] + (v1,) + word[p - 1:] if table is None else table[p][0]
+        out.add(grown[:q - 1] + (v2,) + grown[q - 1:])
+    return out
 
 
 def confusable_ball(strand: Strand, delta) -> set[Strand]:
@@ -390,13 +397,9 @@ def shift_symbols(strand: Strand, a: int) -> Strand:
 
     The machine synthesises the base schedule moved by ``a``, which adds ``a``
     to every symbol shifted-mod 4.  The symbols alone do not reveal the shift,
-    so a re-timed strand travels with ``a`` as metadata."""
+    so a re-timed strand travels with ``a`` as metadata, and
+    ``shift_symbols(symbols, -a)`` recovers the base strand."""
     return tuple(smod4(s + a) for s in strand)
-
-
-def unshift_symbols(symbols: Strand, a: int) -> Strand:
-    """Recover the base strand of a shifted strand from its symbols."""
-    return tuple(smod4(s - a) for s in symbols)
 
 
 def apply_defects_shifted(symbols: Strand, a: int, delta) -> Strand:

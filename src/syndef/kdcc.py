@@ -40,7 +40,7 @@ from .core import (
     as_strand,
     as_type,
     matching_insertions,
-    pair_slots,
+    pair_insertions,
     reinsertions,
     signature,
     smod4,
@@ -253,7 +253,8 @@ def algorithm1_recover(received, delta, sig) -> Strand:
     This is the multi-cycle reference: it builds every reinsertion and checks
     its whole signature and channel output.  The decoders take the one-cycle
     case by the slot test of :func:`_recover_each` and the two-cycle case by
-    :func:`_pair_reinsertions`; the tests hold both against this function.
+    :func:`pair_insertions` over the slot table; the tests hold both against
+    this function.
     """
     received, sig = as_strand(received, empty=True), as_bits(sig)
     delta = tuple(sorted(set(as_ints(delta, "defective cycle"))))
@@ -382,50 +383,37 @@ def _signature_windows(table, sig_len: int):
             for p, qs in seconds]
 
 
-def _pair_reinsertions(received, own, d1: int, d2: int, table, sigs) -> set[Strand]:
-    """The words of the slot table whose signature is one of ``sigs``, where
-    ``own`` is the signature of ``received``.  Each is a preimage under the
-    cycles d1 < d2: the symbols before slot p sit below d1, the middle lies
-    between d1 and d2, and the rest above them."""
-    v1, v2 = smod4(d1), smod4(d2)
-    found = set()
-    for sig in set(sigs):
-        for p, q in pair_slots(received, v1, v2, sig, own, table):
-            grown = table[p][0]
-            found.add(grown[:q - 1] + (v2,) + grown[q - 1:])
-    return found
-
-
-def array2_candidates(received, delta, params: ArrayCodeParams) -> set[Strand]:
-    """Two known defects that both hit: every reinsertion of ``received``
-    whose signature the array code recovers from the insertion windows.
-
-    With one pair of windows a decode failure propagates; with one pair per
-    first slot, each decode that fails rules out its slot.
-    """
-    d1, d2 = sorted(delta)
-    table = _slot_table(received, d1, d2)
-    pairs = _signature_windows(table, len(received) + 1)
-    own = signature(received) if len(received) >= 2 else ()
-    sigs = []
-    for pair in pairs:
-        try:
-            sigs.append(array_bounded_decode(own, pair, params))
-        except DecodeFailure:
-            if len(pairs) == 1:
-                raise
-    return _pair_reinsertions(received, own, d1, d2, table, sigs)
-
-
 def array_candidates(received, delta, lost: int, params: ArrayCodeParams) -> set[Strand]:
     """The reinsertions of ``received`` that the channel maps back onto it once
     it ``lost`` symbols to ``delta`` and whose signature the array code
-    recovers: two, one per cycle, as in :func:`array2_candidates`, or one at
-    any cycle whose insertion window decodes, leaving the others empty."""
-    if lost == 2:
-        return array2_candidates(received, delta, params)
-    own = signature(received)
+    recovers.
+
+    Two lost, both cycles hit: the words of the slot table
+    (:func:`pair_insertions`) whose signature the array code recovers from
+    the insertion windows.  Each is a preimage under the cycles d1 < d2: the
+    symbols before slot p sit below d1, the middle lies between d1 and d2, and
+    the rest above them.  With one pair of windows a decode failure
+    propagates; with one pair per first slot, each decode that fails rules out
+    its slot.  One lost: a word at any cycle whose insertion window decodes,
+    leaving the others empty.
+    """
     found = set()
+    if lost == 2:
+        d1, d2 = sorted(delta)
+        table = _slot_table(received, d1, d2)
+        pairs = _signature_windows(table, len(received) + 1)
+        own = signature(received) if len(received) >= 2 else ()
+        sigs = set()
+        for pair in pairs:
+            try:
+                sigs.add(array_bounded_decode(own, pair, params))
+            except DecodeFailure:
+                if len(pairs) == 1:
+                    raise
+        for sig in sigs:
+            found |= pair_insertions(received, smod4(d1), smod4(d2), sig, own, table)
+        return found
+    own = signature(received)
     for d in delta:
         slots = _insert_slot_positions(received, d)
         if slots:

@@ -25,9 +25,12 @@ CEILINGS = {
 }
 
 
-def ceiling(kind: str) -> int:
+def check_ceiling(kind: str, n: int):
+    """Refuse an exhaustive ``kind`` of sweep beyond its ceiling in
+    :data:`CEILINGS`, or beyond ``SYNDEF_MAX_EXHAUSTIVE_N`` when that is set."""
     if kind not in tuple(CEILINGS):  # compared, not hashed: a list is no kind either
         raise ParameterError(f"unknown sweep kind {kind!r}")
+    cap = CEILINGS[kind]
     override = os.environ.get("SYNDEF_MAX_EXHAUSTIVE_N")
     if override:
         try:
@@ -37,12 +40,6 @@ def ceiling(kind: str) -> int:
                 f"SYNDEF_MAX_EXHAUSTIVE_N={override!r} is not an integer") from None
         print(f"warning: exhaustive ceiling for {kind} overridden to {cap}",
               file=sys.stderr)
-        return cap
-    return CEILINGS[kind]
-
-
-def check_ceiling(kind: str, n: int):
-    cap = ceiling(kind)
     if as_int(n, "n") > cap:
         raise ParameterError(
             f"{kind} refuses n={n} beyond its ceiling {cap}; "

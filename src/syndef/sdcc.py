@@ -34,6 +34,7 @@ from .core import (
     Strand,
     apply_defects_shifted,
     as_int,
+    as_ints,
     as_strand,
     as_type,
     cycles,
@@ -41,12 +42,11 @@ from .core import (
     deletion_positions,
     is_regular,
     matching_insertions,
-    pair_slots,
+    pair_insertions,
     run_sequence,
     shift_symbols,
     signature,
     smod4,
-    unshift_symbols,
 )
 from .kdcc import array_candidates, svt1_candidates
 from .rng import SplitMix
@@ -94,6 +94,10 @@ class CoverPlan:
 
     n: int
     shifts: tuple[int, ...]
+
+    def __post_init__(self):
+        as_int(self.n, "strand length", 1)
+        object.__setattr__(self, "shifts", as_ints(self.shifts, "shift"))
 
     @property
     def cover_count(self) -> int:
@@ -176,7 +180,7 @@ class SdccCodeword:
 
     def bases(self) -> tuple[Strand, ...]:
         """Cover strands before re-timing."""
-        return tuple(unshift_symbols(s, a) for s, a in zip(self.strands, self.shifts))
+        return tuple(shift_symbols(s, -a) for s, a in zip(self.strands, self.shifts))
 
     def channel(self, delta) -> tuple[Strand, ...]:
         out = []
@@ -230,6 +234,14 @@ class Sdcc1Params:
     b: tuple[int, ...]
     d: tuple[int, ...]
     e: tuple[int, ...]
+
+    def __post_init__(self):
+        as_int(self.n, "strand length", 3)
+        for name in "sbde":
+            object.__setattr__(self, name, as_ints(getattr(self, name), f"residue {name}", 0))
+        if len(self.b) != len(self.s) or len(self.e) != len(self.d):
+            raise ParameterError("residues s and b need one value per cover strand, "
+                                 "d and e one per remaining strand")
 
     @property
     def window(self) -> int:
@@ -300,7 +312,7 @@ def sdcc1_decode(received, plan: CoverPlan, params: Sdcc1Params):
     delta_candidates: set[int] | None = None
     for i in [i for i in shortened if i < cover_count]:
         a = plan.shifts[i]
-        x_short = unshift_symbols(received[i], a)
+        x_short = shift_symbols(received[i], -a)
         own = signature(x_short)
         sig = vt_decode(own, params.b[i], n - 1, modulus=n + 1)
         value = smod4(params.s[i] - sum(x_short))
@@ -376,18 +388,12 @@ def c2d_params_of(strand) -> C2dParams:
 
 
 def c2d_membership(strand, params: C2dParams) -> bool:
+    """Is the strand a codeword of ``params``: its length, a regular
+    signature, then the syndromes :func:`c2d_params_of` reads off it."""
     strand = as_strand(strand, empty=True)
-    if len(strand) != as_type(params, C2dParams).n:
-        return False
-    sig = signature(strand)
-    if not is_regular(sig, default_regular_window(params.n)):
-        return False
-    if moment_vector(sig) != params.sketch:
-        return False
-    if _run_weighted(strand, run_sequence(sig)) != params.run_weighted:
-        return False
-    return (params.counts == symbol_counts_mod3(strand)
-            and params.position_sums == position_sums(strand, params.pos_modulus))
+    return (len(strand) == as_type(params, C2dParams).n
+            and is_regular(signature(strand), default_regular_window(params.n))
+            and c2d_params_of(strand) == params)
 
 
 def _deleted_values(received, counts) -> list[int]:
@@ -398,12 +404,6 @@ def _deleted_values(received, counts) -> list[int]:
             raise DecodeFailure("symbol counts inconsistent with two deletions")
         out.extend([v] * d)
     return out
-
-
-def _strand_checks(y, runs, params: C2dParams) -> bool:
-    """``runs`` is the run sequence of the signature ``y`` was built to have."""
-    return (_run_weighted(y, runs) == params.run_weighted
-            and params.position_sums == position_sums(y, params.pos_modulus))
 
 
 def c2d_decode(received, params: C2dParams) -> Strand:
@@ -429,31 +429,22 @@ def c2d_decode(received, params: C2dParams) -> Strand:
         raise DecodeFailure("symbol counts disagree with the received length")
 
     window = default_regular_window(n)
+    # Two lost values go back in either order; equal values give one order.
+    orders = {tuple(values), tuple(values[::-1])} if k == 2 else ()
     survivors: set[Strand] = set()
     for sig in sig_candidates:
         if not is_regular(sig, window):
             continue
-        words = (matching_insertions(received, values[0], sig, sig_short) if k == 1
-                 else _double_insertions_matching(received, values, sig, sig_short))
+        words = matching_insertions(received, values[0], sig, sig_short) if k == 1 else set()
+        for v1, v2 in orders:
+            words |= pair_insertions(received, v1, v2, sig, sig_short)
         if words:
             runs = run_sequence(sig)
-            survivors.update(y for y in words if _strand_checks(y, runs, params))
+            survivors.update(y for y in words if _run_weighted(y, runs) == params.run_weighted
+                             and params.position_sums == position_sums(y, params.pos_modulus))
     if len(survivors) != 1:
         raise DecodeFailure(f"{len(survivors)} strands consistent with all syndromes")
     return survivors.pop()
-
-
-def _double_insertions_matching(received, values, sig, own) -> set[Strand]:
-    """Words reached by inserting the two values (in either order) whose
-    signature equals ``sig``, of ``len(received) + 1`` bits, where ``own`` is
-    the signature of ``received`` (empty below two symbols): :func:`pair_slots`
-    tests each slot pair."""
-    out: set[Strand] = set()
-    for v1, v2 in {(values[0], values[1]), (values[1], values[0])}:
-        for p, q in pair_slots(received, v1, v2, sig, own):
-            w1 = received[:p - 1] + (v1,) + received[p - 1:]
-            out.add(w1[:q - 1] + (v2,) + w1[q - 1:])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +515,7 @@ def sdcc2_decode(received, plan: CoverPlan, params: Sdcc2Params) -> tuple[Strand
             schedules.append(frozenset(cycles(received[i], a)))
             per_cover_options.append({frozenset()})
             continue
-        short = unshift_symbols(received[i], a)
+        short = shift_symbols(received[i], -a)
         x = c2d_decode(short, params.cover[i])
         transmitted.append(shift_symbols(x, a))
         sched = cycles(transmitted[i], a)

@@ -23,12 +23,12 @@ from syndef.core import (
     deletion_positions,
     diff,
     matching_slots,
+    pair_insertions,
     pair_slots,
     reinsertions,
     shift_symbols,
     signature,
     smod4,
-    unshift_symbols,
 )
 from syndef.core import DecodeFailure, ParameterError
 from syndef.sdcc import position_sums, symbol_counts_mod3
@@ -359,7 +359,7 @@ class TestScheduleRecurrence:
         for y in words_up_to(6):
             n = len(y)
             for a in range(-3, 4 * n) if y else ():  # every shift feasible for some base
-                ref = schedule(unshift_symbols(y, a))
+                ref = schedule(shift_symbols(y, -a))
                 if not 1 - ref[0] <= a <= 4 * n - ref[-1]:
                     continue
                 # each cycle alone must drop exactly its own symbol: that pins
@@ -470,9 +470,10 @@ class TestSlotKernel:
 
 
 class TestPairReinsertions:
-    """The signature-guided pair kernel of the array2 decode against building
-    every reinsertion at the two cycles, keeping those the channel maps back
-    onto the received word, and comparing their signatures."""
+    """The signature-guided pair kernel of the array2 decode,
+    :func:`pair_insertions` over the slot table, against building every
+    reinsertion at the two cycles, keeping those the channel maps back onto
+    the received word, and comparing their signatures."""
 
     @staticmethod
     def check(r, d1, d2, sigs):
@@ -483,7 +484,7 @@ class TestPairReinsertions:
         table = kdcc._slot_table(r, d1, d2)
         own = signature(r) if len(r) >= 2 else ()
         for sig in sigs:
-            got = kdcc._pair_reinsertions(r, own, d1, d2, table, [sig])
+            got = pair_insertions(r, smod4(d1), smod4(d2), sig, own, table)
             assert got == by_sig.get(sig, set()), (r, d1, d2, sig)
 
     @staticmethod
@@ -527,8 +528,8 @@ class TestPairReinsertions:
         assert cycles(y)[:2] == (3, 6)
         assert apply_defects(y, (2, 3)) == (2, 4, 1, 1, 4, 3) != r
         assert kdcc._slot_table(r, 2, 3) == {1: ((2, 4, 1, 1, 4, 3), [2])}
-        assert kdcc._pair_reinsertions(r, signature(r), 2, 3, kdcc._slot_table(r, 2, 3),
-                                       [signature(y)]) == set()
+        assert pair_insertions(r, 2, 3, signature(y), signature(r),
+                               kdcc._slot_table(r, 2, 3)) == set()
         self.check(r, 2, 3, [signature(y), signature((2, 3, 4, 1, 1, 4, 3))])
 
 
@@ -691,8 +692,8 @@ class TestShiftPair:
     def test_round_trips(self):
         for x in words_up_to(4):
             for a in range(-9, 10):
-                assert unshift_symbols(shift_symbols(x, a), a) == x
-                assert shift_symbols(unshift_symbols(x, a), a) == x
+                assert shift_symbols(shift_symbols(x, a), -a) == x
+                assert shift_symbols(shift_symbols(x, -a), a) == x
 
     def test_cycles_started_at_the_shift(self):
         # on a re-timed strand's symbols, starting the recurrence at the shift

@@ -18,6 +18,7 @@ from syndef.core import (
     cycles,
     deletion_positions,
     longest_run,
+    pair_insertions,
     shift_symbols,
     signature,
 )
@@ -25,8 +26,8 @@ from syndef.rng import SplitMix
 from syndef.sdcc import (
     C2dParams,
     CoverPlan,
+    Sdcc1Params,
     SdccCodeword,
-    _double_insertions_matching,
     _seeded_member,
     c2d_decode,
     c2d_membership,
@@ -273,8 +274,15 @@ class TestCoverDeltaOptions:
 
 
 class TestDoubleInsertionSearch:
-    """The corridor-pruned search against inserting both values at every
+    """The corridor-pruned search of ``c2d_decode``, :func:`pair_insertions`
+    over the two orders of the values, against inserting both values at every
     slot pair and filtering on the signature."""
+
+    @staticmethod
+    def search(received, values, sig):
+        """The words ``c2d_decode`` keeps for one signature."""
+        return set().union(*(pair_insertions(received, v1, v2, sig, own(received))
+                             for v1, v2 in {tuple(values), tuple(values[::-1])}))
 
     @staticmethod
     def grown(received, values):
@@ -303,8 +311,7 @@ class TestDoubleInsertionSearch:
             for received in all_strands(m):
                 for values in combinations_with_replacement(ALPHABET, 2):
                     for sig in product((0, 1), repeat=m + 1):
-                        assert _double_insertions_matching(
-                            received, values, sig, own(received)) == \
+                        assert self.search(received, values, sig) == \
                             self.brute(received, values, sig)
 
     def test_every_deletion_pair_up_to_six(self):
@@ -320,8 +327,7 @@ class TestDoubleInsertionSearch:
                     targets = set(groups).union(
                         sig[:i] + (1 - sig[i],) + sig[i + 1:] for sig in groups)
                     for target in targets:
-                        assert _double_insertions_matching(
-                            received, values, target, own(received)) \
+                        assert self.search(received, values, target) \
                             == groups.get(target, set()), (received, values, target)
 
     def test_matches_brute_force(self):
@@ -334,7 +340,7 @@ class TestDoubleInsertionSearch:
                 continue
             received = delete(x, d1, d2)
             values = [x[min(d1, d2) - 1], x[max(d1, d2) - 1]]
-            got = _double_insertions_matching(received, values, signature(x), own(received))
+            got = self.search(received, values, signature(x))
             assert got == self.brute(received, values, signature(x))
             assert x in got
 
@@ -351,7 +357,7 @@ class TestDoubleInsertionSearch:
                 sig = signature(x)
                 i = rng.randrange(0, n - 1)
                 for target in (sig, sig[:i] + (1 - sig[i],) + sig[i + 1:]):
-                    assert _double_insertions_matching(received, values, target, own(received)) \
+                    assert self.search(received, values, target) \
                         == groups.get(target, set()), (x, d1, d2, target)
 
 
@@ -689,6 +695,16 @@ class TestParameterErrors:
         (lambda: sdcc1_params_of(5), "SdccCodeword expected, got int"),
         (lambda: plan_covers(5, CoverPlan(4, (0,))),
          "cover strands must be a sequence of strands, got 5"),
+        (lambda: sdcc1_decode(random_member_1sdcc(16, 8, seed=1)[0].channel({3}),
+                              CoverPlan(5, ("x",) * 4), random_member_1sdcc(16, 8, seed=1)[2]),
+         "shift must be an int, got 'x'"),
+        (lambda: CoverPlan(None, (1,)), "strand length must be an int >= 1, got None"),
+        (lambda: CoverPlan(4, 5), "a collection of shifts expected, got 5"),
+        (lambda: Sdcc1Params(16, ("0",) * 4, (0,) * 4, (), ()),
+         "residue s must be an int >= 0, got '0'"),
+        (lambda: Sdcc1Params(2, (), (), (), ()), "strand length must be an int >= 3, got 2"),
+        (lambda: Sdcc1Params(16, (0,) * 4, (0,) * 3, (), ()),
+         "residues s and b need one value per cover strand, d and e one per remaining strand"),
     ], ids=["cover None", "cover int", "json header", "irregular cover", "sdcc1 n", "sdcc1 lengths",
             "c2d length", "c2d irregular", "c2d symbol", "c2d received", "sdcc2 lengths",
             "sdcc1 int strand", "sdcc2 int strand", "member str n", "member str m",
@@ -696,7 +712,9 @@ class TestParameterErrors:
             "position_sum_modulus 0", "position_sum_modulus 1", "sdcc2 n 1",
             "template_strand None", "c2d_decode int params", "c2d_membership int params",
             "sdcc1 int plan", "sdcc2 plan of another code", "sdcc1 int received",
-            "sdcc1_params_of int", "plan_covers int strands"])
+            "sdcc1_params_of int", "plan_covers int strands", "sdcc1 str shift",
+            "plan None n", "plan int shifts", "sdcc1 params str sum", "sdcc1 params n 2",
+            "sdcc1 params b short"])
     def test_rejected(self, call, text):
         with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
             call()

@@ -38,25 +38,21 @@ UNCHECKED = {
                          "once per set of lost cycles",
     "core.matching_slots": PER_OP,
     "core.matching_insertions": PER_OP,
-    "core.pair_alignment": PER_OP,
+    "core.pair_insertions": PER_OP,
     "core.pair_slots": PER_OP,
     "core.signature": PER_OP,
     "core.shift_symbols": PER_OP,
-    "core.unshift_symbols": PER_OP,
     "binary.vt_syndrome": PER_OP,
     "binary.weight": PER_OP,
     "kdcc.syndrome_key": "known2's twin check calls it, through spec_for_strand, "
                          "once per strand of a confusable ball",
     "kdcc.svt1_candidates": PER_OP,
-    "kdcc.array2_candidates": PER_OP,
     "kdcc.array_candidates": PER_OP,
     "sdcc.position_sums": PER_OP,
     "sdcc.symbol_counts_mod3": PER_OP,
     "bounds.CliqueCover": RECORD,
     "reports.Report": "a task's result record: no entry takes it as input",
     "sdcc.C2dParams": RECORD,
-    "sdcc.CoverPlan": RECORD,
-    "sdcc.Sdcc1Params": RECORD,
     "sdcc.Sdcc2Params": RECORD,
     "sdcc.SdccCodeword": RECORD,
     "sketch.SketchBundle": "an encoder's result record: no entry takes it as input",
@@ -199,9 +195,10 @@ def valid_calls():
         "kdcc.hit_decoder": (specs["svt1"],),
         "kdcc.membership": (specs["array2"], x),
         "kdcc.spec_for_strand": ("svt1", x),
-        "reports.ceiling": ("strand_sweep",),
         "reports.check_ceiling": ("strand_sweep", 4),
         "reports.stratified_delta_pairs": (4, 10, 1),
+        "sdcc.CoverPlan": (plan1.n, plan1.shifts),
+        "sdcc.Sdcc1Params": (params1.n, params1.s, params1.b, params1.d, params1.e),
         "sdcc.SdccCodeword.from_json": (two.to_json(),),
         "sdcc.c2d_decode": (core.apply_defects(x, (5, 10)), c2),
         "sdcc.c2d_membership": (x, c2),
