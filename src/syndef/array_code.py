@@ -31,7 +31,7 @@ from itertools import compress
 
 from .binary import as_bits
 from .core import (Bits, DecodeFailure, ParameterError, as_int, as_ints, as_spans, as_type,
-                   is_subsequence)
+                   is_subsequence, unique)
 
 Interval = tuple[int, int]  # (start, length), 1-based start
 
@@ -175,10 +175,8 @@ def _solve_rows(word: list, windows, params: ArrayCodeParams) -> list:
                 kept.append((rest - step, choice + (1,)))
         fills = kept
     matches = [choice for rest, choice in fills if rest == 0]
-    if len(matches) != 1:
-        raise DecodeFailure(
-            f"{len(matches)} row assignments consistent with the weighted VT residue")
-    for c, (p_k, p_l, _) in zip(matches[0], ambiguous):
+    choice = unique(matches, "row assignments consistent with the weighted VT residue")
+    for c, (p_k, p_l, _) in zip(choice, ambiguous):
         word[p_k], word[p_l] = (1, 0) if c == 0 else (0, 1)
     return word
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Bits, DecodeFailure, ParameterError, as_int, as_type
+from .core import Bits, DecodeFailure, ParameterError, as_int, as_type, unique
 
 
 def vt_syndrome(bits) -> int:
@@ -76,9 +76,7 @@ def vt_decode(received, a: int, n: int, modulus: int | None = None) -> Bits:
     target = (a - vt_syndrome(received)) % m
     matches = [(v, p) for v, p, rise in _insertion_shifts(received, 1, n)
                if rise % m == target]
-    if len(matches) != 1:
-        raise DecodeFailure(f"{len(matches)} candidates consistent with VT residue {a} mod {m}")
-    ((v, p),) = matches
+    v, p = unique(matches, "candidates consistent with VT residue {} mod {}", a, m)
     return received[:p - 1] + (v,) + received[p - 1:]
 
 
@@ -123,8 +121,5 @@ def svt_decode(received, window_start: int, params: SvtParams) -> Bits:
     target = (params.a - vt_syndrome(received)) % params.window
     matches = [p for v, p, rise in _insertion_shifts(received, lo, hi)
                if v == bit and rise % params.window == target]
-    if len(matches) != 1:
-        raise DecodeFailure(
-            f"{len(matches)} shifted-VT candidates in window [{lo}, {hi}]")
-    (p,) = matches
+    p = unique(matches, "shifted-VT candidates in window [{}, {}]", lo, hi)
     return received[:p - 1] + (bit,) + received[p - 1:]

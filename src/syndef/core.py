@@ -32,6 +32,16 @@ class ConstructionError(RuntimeError):
     """A construction step violated a guarantee it is supposed to satisfy."""
 
 
+def unique(found, what: str, *fields):
+    """The one member of ``found``, a list or set of a decoder's survivors:
+    every decoder ends here.  Otherwise a DecodeFailure giving their count,
+    then ``what`` with ``fields`` put in its braces; the message is built
+    only when it is raised."""
+    if len(found) != 1:
+        raise DecodeFailure(f"{len(found)} {what.format(*fields)}")
+    return next(iter(found))
+
+
 def smod4(value: int) -> int:
     """Reduce an integer mod 4 onto {1, 2, 3, 4}."""
     return (value - 1) % 4 + 1

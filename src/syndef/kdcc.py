@@ -44,6 +44,7 @@ from .core import (
     reinsertions,
     signature,
     smod4,
+    unique,
 )
 
 FAMILIES = ("sum1", "svt1", "array2")
@@ -236,9 +237,7 @@ def _sum1_hit(received, d: int, a: int) -> Strand:
     found = [p for p in _insert_slot_positions(received, d)
              if (sum(received[1:p - 1:2]) + (0 if p % 2 else value)
                  + sum(received[p - 1 + (p - 1) % 2::2])) % 4 == a % 4]
-    if len(found) != 1:
-        raise DecodeFailure(f"{len(found)} insertions match the even-position sum")
-    p = found[0]
+    p = unique(found, "insertions match the even-position sum")
     return received[:p - 1] + (value,) + received[p - 1:]
 
 
@@ -322,9 +321,7 @@ def decode_svt1(instance: KnownDefectInstance, a: int, b: int) -> Strand:
 def _svt1_hit(received, delta, params: SvtParams) -> Strand:
     """:func:`decode_svt1` once a symbol at a cycle of ``delta`` is known lost."""
     found = svt1_candidates(received, delta, params)
-    if len(found) != 1:
-        raise DecodeFailure(f"{len(found)} insertions match the signature")
-    return found.pop()
+    return unique(found, "insertions match the signature")
 
 
 def hit_decoder(spec: KdccSpec):
@@ -441,10 +438,8 @@ def decode_array2(instance: KnownDefectInstance, params: ArrayCodeParams) -> Str
         return instance.received
     found = array_candidates(instance.received, tuple(sorted(instance.delta)), k,
                              as_type(params, ArrayCodeParams))
-    if len(found) != 1:
-        hits = "one hit" if k == 1 else "two hits"
-        raise DecodeFailure(f"{len(found)} strands consistent with {hits}")
-    return found.pop()
+    hits = "one hit" if k == 1 else "two hits"
+    return unique(found, "strands consistent with {}", hits)
 
 
 def decode(spec: KdccSpec, instance: KnownDefectInstance) -> Strand:

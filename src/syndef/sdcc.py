@@ -47,6 +47,7 @@ from .core import (
     shift_symbols,
     signature,
     smod4,
+    unique,
 )
 from .kdcc import array_candidates, svt1_candidates
 from .rng import SplitMix
@@ -362,6 +363,10 @@ class C2dParams:
 
     def __post_init__(self):
         object.__setattr__(self, "pos_modulus", position_sum_modulus(self.n))
+        as_int(self.run_weighted, "run-weighted sum", 0)
+        for name, what in (("sketch", "sketch value"), ("counts", "symbol count"),
+                           ("position_sums", "position sum")):
+            object.__setattr__(self, name, as_ints(getattr(self, name), what, 0))
 
 
 def _run_weighted(strand, runs) -> int:
@@ -442,9 +447,7 @@ def c2d_decode(received, params: C2dParams) -> Strand:
             runs = run_sequence(sig)
             survivors.update(y for y in words if _run_weighted(y, runs) == params.run_weighted
                              and params.position_sums == position_sums(y, params.pos_modulus))
-    if len(survivors) != 1:
-        raise DecodeFailure(f"{len(survivors)} strands consistent with all syndromes")
-    return survivors.pop()
+    return unique(survivors, "strands consistent with all syndromes")
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +468,16 @@ class Sdcc2Params:
 
     def __post_init__(self):
         object.__setattr__(self, "pos_modulus", position_sum_modulus(self.n))
+        try:
+            fields = (tuple(as_type(c, C2dParams) for c in self.cover),
+                      tuple(as_type(a, ArrayCodeParams) for a in self.sig_arrays),
+                      tuple(as_ints(s, "position sum", 0) for s in self.position_sums))
+        except TypeError:  # a field that is no collection
+            raise ParameterError("cover, sig_arrays and position_sums must be sequences") from None
+        for name, value in zip(("cover", "sig_arrays", "position_sums"), fields):
+            object.__setattr__(self, name, value)
+        if len(self.position_sums) != len(self.sig_arrays):
+            raise ParameterError("sig_arrays and position_sums need one entry per remaining strand")
 
 
 def sdcc2_params_of(codeword: SdccCodeword) -> Sdcc2Params:
@@ -551,9 +564,7 @@ def sdcc2_decode(received, plan: CoverPlan, params: Sdcc2Params) -> tuple[Strand
             out[j] = words.pop()
         else:
             outcomes.add(tuple(out))
-    if len(outcomes) != 1:
-        raise DecodeFailure(f"{len(outcomes)} tuples consistent with the channel")
-    return outcomes.pop()
+    return unique(outcomes, "tuples consistent with the channel")
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from syndef.core import (
+    DecodeFailure,
     ParameterError,
     all_strands,
     apply_defects,
@@ -27,6 +28,7 @@ from syndef.core import (
     signature,
     smod4,
     symbol_positions,
+    unique,
 )
 
 import random
@@ -266,6 +268,30 @@ class TestAsSpans:
     def test_malformed_rejected(self, spans):
         with pytest.raises(ParameterError):
             as_spans(spans, "an interval")
+
+
+class Unformattable:
+    """A message field that fails the test if it is ever put in a message."""
+
+    def __format__(self, spec):
+        raise AssertionError("message built for a decode that succeeded")
+
+
+class TestUnique:
+    @pytest.mark.parametrize("kind", [list, set])
+    def test_one_member_returned_and_left_in_place(self, kind):
+        found = kind(["word"])
+        assert unique(found, "words of {} bits", Unformattable()) == "word"
+        assert found == kind(["word"])
+        with pytest.raises(AssertionError, match="message built"):
+            unique(kind(), "words of {} bits", Unformattable())
+
+    @pytest.mark.parametrize("kind", [list, set])
+    @pytest.mark.parametrize("members, count", [([], 0), (["u", "v"], 2)])
+    def test_any_other_count_fails_with_it(self, kind, members, count):
+        text = f"{count} words of 8 bits in [1, 4]"
+        with pytest.raises(DecodeFailure, match=f"^{re.escape(text)}$"):
+            unique(kind(members), "words of {} bits in [{}, {}]", 8, 1, 4)
 
 
 class TestShift:

@@ -184,18 +184,32 @@ class TestModuleBoundaries:
     def raise_sites(cls, paths, *exceptions) -> list[tuple[str, str, str]]:
         """(module, enclosing function, message) of every ``raise E(...)`` in
         ``paths`` with E one of ``exceptions``, in source order; an f-string
-        message reads as its template, each field in braces as written."""
+        message reads as its template, each field in braces as written.  For
+        DecodeFailure, each ``unique(found, what, *fields)`` call is a site
+        too, whose message reads as the f-string it raises: ``{len(found)}``,
+        then ``what`` with each field in braces as written."""
         def text(node):
             if isinstance(node, ast.Constant):
                 return node.value
             return "".join(v.value if isinstance(v, ast.Constant)
                            else "{" + ast.unparse(v.value) + "}" for v in node.values)
 
-        def keep(node):
-            return (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
-                    and getattr(node.exc.func, "id", None) in exceptions)
+        def unique_text(call):
+            found, what, *fields = call.args
+            return (f"{{len({ast.unparse(found)})}} "
+                    + what.value.format(*("{" + ast.unparse(f) + "}" for f in fields)))
 
-        return [(module, function, text(node.exc.args[0]))
+        def is_unique(node):
+            return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "unique"
+                    and "DecodeFailure" in exceptions)
+
+        def keep(node):
+            return is_unique(node) or (
+                isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and getattr(node.exc.func, "id", None) in exceptions)
+
+        return [(module, function,
+                 unique_text(node) if is_unique(node) else text(node.exc.args[0]))
                 for module, function, node in cls.sites(paths, keep)]
 
     @classmethod
@@ -241,7 +255,8 @@ INT_TYPE_TESTS = {
 }
 
 
-# (module, function, message) of each ``raise DecodeFailure(...)`` in the package.
+# (module, function, message) of each ``raise DecodeFailure(...)`` and each
+# ``unique(...)`` call in the package.
 DECODE_FAILURES = [
     ("array_code", "_solve_rows", "row sum inconsistent with a single missing bit"),
     ("array_code", "_solve_rows",
@@ -251,6 +266,7 @@ DECODE_FAILURES = [
     ("binary", "vt_decode", "{len(matches)} candidates consistent with VT residue {a} mod {m}"),
     ("binary", "svt_decode", "deletion window does not meet the received word"),
     ("binary", "svt_decode", "{len(matches)} shifted-VT candidates in window [{lo}, {hi}]"),
+    ("core", "unique", "{len(found)} {what.format(*fields)}"),
     ("kdcc", "_sum1_hit", "{len(found)} insertions match the even-position sum"),
     ("kdcc", "algorithm1_recover", "no signature-consistent reinsertion exists"),
     ("kdcc", "algorithm1_recover", "signature does not single out one reinsertion"),
@@ -269,12 +285,19 @@ DECODE_FAILURES = [
     ("sdcc", "sdcc2_decode", "defects missed every cover strand; coverage is broken"),
     ("sdcc", "sdcc2_decode", "no defective-cycle set explains all cover strands"),
     ("sdcc", "sdcc2_decode", "{len(outcomes)} tuples consistent with the channel"),
-    ("sketch", "_unique", "{len(found)} {what}"),
+    ("sketch", "xi_decode",
+     "{len(_completions(received, n, targets))} words consistent with the sketch"),
     ("sketch", "_e1_decode", "interval union wider than one sketch window"),
+    ("sketch", "_e1_decode", "{len(found)} window contents consistent with the sketch"),
     ("sketch", "_e2_decode", "intervals are not separated"),
+    ("sketch", "_e2_decode", "{len(out)} placements consistent with the interval sketch"),
     ("sketch", "_decode_E", "full-length word is not a valid composition"),
+    ("sketch", "_decode_E", "{len(found)} single-deletion completions are consistent"),
+    ("sketch", "_decode_E", "{len(found)} completions are consistent with the composition"),
     ("sketch", "prefix_decode_two", "marker bits not found where the intervals imply"),
+    ("sketch", "prefix_decode_two", "{len(found)} payloads consistent with the marker code"),
     ("sketch", "prefix_decode_one", "full-length word is not a marker codeword"),
+    ("sketch", "prefix_decode_one", "{len(verified)} payloads consistent with one deletion"),
 ]
 
 

@@ -27,6 +27,7 @@ from syndef.sdcc import (
     C2dParams,
     CoverPlan,
     Sdcc1Params,
+    Sdcc2Params,
     SdccCodeword,
     _seeded_member,
     c2d_decode,
@@ -648,6 +649,14 @@ def with_int_strand(member):
     return (*codeword.strands[:-1], 5), plan, params
 
 
+def with_str_arrays(member):
+    """(received, plan, params) of a member whose last strand lost a symbol,
+    under params whose array syndromes are strings."""
+    codeword, plan, params = member
+    received = codeword.channel({cycles(codeword.strands[-1])[2]})
+    return received, plan, Sdcc2Params(params.n, params.cover, ("x",) * 2, params.position_sums)
+
+
 class TestParameterErrors:
     """One malformed input for each input check, with the text it raises."""
 
@@ -705,6 +714,20 @@ class TestParameterErrors:
         (lambda: Sdcc1Params(2, (), (), (), ()), "strand length must be an int >= 3, got 2"),
         (lambda: Sdcc1Params(16, (0,) * 4, (0,) * 3, (), ()),
          "residues s and b need one value per cover strand, d and e one per remaining strand"),
+        (lambda: sdcc2_decode(*with_str_arrays(random_member_2sdcc(16, 10, seed=1))),
+         "ArrayCodeParams expected, got str"),
+        (lambda: Sdcc2Params(16, 5, (), ()),
+         "cover, sig_arrays and position_sums must be sequences"),
+        (lambda: Sdcc2Params(16, (), random_member_2sdcc(16, 10, seed=1)[2].sig_arrays, ()),
+         "sig_arrays and position_sums need one entry per remaining strand"),
+        (lambda: Sdcc2Params(16, (), (), ((0, 1, "2", 3),)),
+         "position sum must be an int >= 0, got '2'"),
+        (lambda: C2dParams(8, ("0",) * 5, 0, (0,) * 4, (0,) * 4),
+         "sketch value must be an int >= 0, got '0'"),
+        (lambda: C2dParams(8, (0,) * 5, None, (0,) * 4, (0,) * 4),
+         "run-weighted sum must be an int >= 0, got None"),
+        (lambda: C2dParams(8, (0,) * 5, 0, 4, (0,) * 4),
+         "a collection of symbol counts expected, got 4"),
     ], ids=["cover None", "cover int", "json header", "irregular cover", "sdcc1 n", "sdcc1 lengths",
             "c2d length", "c2d irregular", "c2d symbol", "c2d received", "sdcc2 lengths",
             "sdcc1 int strand", "sdcc2 int strand", "member str n", "member str m",
@@ -714,7 +737,9 @@ class TestParameterErrors:
             "sdcc1 int plan", "sdcc2 plan of another code", "sdcc1 int received",
             "sdcc1_params_of int", "plan_covers int strands", "sdcc1 str shift",
             "plan None n", "plan int shifts", "sdcc1 params str sum", "sdcc1 params n 2",
-            "sdcc1 params b short"])
+            "sdcc1 params b short", "sdcc2 params str arrays", "sdcc2 params int cover",
+            "sdcc2 params sums short", "sdcc2 params str sum", "c2d params str sketch",
+            "c2d params None run-weighted", "c2d params int counts"])
     def test_rejected(self, call, text):
         with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
             call()

@@ -6,7 +6,9 @@ or ConstructionError: a sweep that puts each pool value in place of each
 argument of one declared valid call, and a fuzz that draws whole argument
 lists from the same pool."""
 
+import importlib.util
 import inspect
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -26,6 +28,7 @@ UNCHECKED = {
     "core.as_int": READER,
     "core.as_ints": READER,
     "core.as_type": READER,
+    "core.unique": PER_OP,
     "core.smod4": PER_OP,
     "core.is_subsequence": PER_OP,
     "core.common_prefix": PER_OP,
@@ -50,26 +53,26 @@ UNCHECKED = {
     "kdcc.array_candidates": PER_OP,
     "sdcc.position_sums": PER_OP,
     "sdcc.symbol_counts_mod3": PER_OP,
+    "sketch.xi_bit_length": PER_OP,
+    "sketch.xi_field_widths": PER_OP,
     "bounds.CliqueCover": RECORD,
     "reports.Report": "a task's result record: no entry takes it as input",
-    "sdcc.C2dParams": RECORD,
-    "sdcc.Sdcc2Params": RECORD,
     "sdcc.SdccCodeword": RECORD,
     "sketch.SketchBundle": "an encoder's result record: no entry takes it as input",
 }
 
 
 def public_names():
-    """{module.name: callable} of every public function and class the modules
-    define, with each public static method of a class as class.method;
-    exception classes are left out."""
+    """{module.name: callable} of every public function (``lru_cache``d ones
+    too) and class the modules define, with each public static method of a
+    class as class.method; exception classes are left out."""
     out = {}
     for module in MODULES:
         prefix = module.__name__.split(".")[-1]
         for name, obj in vars(module).items():
             if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
                 continue
-            if inspect.isfunction(obj):
+            if inspect.isfunction(inspect.unwrap(obj)):
                 out[f"{prefix}.{name}"] = obj
             elif inspect.isclass(obj) and not issubclass(obj, BaseException):
                 out[f"{prefix}.{name}"] = obj
@@ -84,6 +87,17 @@ CHECKED = sorted((name, f) for name, f in public_names().items() if name not in 
 
 def test_every_unchecked_name_is_public():
     assert set(UNCHECKED) <= set(public_names())
+
+
+def test_code_lines_counts_these_names():
+    """``tools/code_lines.py`` reads the same public names off the source."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
+    spec = importlib.util.spec_from_file_location("code_lines", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    read = {f"{module.__name__.split('.')[-1]}.{name}" for module in MODULES
+            for name in tool.public_names(Path(module.__file__).read_text())}
+    assert read == set(public_names())
 
 
 def build_pools():
@@ -197,8 +211,10 @@ def valid_calls():
         "kdcc.spec_for_strand": ("svt1", x),
         "reports.check_ceiling": ("strand_sweep", 4),
         "reports.stratified_delta_pairs": (4, 10, 1),
+        "sdcc.C2dParams": (c2.n, c2.sketch, c2.run_weighted, c2.counts, c2.position_sums),
         "sdcc.CoverPlan": (plan1.n, plan1.shifts),
         "sdcc.Sdcc1Params": (params1.n, params1.s, params1.b, params1.d, params1.e),
+        "sdcc.Sdcc2Params": (params2.n, params2.cover, params2.sig_arrays, params2.position_sums),
         "sdcc.SdccCodeword.from_json": (two.to_json(),),
         "sdcc.c2d_decode": (core.apply_defects(x, (5, 10)), c2),
         "sdcc.c2d_membership": (x, c2),

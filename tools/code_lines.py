@@ -1,12 +1,12 @@
 """Count the code of each module of ``src/syndef``: its code lines (lines
 holding a token other than a comment, leaving out docstrings and blank
 lines, read with ``ast`` and ``tokenize``), its ``wc -l`` lines, and its
-public names (functions and classes defined at the top level without a
-leading underscore, exception classes left out, and each public static
-method of such a class).  That is how ``tests/test_surface.py`` counts them,
-except that a function wrapped by a decorator such as ``lru_cache`` counts
-here too.  The last line totals the names of the declared surface, every
-module but ``cli`` and ``rng``.  Standard library only.
+public names (functions, memoised ones included, and classes defined at the
+top level without a leading underscore, exception classes left out, and each
+public static method of such a class).  ``tests/test_surface.py`` holds its
+enumeration to these names.  The last line totals the names of the
+declared surface, every module but ``cli`` and ``rng``.  Standard library
+only.
 
 Run from the repository root::
 
