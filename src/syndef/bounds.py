@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .core import ParameterError, Strand, all_strands, apply_defects, as_int, as_type, cycles
+from .core import (ConstructionError, ParameterError, Strand, all_strands, apply_defects, as_int,
+                   as_type, cycles)
 from .kdcc import best_residues
 
 PATTERN_A = ((1, 1, 2, 3, 4), (1, 2, 1, 3, 4), (1, 2, 3, 1, 4), (1, 2, 3, 4, 1))
@@ -121,7 +122,7 @@ def kdcc_size_bounds(n: int) -> dict:
     spec, lower = best_residues("sum1", n)
     upper, closed = cover_size(n)
     if lower > upper:
-        raise ArithmeticError("lower bound exceeded the clique-cover bound")
+        raise ConstructionError("lower bound exceeded the clique-cover bound")
     report = {
         "n": n,
         "cover_size": upper,

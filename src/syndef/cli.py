@@ -21,7 +21,6 @@ from .core import DecodeFailure, ParameterError, all_strands, apply_defects, cyc
 from .kdcc import (
     KdccSpec,
     KnownDefectInstance,
-    array2_params,
     best_residues,
     decode,
     enumerate_codebook,
@@ -43,14 +42,31 @@ def _parse_mode(mode: str):
     if mode == "exhaustive":
         return "exhaustive", None
     if mode.startswith("sampled:"):
-        try:
-            count = int(mode.split(":", 1)[1])
-        except ValueError:
-            count = 0
-        if count < 1:
+        count = mode[len("sampled:"):]
+        # one spelling per count: int() also reads "07", "3_0", " 4", "+5" and "\u0663"
+        if not (count.isascii() and count.isdigit()) or count[0] == "0":
             raise ParameterError(f"mode {mode!r} needs a positive sample count")
-        return "sampled", count
+        return "sampled", int(count)
     raise ParameterError(f"unknown mode {mode!r}")
+
+
+def _tally(report: Report, cases, decode, record):
+    """Run ``decode(*args)`` on each ``(want, args)`` of ``cases``; a case
+    fails when the decode raises DecodeFailure or returns other than ``want``.
+    The report keeps the first ten failures, each ``record(want, args)`` plus
+    the ``"error"`` text when the decode raised.  Returns (cases, failures)."""
+    count = failures = 0
+    for count, (want, args) in enumerate(cases, 1):
+        try:
+            if decode(*args) == want:
+                continue
+            failure = {}
+        except DecodeFailure as exc:
+            failure = {"error": str(exc)}
+        failures += 1
+        if len(report.counterexamples) < 10:
+            report.counterexamples.append(dict(record(want, args), **failure))
+    return count, failures
 
 
 def run_simulate(args) -> Report:
@@ -59,7 +75,6 @@ def run_simulate(args) -> Report:
                     params={"n": n, "m": m, "t": t, "seed": args.seed,
                             "mode": args.mode})
     kind, count = _parse_mode(args.mode)
-    failures = 0
     if t == 1:
         if kind == "sampled":
             raise ParameterError("--t 1 decodes every single cycle; it has no sampled mode")
@@ -78,51 +93,42 @@ def run_simulate(args) -> Report:
         codeword, plan, params = random_member_2sdcc(n, m, seed=args.seed)
     else:
         raise ParameterError("simulate supports t in {1, 2}")
-    for delta in deltas:
+
+    def tuple_decode(delta):
         received = codeword.channel(delta)
-        try:
-            if t == 1:
-                out, _ = sdcc1_decode(received, plan, params)
-            else:
-                out = sdcc2_decode(received, plan, params)
-            failure = None if out == codeword.strands else {"delta": sorted(delta)}
-        except DecodeFailure as exc:
-            failure = {"delta": sorted(delta), "error": str(exc)}
-        if failure is not None:
-            failures += 1
-            if len(report.counterexamples) < 10:
-                report.counterexamples.append(failure)
-    report.metrics = {"cases": len(deltas), "failures": failures,
-                      "success_rate": 1.0 - failures / len(deltas)}
+        if t == 1:
+            return sdcc1_decode(received, plan, params)[0]
+        return sdcc2_decode(received, plan, params)
+
+    cases, failures = _tally(report, ((codeword.strands, (d,)) for d in deltas), tuple_decode,
+                             lambda _, case: {"delta": sorted(case[0])})
+    report.metrics = {"cases": cases, "failures": failures,
+                      "success_rate": 1.0 - failures / cases}
     report.passed = failures == 0
     return report
 
 
 def _verify_single_defect_family(family: str, n: int, report: Report):
     spec, size = best_residues(family, n)
-    recover = hit_decoder(spec)
-    # Each member under each of its own cycles, for both the disjointness
-    # check and the decode check.  A schedule is strictly increasing, so each
-    # cycle holds exactly one symbol and the channel drops just that one.
-    seen: dict = {}
-    clashes, failed = [], []
-    failures = 0
-    for x in enumerate_codebook(spec):
-        for i, d in enumerate(cycles(x)):
-            y = x[:i] + x[i + 1:]
-            other = seen.setdefault((d, y), x)
-            if other != x:
-                clashes.append({"strands": [list(other), list(x)], "delta": [d]})
-            try:
-                ok = recover(y, d) == x
-            except DecodeFailure:
-                ok = False
-            if not ok:
-                failures += 1
-                if len(failed) < 10:
-                    failed.append({"strand": list(x), "delta": [d]})
+    clashes = []
+
+    def cases():
+        # Each member under each of its own cycles, for both the disjointness
+        # check and the decode check.  A schedule is strictly increasing, so
+        # each cycle holds exactly one symbol and the channel drops just that one.
+        seen = {}
+        for x in enumerate_codebook(spec):
+            for i, d in enumerate(cycles(x)):
+                y = x[:i] + x[i + 1:]
+                other = seen.setdefault((d, y), x)
+                if other != x and len(clashes) < 10:
+                    clashes.append({"strands": [list(other), list(x)], "delta": [d]})
+                yield x, (y, d)
+
+    _, failures = _tally(report, cases(), hit_decoder(spec),
+                         lambda x, case: {"strand": list(x), "delta": [case[1]]})
     disjoint = not clashes
-    report.counterexamples = clashes + failed[:max(0, 10 - len(clashes))]
+    report.counterexamples = (clashes + report.counterexamples)[:10]
     report.metrics = {
         "family": family, "n": n, "residues": spec.residues,
         "code_size": size,
@@ -134,26 +140,12 @@ def _verify_single_defect_family(family: str, n: int, report: Report):
 
 
 def _verify_array2(n: int, strands, report: Report):
-    cases = failures = 0
-    for x in strands:
-        spec = spec_for_strand("array2", x)
-        params = array2_params(spec)
-        sched = cycles(x)
-        for i, d1 in enumerate(sched):
-            for d2 in sched[i + 1:]:
-                cases += 1
-                inst = KnownDefectInstance(
-                    apply_defects(x, {d1, d2}), (d1, d2), n)
-                try:
-                    ok = decode(spec, inst) == x
-                except DecodeFailure as exc:
-                    ok = False
-                    if len(report.counterexamples) < 10:
-                        report.counterexamples.append(
-                            {"strand": list(x), "delta": [d1, d2],
-                             "error": str(exc)})
-                if not ok:
-                    failures += 1
+    specs = ((x, spec_for_strand("array2", x)) for x in strands)
+    cases, failures = _tally(
+        report,
+        ((x, (spec, KnownDefectInstance(apply_defects(x, pair), pair, n)))
+         for x, spec in specs for pair in combinations(cycles(x), 2)),
+        decode, lambda x, case: {"strand": list(x), "delta": list(case[1].delta)})
     report.metrics = {"family": "array2", "n": n, "cases": cases,
                       "decode_failures": failures,
                       "failure_rate": round(failures / cases, 6) if cases else 0.0}

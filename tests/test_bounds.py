@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from syndef import bounds
 from syndef.bounds import (
     BLOCKS,
     PATTERN_A,
@@ -15,7 +16,7 @@ from syndef.bounds import (
     kdcc_size_bounds,
     verify_cover,
 )
-from syndef.core import ParameterError, all_strands, apply_defects, cycles
+from syndef.core import ConstructionError, ParameterError, all_strands, apply_defects, cycles
 from syndef.kdcc import best_residues, enumerate_codebook
 
 
@@ -130,6 +131,14 @@ class TestSizeBounds:
                     "redundancy_bits_lower_bound"):
             assert key in report
         assert report["redundancy_bits_lower_bound"] > 0
+
+    def test_lower_bound_above_cover_is_a_construction_error(self, monkeypatch):
+        # a sum1 code larger than the cover means a broken construction
+        spec, _ = best_residues("sum1", 5)
+        monkeypatch.setattr(bounds, "best_residues", lambda family, n: (spec, 1013))
+        with pytest.raises(ConstructionError,
+                           match="^lower bound exceeded the clique-cover bound$"):
+            kdcc_size_bounds(5)
 
 
 class TestParameterErrors:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from syndef import cli
 from syndef.cli import main
-from syndef.core import DecodeFailure, ParameterError
+from syndef.core import DecodeFailure, ParameterError, all_strands, cycles
 from syndef.reports import check_ceiling, stratified_delta_pairs
 
 
@@ -35,7 +35,8 @@ class TestExitCodes:
     def test_usage_error(self):
         assert run_cli(["simulate", "--n", "8", "--m", "4", "--t", "3"]) == 2
 
-    @pytest.mark.parametrize("mode", ["sampled:abc", "sampled:0", "sampled:-3"])
+    @pytest.mark.parametrize("mode", ["sampled:abc", "sampled:0", "sampled:-3", "sampled:3_0",
+                                      "sampled: 4", "sampled:+5", "sampled:\u0663", "sampled:07"])
     def test_bad_sample_count_exits_two(self, mode, capsys):
         assert run_cli(["verify-kdcc", "--family", "array2", "--n", "6",
                         "--mode", mode]) == 2
@@ -310,6 +311,48 @@ class TestReports:
         assert data["metrics"]["failures"] == 64
         extra = {"error": "injected"} if raises else {}
         assert data["counterexamples"] == [dict(delta=[d], **extra) for d in range(1, 11)]
+
+    def test_array2_records_a_wrong_strand(self, tmp_path, monkeypatch):
+        # a decode that returns the received word: wrong, but raises nothing
+        monkeypatch.setattr(cli, "decode", lambda spec, inst: inst.received)
+        out = tmp_path / "array2.json"
+        assert run_cli(["verify-kdcc", "--family", "array2", "--n", "4",
+                        "--out", str(out)]) == 1
+        data = json.loads(out.read_text())
+        assert data["metrics"]["decode_failures"] == 4 ** 4 * 6
+        cases = [{"strand": list(x), "delta": list(pair)}
+                 for x in all_strands(4) for pair in combinations(cycles(x), 2)]
+        assert data["counterexamples"] == cases[:10]
+
+    @pytest.mark.parametrize("family", ["sum1", "svt1"])
+    def test_single_defect_records_the_error(self, family, tmp_path, monkeypatch):
+        def broken_decoder(received, d):
+            raise DecodeFailure("injected")
+
+        monkeypatch.setattr(cli, "hit_decoder", lambda spec: broken_decoder)
+        out = tmp_path / "single.json"
+        assert run_cli(["verify-kdcc", "--family", family, "--n", "4",
+                        "--out", str(out)]) == 1
+        data = json.loads(out.read_text())
+        assert data["metrics"]["disjoint"] is True
+        assert data["metrics"]["decode_failures"] == 4 * data["metrics"]["code_size"]
+        assert len(data["counterexamples"]) == 10
+        assert all(c.keys() == {"strand", "delta", "error"} and c["error"] == "injected"
+                   for c in data["counterexamples"])
+
+    @pytest.mark.parametrize("family", ["sum1", "svt1"])
+    def test_clashes_first_and_at_most_ten(self, family, tmp_path, monkeypatch):
+        # all of Sigma^3 is no code: more than ten pairs clash under a cycle
+        monkeypatch.setattr(cli, "enumerate_codebook", lambda spec: all_strands(3))
+        out = tmp_path / "single.json"
+        assert run_cli(["verify-kdcc", "--family", family, "--n", "3",
+                        "--out", str(out)]) == 1
+        data = json.loads(out.read_text())
+        assert data["metrics"]["disjoint"] is False
+        assert data["metrics"]["decode_failures"] > 0
+        assert len(data["counterexamples"]) == 10
+        assert all(c.keys() == {"strands", "delta"} for c in data["counterexamples"])
+        assert data["counterexamples"][0] == {"strands": [[1, 1, 2], [1, 2, 1]], "delta": [5]}
 
     def test_sketch_audit(self, tmp_path):
         out = tmp_path / "audit.json"
