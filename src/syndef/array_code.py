@@ -103,22 +103,22 @@ def is_member(word, params: ArrayCodeParams) -> bool:
 
 
 def _normalize_windows(bursts, rows: int, padded: int) -> list[Interval]:
-    """Widen up to two erasure bursts into exactly two length-``rows`` windows
-    (merging into one aligned 2P block when they collide) so that every row of
-    the array sees exactly two erasures."""
+    """Widen two sorted erasure bursts, each 1 to ``rows`` positions inside
+    the padded word (as :func:`~syndef.core.as_spans` checks them), into
+    exactly two length-``rows`` windows (merging into one aligned 2P block
+    when they collide) so that every row of the array sees exactly two
+    erasures.
+
+    The blocks of :func:`_deletions_to_erasures` meet that contract too: two
+    checked intervals, or the halves of an overlapping pair's union, which
+    spans at most 2P - 1 positions, so each half holds 1 to P.  And
+    :func:`_bounded_decode` sends a one-column array to :func:`_column_word`
+    first, so its padded word always has room for a 2P block."""
     P = rows
-    bursts = sorted(((s, l) for s, l in bursts if l > 0))
-    if len(bursts) != 2:
-        raise ParameterError("exactly two nonempty erasure bursts expected")
     (s1, l1), (s2, l2) = bursts
-    e1, e2 = s1 + l1 - 1, s2 + l2 - 1
-    if l1 > P or l2 > P:
-        raise ParameterError("burst longer than the row count")
-    if s1 < 1 or max(e1, e2) > padded:
-        raise ParameterError("burst outside the padded word")
     # Anchor each widened window at its burst's right end.
-    w1 = (max(1, e1 - P + 1), P)
-    w2 = (max(1, e2 - P + 1), P)
+    w1 = (max(1, s1 + l1 - P), P)
+    w2 = (max(1, s2 + l2 - P), P)
     if w1[0] + P <= w2[0]:
         return [w1, w2]
     # Collision: cover both bursts with one aligned block of 2P positions.  Both
@@ -198,7 +198,7 @@ def array_erasure_decode(received, burst_positions, params: ArrayCodeParams) -> 
         raise ParameterError("received word has the wrong length")
     if not known:
         raise ParameterError("known symbols must be bits")
-    burst_positions = as_spans(burst_positions, "a burst")
+    burst_positions = as_spans(burst_positions, "erasure burst", 2, params.padded, params.rows)
     declared = set()
     for s, l in burst_positions:
         declared.update(range(s, s + l))
@@ -228,17 +228,11 @@ def _column_word(params: ArrayCodeParams) -> Bits:
 
 
 def _deletions_to_erasures(received: Bits, intervals, params: ArrayCodeParams):
-    """Re-express ``k`` deletions at known intervals as ``k`` bursts of
-    erasures, one deletion each: bits outside the bursts return to their true
-    positions, the bursts themselves are treated as unknown.  Overlapping
-    intervals make one block, split into two halves."""
+    """Re-express ``k`` deletions at checked, sorted intervals as ``k``
+    bursts of erasures, one deletion each: bits outside the bursts return to
+    their true positions, the bursts themselves are treated as unknown.
+    Overlapping intervals make one block, split into two halves."""
     n = params.length
-    intervals = sorted(intervals)
-    for s, l in intervals:
-        if l < 1 or l > params.rows:
-            raise ParameterError("interval length must be in [1, rows]")
-        if s < 1 or s + l - 1 > n:
-            raise ParameterError("deletion interval outside the word")
     if len(intervals) == 2 and intervals[1][0] <= intervals[0][0] + intervals[0][1] - 1:
         (s1, l1), (s2, l2) = intervals
         hi = max(s1 + l1 - 1, s2 + l2 - 1)
@@ -283,9 +277,7 @@ def _bounded_decode(received, intervals, params: ArrayCodeParams, k: int) -> Bit
     received = as_bits(received)
     if len(received) != as_type(params, ArrayCodeParams).length - k:
         raise ParameterError(f"expected length {params.length - k}, got {len(received)}")
-    intervals = as_spans(intervals, "an interval")
-    if len(intervals) != k:
-        raise ParameterError(f"expected {k} deletion intervals, got {len(intervals)}")
+    intervals = as_spans(intervals, "deletion interval", k, params.length, params.rows)
     word, blocks = _deletions_to_erasures(received, intervals, params)
     P = params.rows
     if params.padded == P:

@@ -92,9 +92,11 @@ def as_type(value, cls):
     return value
 
 
-def as_spans(spans, what: str) -> list[tuple[int, int]]:
-    """``spans`` checked to be (start, length) pairs of integers (not bools);
-    ``what`` names one pair in the error."""
+def as_spans(spans, what: str, count: int, length: int, width: int) -> list[tuple[int, int]]:
+    """``spans`` checked to be ``count`` (start, length) pairs of integers
+    (not bools), each inside [1, ``length``] and 1 to ``width`` positions
+    long, and returned sorted: the one reader of declared intervals and
+    bursts.  ``what`` names one pair in the errors."""
     try:
         spans = list(spans)
     except TypeError:
@@ -103,7 +105,15 @@ def as_spans(spans, what: str) -> list[tuple[int, int]]:
         if not (isinstance(span, (tuple, list)) and len(span) == 2
                 and type(span[0]) is type(span[1]) is int):
             raise ParameterError(f"{what} must be a (start, length) pair of integers, got {span!r}")
-    return [tuple(span) for span in spans]
+    if len(spans) != count:
+        raise ParameterError(f"expected {count} {what}s, got {len(spans)}")
+    spans = sorted(map(tuple, spans))
+    length, width = as_int(length, "span bound"), as_int(width, "span width")
+    for s, l in spans:
+        if s < 1 or not 1 <= l <= width or s + l - 1 > length:
+            raise ParameterError(f"{what} {(s, l)} must lie in [1, {length}] "
+                                 f"and span 1 to {width} positions")
+    return spans
 
 
 def all_strands(n: int):

@@ -192,18 +192,6 @@ def _without(word: Bits, positions, origin: int = 0) -> Bits:
     return word
 
 
-def _checked_intervals(intervals, length: int, P: int) -> list[tuple[int, int]]:
-    """The two declared deletion intervals, sorted; each must lie inside
-    [1, ``length``] and span at most ``P`` positions."""
-    intervals = sorted(as_spans(intervals, "an interval"))
-    for s, l in intervals:
-        if l < 1 or s < 1 or s + l - 1 > length:
-            raise ParameterError("malformed deletion interval")
-    if len(intervals) != 2 or intervals[0][1] > P or intervals[1][1] > P:
-        raise ParameterError("two intervals of length at most max(P1, P2) expected")
-    return intervals
-
-
 def _value_options(word: Bits, k: int, weight_mod3: int):
     d = (weight_mod3 - weight(word)) % 3
     if k == 1:
@@ -426,7 +414,8 @@ def e1_decode(received, intervals, sketch: tuple[int, int], n: int, P1: int, P2:
     received, sketch = _checked_inputs(received, P1, P2, sketch, 2)
     if len(received) != as_int(n, "word length n", 1) - 2:
         raise ParameterError(f"expected length {n - 2}, got {len(received)}")
-    return _e1_decode(received, _checked_intervals(intervals, n, max(P1, P2)), sketch, n, P1 + P2)
+    intervals = as_spans(intervals, "deletion interval", 2, n, max(P1, P2))
+    return _e1_decode(received, intervals, sketch, n, P1 + P2)
 
 
 def _e1_decode(received: Bits, intervals, sketch, n: int, rho: int) -> Bits:
@@ -476,7 +465,7 @@ def e2_decode(received, intervals, sketch: tuple[int, int, int], n: int, P1: int
     if len(received) != as_int(n, "word length n", 1) - 2:
         raise ParameterError(f"expected length {n - 2}, got {len(received)}")
     P = max(P1, P2)
-    return _e2_decode(received, _checked_intervals(intervals, n, P), sketch, n, P)
+    return _e2_decode(received, as_spans(intervals, "deletion interval", 2, n, P), sketch, n, P)
 
 
 def _e2_decode(received: Bits, intervals, sketch, n: int, P: int) -> Bits:
@@ -709,7 +698,7 @@ def decode_E(received, intervals, n: int, P1: int, P2: int) -> Bits:
     received = as_bits(received)
     params = _layout(n, P1, P2)
     L = params.total
-    intervals = _checked_intervals(intervals, L, params.P)
+    intervals = as_spans(intervals, "deletion interval", 2, L, params.P)
     if not L - 2 <= len(received) <= L:
         raise ParameterError(f"received length {len(received)} incompatible with <= 2 deletions")
     return _decode_E(received, intervals, params)
@@ -772,7 +761,7 @@ def prefix_decode_two(received, intervals, k: int, P1: int, P2: int) -> Bits:
     L = params.total + 2
     if len(received) != L - 2:
         raise ParameterError(f"expected length {L - 2}, got {len(received)}")
-    intervals = _checked_intervals(intervals, L, params.P)
+    intervals = as_spans(intervals, "deletion interval", 2, L, params.P)
     if not any(s <= k + 2 and s + l > k + 1 for s, l in intervals):
         # Neither interval touches the marker at k + 1, k + 2.
         before = sum(1 for s, l in intervals if s + l - 1 < k + 1)

@@ -127,7 +127,7 @@ class TestErasureDecode:
             spans = [(s, l) for l in (1, 2) for s in range(1, n - l + 2)]
             for bursts in combinations_with_replacement(spans, 2):
                 erased = erase((0,) * n, bursts)
-                free = [i for s, l in _normalize_windows(bursts, P, padded)
+                free = [i for s, l in _normalize_windows(sorted(bursts), P, padded)
                         for i in range(s - 1, s - 1 + l)]
                 inside = [i for i in free if i < n and erased[i] is not None]
                 outside = [i for i in range(n) if i not in free]
@@ -260,15 +260,15 @@ class TestIntegerChecks:
     @pytest.mark.parametrize("span", [("1", 2), (1.0, 2), (1, 2.0), (None, 2), (1, 2, 3), 1])
     def test_interval(self, span):
         p = array_syndromes(self.x, 2)
-        with pytest.raises(ParameterError, match="an interval must be a"):
+        with pytest.raises(ParameterError, match="deletion interval must be a"):
             array_bounded_decode(self.x[2:], [span, (6, 2)], p)
-        with pytest.raises(ParameterError, match="an interval must be a"):
+        with pytest.raises(ParameterError, match="deletion interval must be a"):
             array_single_bounded_decode(self.x[1:], span, p)
 
     @pytest.mark.parametrize("span", [("1", 2), (1.5, 2), (1, "2")])
     def test_burst(self, span):
         p = array_syndromes(self.x, 2)
-        with pytest.raises(ParameterError, match="a burst must be a"):
+        with pytest.raises(ParameterError, match="erasure burst must be a"):
             array_erasure_decode(erase(self.x, [(1, 2), (6, 2)]), [span, (6, 2)], p)
 
     def test_bursts_not_a_sequence(self):
@@ -521,18 +521,24 @@ class TestParameterErrors:
     @pytest.mark.parametrize("call, text", [
         (lambda: array_syndromes((0, 1), 0), "row count must be an int >= 1, got 0"),
         (lambda: array_erasure_decode([None, 0, 0, 0], [(1, 1)], ROWS2),
-         "exactly two nonempty erasure bursts expected"),
+         "expected 2 erasure bursts, got 1"),
         (lambda: array_erasure_decode([None, 0, 0, 0], [(1, 3), (4, 1)], ROWS2),
-         "burst longer than the row count"),
+         "erasure burst (1, 3) must lie in [1, 4] and span 1 to 2 positions"),
         (lambda: array_erasure_decode([None, 0, 0, 0], [(0, 2), (3, 1)], ROWS2),
-         "burst outside the padded word"),
+         "erasure burst (0, 2) must lie in [1, 4] and span 1 to 2 positions"),
+        # declarations once read only when the word held an erasure, or with
+        # empty bursts dropped
+        (lambda: array_erasure_decode([0, 0, 0, 0], [(1, 1)], ROWS2),
+         "expected 2 erasure bursts, got 1"),
+        (lambda: array_erasure_decode([None, 0, 0, 0], [(1, 1), (3, 1), (4, 0)], ROWS2),
+         "expected 2 erasure bursts, got 3"),
         # one column: the two bursts collide and the word holds no 2P block
         (lambda: array_erasure_decode([None, None, 0], [(1, 1), (2, 1)], ROWS3),
          "word too short to normalise overlapping bursts"),
         (lambda: array_erasure_decode([0, 0, 0], [(1, 1), (2, 1)], ROWS2),
          "received word has the wrong length"),
         (lambda: array_bounded_decode((0, 0), [(1, 3), (4, 1)], ROWS2),
-         "interval length must be in [1, rows]"),
+         "deletion interval (1, 3) must lie in [1, 4] and span 1 to 2 positions"),
         # two deletions declared by one, none or three intervals
         (lambda: array_bounded_decode((0, 0), [(1, 1)], ROWS2),
          "expected 2 deletion intervals, got 1"),
@@ -546,7 +552,8 @@ class TestParameterErrors:
          "ArrayCodeParams expected, got int"),
         (lambda: array_erasure_decode(5, [(1, 1), (2, 1)], ROWS2), "known symbols must be bits"),
         (lambda: ArrayCodeParams(2, 4, 5, 0), "row sums must be 2 values in {0, 1, 2}"),
-    ], ids=["rows", "one burst", "long burst", "burst at 0", "short word",
+    ], ids=["rows", "one burst", "long burst", "burst at 0", "no erasure",
+            "empty third burst", "short word",
             "erasure length", "long interval", "one interval", "no interval",
             "three intervals", "empty word", "is_member int params", "erasure int params",
             "bounded int params", "erasure int word", "int row sums"])

@@ -262,12 +262,28 @@ class TestAsStrand:
 
 class TestAsSpans:
     def test_pairs_kept(self):
-        assert as_spans([[2, 3], (7, 1)], "an interval") == [(2, 3), (7, 1)]
+        assert as_spans([[7, 1], (2, 3)], "interval", 2, 8, 3) == [(2, 3), (7, 1)]
 
     @pytest.mark.parametrize("spans", [5, None, [(2, True)], [(2.0, 3)], [(2, 3, 1)], [5]])
     def test_malformed_rejected(self, spans):
         with pytest.raises(ParameterError):
-            as_spans(spans, "an interval")
+            as_spans(spans, "interval", 1, 8, 3)
+
+    @pytest.mark.parametrize("spans, text", [
+        ([(2, 3)], "expected 2 intervals, got 1"),
+        ([(2, 3), (5, 1), (7, 1)], "expected 2 intervals, got 3"),
+        # each bound, at the first span past it in sorted order
+        ([(5, 1), (0, 1)], "interval (0, 1) must lie in [1, 8] and span 1 to 3 positions"),
+        ([(5, 1), (2, 0)], "interval (2, 0) must lie in [1, 8] and span 1 to 3 positions"),
+        ([(5, 1), (2, 4)], "interval (2, 4) must lie in [1, 8] and span 1 to 3 positions"),
+        ([(8, 2), (2, 3)], "interval (8, 2) must lie in [1, 8] and span 1 to 3 positions"),
+    ], ids=["one", "three", "start 0", "length 0", "too wide", "past the end"])
+    def test_count_and_bounds(self, spans, text):
+        with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
+            as_spans(spans, "interval", 2, 8, 3)
+
+    def test_extremes_accepted(self):
+        assert as_spans([(6, 3), (1, 1)], "interval", 2, 8, 3) == [(1, 1), (6, 3)]
 
 
 class Unformattable:

@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import random
+import re
 from itertools import accumulate, combinations, product
 from math import comb
 from pathlib import Path
@@ -239,6 +240,20 @@ class TestModuleBoundaries:
         paths = sorted((ROOT / "src" / "syndef").glob("*.py"))
         assert self.raise_sites(paths, "DecodeFailure") == DECODE_FAILURES
 
+    def test_one_span_reader(self):
+        """Declared intervals and bursts are read by ``core.as_spans`` alone:
+        every other ParameterError that names an interval, a burst or a span
+        is one of the array code's own three rules."""
+        paths = sorted((ROOT / "src" / "syndef").glob("*.py"))
+        assert [site for site in self.raise_sites(paths, "ParameterError")
+                if re.search(r"interval|burst|span|\(start, length\)", site[2])
+                and site[:2] != ("core", "as_spans")] == [
+            ("array_code", "_normalize_windows", "word too short to normalise overlapping bursts"),
+            ("array_code", "array_erasure_decode", "erasure outside the declared bursts"),
+            ("array_code", "_deletions_to_erasures",
+             "two deletions cannot share the one position of intervals {intervals}"),
+        ]
+
     def test_construction_check_inventory(self):
         """Every self-check of a construction (ConstructionError or
         ArithmeticError), listed in the same way."""
@@ -445,8 +460,10 @@ class TestSlotKernel:
                 value = smod4(delta)
                 grown = [w[:p - 1] + (value,) + w[p - 1:] for p in range(1, len(w) + 2)]
                 landed = [cycles(y)[p - 1] for p, y in enumerate(grown, start=1)]
-                assert _insert_slot_positions(w, delta) == \
-                    [p for p, c in enumerate(landed, start=1) if c == delta]
+                slots = _insert_slot_positions(w, delta)
+                assert slots == [p for p, c in enumerate(landed, start=1) if c == delta]
+                # the docstring's claim: at most four, and consecutive
+                assert len(slots) <= 4 and all(q == p + 1 for p, q in zip(slots, slots[1:]))
 
     def test_reinsertions_recover_the_strand(self):
         for x in all_strands(4):

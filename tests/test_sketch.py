@@ -10,7 +10,12 @@ from math import comb
 
 import pytest
 
-from syndef.array_code import array_bounded_decode, array_single_bounded_decode, array_syndromes
+from syndef.array_code import (
+    array_bounded_decode,
+    array_erasure_decode,
+    array_single_bounded_decode,
+    array_syndromes,
+)
 from syndef.binary import insertions
 from syndef.core import ConstructionError, DecodeFailure, ParameterError
 from syndef.sketch import (
@@ -1016,6 +1021,31 @@ BUNDLE = sketch_bundle(b("1011010010"), 2, 3).to_json()
 COMPOSED_LENGTH = EParams(8, 2, 2).total
 PREFIX_LENGTH = prefix_codeword_length(8, 2, 2)
 
+# The decoders of declared intervals and bursts, each given a word its
+# channel gives: (decode a declaration, what, count, length); the width is
+# P = 3 throughout.
+SPAN_X = b("110100101011")
+SPAN_DECODERS = {
+    "e1_decode": (lambda d: e1_decode(delete(SPAN_X, 3, 8), d, e1_sketch(SPAN_X, 3, 3), 12, 3, 3),
+                  "deletion interval", 2, 12),
+    "e2_decode": (lambda d: e2_decode(delete(SPAN_X, 3, 8), d, e2_sketch(SPAN_X, 3, 3), 12, 3, 3),
+                  "deletion interval", 2, 12),
+    "decode_E": (lambda d: decode_E(delete(encode_E(SPAN_X, 3, 3), 3, 8), d, 12, 3, 3),
+                 "deletion interval", 2, EParams(12, 3, 3).total),
+    "prefix_decode_two": (lambda d: prefix_decode_two(delete(prefix_encode(SPAN_X, 3, 3), 3, 8),
+                                                      d, 12, 3, 3),
+                          "deletion interval", 2, prefix_codeword_length(12, 3, 3)),
+    "array_bounded_decode": (lambda d: array_bounded_decode(delete(SPAN_X, 3, 8), d,
+                                                            array_syndromes(SPAN_X, 3)),
+                             "deletion interval", 2, 12),
+    "array_single_bounded_decode": (lambda d: array_single_bounded_decode(
+        delete(SPAN_X, 3), d, array_syndromes(SPAN_X, 3)), "deletion interval", 1, 12),
+    "array_erasure_decode": (lambda d: array_erasure_decode(list(SPAN_X), d,
+                                                            array_syndromes(SPAN_X, 3)),
+                             "erasure burst", 2, 12),
+}
+SPAN_FAULTS = ["count", "length 0", "too wide", "start 0", "past the end", "bool start"]
+
 
 class TestParameterErrors:
     """One malformed input for each input check, with the text it raises."""
@@ -1077,3 +1107,20 @@ class TestParameterErrors:
     def test_rejected(self, call, text):
         with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
             call()
+
+    @pytest.mark.parametrize("decoder, fault", [
+        (decoder, fault) for decoder in SPAN_DECODERS for fault in SPAN_FAULTS
+        if not (fault == "count" and SPAN_DECODERS[decoder][2] == 1)])
+    def test_declared_spans_rejected(self, decoder, fault):
+        """One malformed declaration gets one text from every decoder of
+        declared spans: each reads them with ``core.as_spans``."""
+        decode, what, count, length = SPAN_DECODERS[decoder]
+        bad = {"count": (3, 2), "length 0": (3, 0), "too wide": (3, 4), "start 0": (0, 2),
+               "past the end": (length, 2), "bool start": (True, 2)}[fault]
+        declared = bad if count == 1 else [bad] if fault == "count" else [bad, (8, 2)]
+        text = (f"expected 2 {what}s, got 1" if fault == "count"
+                else f"{what} must be a (start, length) pair of integers, got {bad!r}"
+                if fault == "bool start"
+                else f"{what} {bad} must lie in [1, {length}] and span 1 to 3 positions")
+        with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
+            decode(declared)

@@ -183,7 +183,7 @@ def valid_calls():
         "bounds.verify_cover": (5, bounds.build_clique_cover(5)),
         "core.all_strands": (2,),
         "core.apply_defects_tuple": ((x[:4], x[4:]), {2, 7}),
-        "core.as_spans": ([(1, 2)], "a span"),
+        "core.as_spans": ([(1, 2)], "span", 1, 4, 2),
         "core.as_strand": (x, True),
         "core.confusable_ball": (x, {4, 9}),
         "core.default_regular_window": (8,),
